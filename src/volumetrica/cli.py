@@ -22,17 +22,14 @@ from volumetrica import io as vio
 from volumetrica.estimators import (
     METHODS,
     EstimateCase,
-    EstimateReport,
-    area_based_estimate,
     discrepancy,
     estimate_all,
+    estimate_series,
     ml_estimate,
-    regression_estimate,
-    spherical_estimate,
 )
-from volumetrica.geometry import max_equivalent_diameter
 from volumetrica.grid import BinaryMask, VoxelGrid
 from volumetrica.nn.inference import (
+    cnn_volume,
     dice,
     extract_tumor_mask,
     mask_training_target,
@@ -211,41 +208,6 @@ def cmd_ingest(args) -> int:
 
 # ---------------------------------------------------------------- estimate
 
-def _series_report(series, methods, manual_radius: float | None = None) -> EstimateReport:
-    import time
-
-    report = EstimateReport(case_id="series")
-    report.metadata = {
-        "slice_count": len(series),
-        "thickness_mm": series.thickness,
-        "source": "slice-area series",
-    }
-    for method in methods:
-        start = time.perf_counter()
-        try:
-            if method == "spherical":
-                r = manual_radius if manual_radius is not None else max_equivalent_diameter(series) / 2.0
-                report.metadata["spherical_radius_mm"] = r
-                report.metadata["spherical_radius_source"] = (
-                    "manual" if manual_radius is not None else "max-slice-area"
-                )
-                report.volumes[method] = spherical_estimate(r)
-            elif method == "area_based":
-                report.volumes[method] = area_based_estimate(series)
-            elif method == "regression":
-                volume, fit = regression_estimate(series)
-                report.volumes[method] = volume
-                report.metadata["regression_fit"] = fit.to_dict()
-            elif method == "ml":
-                raise ValueError("ml needs voxel input, not an area series")
-            else:
-                raise ValueError(f"unknown method {method!r}")
-        except Exception as exc:
-            report.errors[method] = f"{type(exc).__name__}: {exc}"
-        report.seconds[method] = time.perf_counter() - start
-    return report
-
-
 def _parse_methods(arg: str | None, have_model: bool) -> tuple[str, ...]:
     if arg in (None, "all"):
         return METHODS if have_model else tuple(m for m in METHODS if m != "ml")
@@ -275,7 +237,8 @@ def cmd_estimate(args) -> int:
     try:
         if src.suffix.lower() == ".csv":
             series = vio.read_series_csv(src)
-            report = _series_report(series, methods, manual_radius=args.radius)
+            report = estimate_series(series, methods, manual_radius=args.radius)
+            report.metadata.update(thickness_mm=series.thickness, source="slice-area series")
         else:
             case = _load_single_case(src, args)
             report = estimate_all(case, network=network, threshold=args.threshold,
@@ -360,8 +323,7 @@ def cmd_train(args) -> int:
         for c in cases
     ]
     config = TrainConfig(
-        epochs=args.epochs, loss=args.loss, optimizer=args.optimizer,
-        learning_rate=args.lr, seed=seed,
+        epochs=args.epochs, loss=args.loss, optimizer=args.optimizer, learning_rate=args.lr
     )
     try:
         log = train(net, training_cases, config)
@@ -401,7 +363,7 @@ def cmd_eval(args) -> int:
     for case, truth in zip(cases, truths):
         pred = predict(network, prepare_input(case.grid, target_shape))
         pred_mask = extract_tumor_mask(pred, args.threshold)
-        volume = ml_estimate(case.grid, network, args.threshold)
+        volume = cnn_volume(pred_mask, case.grid.dims, case.grid.spacing)
         ref = fit_target_to_output(network, mask_training_target(case.mask, target_shape))
         ref_mask = extract_tumor_mask(ref, 0.5)
         rows.append(
@@ -497,7 +459,7 @@ def cmd_stats(args) -> int:
         for c in cases
     ]
     train_config = TrainConfig(
-        epochs=args.epochs, loss=args.loss, optimizer="adam", learning_rate=args.lr, seed=seed
+        epochs=args.epochs, loss=args.loss, optimizer="adam", learning_rate=args.lr
     )
 
     # the cohort is indexed so the trainer sees tensors while the

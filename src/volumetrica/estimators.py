@@ -31,11 +31,6 @@ def spherical_estimate(r: float) -> float:
     return 4.0 / 3.0 * math.pi * r**3
 
 
-def spherical_radius_from_mask(mask: BinaryMask) -> float:
-    """Half the equivalent diameter of the largest slice area."""
-    return max_equivalent_diameter(slice_areas(mask)) / 2.0
-
-
 def area_based_estimate(series: SliceAreaSeries) -> float:
     """V = sum of slice area times thickness."""
     if len(series) == 0:
@@ -114,40 +109,35 @@ class EstimateReport:
         return {"case_id": self.case_id, "methods": methods, "metadata": self.metadata}
 
 
-def estimate_all(
-    case: EstimateCase,
+def estimate_series(
+    series: SliceAreaSeries,
+    methods=METHODS,
+    grid: VoxelGrid | None = None,
     network: Network | None = None,
     threshold: float = 0.5,
-    methods=METHODS,
     manual_radius: float | None = None,
+    case_id: str = "series",
 ) -> EstimateReport:
-    """Run the selected estimators on one case; failures are recorded as
-    error markers, never as zero volumes.
+    """Run the selected estimators on one slice-area series; failures
+    are recorded as error markers, never as zero volumes.
 
-    ``manual_radius`` overrides the mask-derived equivalent radius for
-    the spherical method (the caliper-measurement workflow).
+    Only ``ml`` reads the voxel ``grid``; without one it records an
+    error. ``manual_radius`` overrides the equivalent radius of the
+    largest slice for the spherical method (the caliper-measurement
+    workflow).
     """
-    report = EstimateReport(case_id=case.case_id)
-    series = slice_areas(case.mask)
-    report.metadata = {
-        "spacing_mm": list(case.mask.spacing.as_tuple()),
-        "dims": list(case.mask.dims),
-        "slice_count": len(series),
-        "threshold": threshold,
-        "regression_degrees": [REGRESSION_DEGREE_MIN, REGRESSION_DEGREE_MAX],
-    }
-    if case.analytic_volume is not None:
-        report.metadata["analytic_volume_mm3"] = case.analytic_volume
-
+    report = EstimateReport(case_id=case_id, metadata={"slice_count": len(series)})
     for method in methods:
         start = time.perf_counter()
         try:
             if method == "ml":
+                if grid is None:
+                    raise ValueError("ml needs voxel input, not an area series")
                 if network is None:
                     raise ValueError("no trained network supplied")
-                value = ml_estimate(case.grid, network, threshold)
+                value = ml_estimate(grid, network, threshold)
             elif method == "spherical":
-                r = manual_radius if manual_radius is not None else spherical_radius_from_mask(case.mask)
+                r = manual_radius if manual_radius is not None else max_equivalent_diameter(series) / 2.0
                 report.metadata["spherical_radius_mm"] = r
                 report.metadata["spherical_radius_source"] = (
                     "manual" if manual_radius is not None else "max-slice-area"
@@ -164,6 +154,30 @@ def estimate_all(
         except Exception as exc:
             report.errors[method] = f"{type(exc).__name__}: {exc}"
         report.seconds[method] = time.perf_counter() - start
+    return report
+
+
+def estimate_all(
+    case: EstimateCase,
+    network: Network | None = None,
+    threshold: float = 0.5,
+    methods=METHODS,
+    manual_radius: float | None = None,
+) -> EstimateReport:
+    """``estimate_series`` over the mask's slice areas, with the case
+    geometry added to the report metadata."""
+    report = estimate_series(
+        slice_areas(case.mask), methods, grid=case.grid, network=network,
+        threshold=threshold, manual_radius=manual_radius, case_id=case.case_id,
+    )
+    report.metadata.update(
+        spacing_mm=list(case.mask.spacing.as_tuple()),
+        dims=list(case.mask.dims),
+        threshold=threshold,
+        regression_degrees=[REGRESSION_DEGREE_MIN, REGRESSION_DEGREE_MAX],
+    )
+    if case.analytic_volume is not None:
+        report.metadata["analytic_volume_mm3"] = case.analytic_volume
     return report
 
 

@@ -33,8 +33,10 @@ class SliceAreaSeries:
             raise ValueError("positions and areas must be 1-D arrays of equal length")
         if not (math.isfinite(self.thickness) and self.thickness > 0):
             raise ValueError(f"thickness must be finite and > 0, got {self.thickness!r}")
-        if np.any(ar < 0):
-            raise ValueError("areas must be >= 0")
+        if not np.all(np.isfinite(ar) & (ar >= 0)):
+            raise ValueError("areas must be finite and >= 0")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("positions must be finite")
         if len(pos) > 1:
             gaps = np.diff(pos)
             if np.any(gaps <= 0):

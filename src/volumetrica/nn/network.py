@@ -49,11 +49,13 @@ class Network:
     def rank(self) -> int:
         return len(self.input_shape) - 1
 
-    def output_shapes(self) -> list[tuple[int, ...]]:
-        """Shape after each layer for the declared input shape."""
+    def output_shapes(self, input_shape=None) -> list[tuple[int, ...]]:
+        """Shape after each layer for ``input_shape`` (*spatial,
+        channels), by default the declared input shape."""
+        shape = tuple(self.input_shape if input_shape is None else input_shape)
         shapes = []
-        spatial = list(self.input_shape[:-1])
-        channels = self.input_shape[-1]
+        spatial = list(shape[:-1])
+        channels = shape[-1]
         for layer in self.layers:
             if isinstance(layer, ConvLayer):
                 channels = layer.out_channels
@@ -64,9 +66,6 @@ class Network:
                     spatial[ax] //= p
             shapes.append(tuple(spatial) + (channels,))
         return shapes
-
-    def output_spatial(self) -> tuple[int, ...]:
-        return self.output_shapes()[-1][:-1]
 
     def param_count(self) -> int:
         return sum(l.param_count for l in self.layers if isinstance(l, ConvLayer))
@@ -234,39 +233,56 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
+    """Read a container written by ``save_network``; a truncated,
+    corrupted or over-long file raises ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _MAGIC:
         raise ValueError("not a network container (bad magic)")
-    (version,) = struct.unpack_from("<I", data, 4)
+    pos = 4
+
+    def take(fmt: str) -> tuple:
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        if pos + size > len(data):
+            raise ValueError(f"network container truncated at byte {pos}")
+        values = struct.unpack_from(fmt, data, pos)
+        pos += size
+        return values
+
+    def take_f8(count: int) -> np.ndarray:
+        nonlocal pos
+        if pos + 8 * count > len(data):
+            raise ValueError(f"network container truncated at byte {pos}")
+        values = np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy()
+        pos += 8 * count
+        return values
+
+    (version,) = take("<I")
     if version != 1:
         raise ValueError(f"unsupported network container version {version}")
-    pos = 8
-    (ndim,) = struct.unpack_from("<B", data, pos)
-    pos += 1
-    input_shape = struct.unpack_from(f"<{ndim}I", data, pos)
-    pos += 4 * ndim
-    (n_layers,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    (ndim,) = take("<B")
+    if ndim not in (3, 4):
+        raise ValueError(f"input shape has {ndim} axes, expected 3 or 4")
+    input_shape = take(f"<{ndim}I")
+    (n_layers,) = take("<I")
     layers = []
     for _ in range(n_layers):
-        kind, rank = struct.unpack_from("<BB", data, pos)
-        pos += 2
-        extents = struct.unpack_from(f"<{rank}I", data, pos)
-        pos += 4 * rank
+        kind, rank = take("<BB")
+        extents = take(f"<{rank}I")
         if kind == 1:
-            in_ch, out_ch, act = struct.unpack_from("<IIB", data, pos)
-            pos += 9
-            n_w = math.prod(extents) * in_ch * out_ch
-            weights = np.frombuffer(data, dtype="<f8", count=n_w, offset=pos).reshape(
+            in_ch, out_ch, act = take("<IIB")
+            if act not in _ACTIVATION_NAMES:
+                raise ValueError(f"unknown activation code {act} in container")
+            weights = take_f8(math.prod(extents) * in_ch * out_ch).reshape(
                 extents + (in_ch, out_ch)
             )
-            pos += 8 * n_w
-            bias = np.frombuffer(data, dtype="<f8", count=out_ch, offset=pos)
-            pos += 8 * out_ch
-            layers.append(ConvLayer(weights.copy(), bias.copy(), _ACTIVATION_NAMES[act]))
+            bias = take_f8(out_ch)
+            layers.append(ConvLayer(weights, bias, _ACTIVATION_NAMES[act]))
         elif kind == 2:
             layers.append(AvgPool(extents))
         else:
             raise ValueError(f"unknown layer kind {kind} in container")
+    if pos != len(data):
+        raise ValueError(f"{len(data) - pos} trailing bytes after the network container")
     return Network(layers, tuple(input_shape))

@@ -19,24 +19,17 @@ class TrainingDivergedError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
-    batch_size: int = 1
     loss: str = "bce"
     optimizer: str = "adam"
     learning_rate: float = 1e-3
-    seed: int = 0
-    split_fraction: float = 0.2
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.batch_size != 1:
-            raise ValueError("only batch size 1 is supported")
         if self.loss not in ("mse", "bce"):
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError("split fraction must be in (0, 1)")
 
 
 @dataclass
@@ -64,23 +57,15 @@ def split_cases(n: int, test_fraction: float, seed: int) -> tuple[list[int], lis
     return sorted(int(i) for i in order[n_test:]), sorted(int(i) for i in order[:n_test])
 
 
-def fit_target_to_output(net: Network, target: np.ndarray, input_spatial=None) -> np.ndarray:
+def fit_target_to_output(net: Network, target: np.ndarray, input_shape=None) -> np.ndarray:
     """Average-pool a full-resolution target down to the network's
     output grid when the architecture downsamples.
 
-    ``input_spatial`` is the actual case input size; it defaults to the
-    network's declared input shape (convolutions preserve extents, so
-    the output grid is the input divided by the pooling factors).
+    ``input_shape`` is the actual case input (*spatial, channels); it
+    defaults to the network's declared input shape.
     """
     target = np.asarray(target, dtype=np.float64)
-    if input_spatial is None:
-        input_spatial = net.input_shape[:-1]
-    pool_factor = [1] * (len(net.input_shape) - 1)
-    for layer in net.layers:
-        if hasattr(layer, "pool"):
-            for ax, p in enumerate(layer.pool):
-                pool_factor[ax] *= p
-    out_spatial = tuple(s // f for s, f in zip(input_spatial, pool_factor))
+    out_spatial = net.output_shapes(input_shape)[-1][:-1]
     t_spatial = target.shape[:-1]
     if t_spatial == out_spatial:
         return target
@@ -107,7 +92,7 @@ def train(net: Network, cases, config: TrainConfig) -> TrainingLog:
         x, target = item if isinstance(item, tuple) else (item, None)
         x = np.asarray(x, dtype=np.float64)
         target = x if target is None else np.asarray(target, dtype=np.float64)
-        target = fit_target_to_output(net, target, input_spatial=x.shape[:-1])
+        target = fit_target_to_output(net, target, input_shape=x.shape)
         # the first layer sees the same input every epoch: im2col once
         prepared.append((x, target, input_cols(net, x)))
 

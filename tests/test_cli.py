@@ -110,6 +110,28 @@ class TestEstimateCommand:
         payload = json.loads(out.read_text())["payload"]
         assert "error" in payload["methods"]["ml"]
 
+    @pytest.mark.parametrize(
+        "rows",
+        ["0,3\n1,nan\n2,3", "0,3\n1,inf\n2,3", "0,3\n1,3\nnan,3\n2,3"],
+        ids=["nan-area", "inf-area", "nan-position"],
+    )
+    def test_non_finite_csv_value_exits_2(self, tmp_path, capsys, rows):
+        csv = tmp_path / "s.csv"
+        csv.write_text(f"position_mm,area_mm2\n{rows}\n")
+        assert main(["estimate", "--input", str(csv), "--out", str(tmp_path / "r.json")]) == 2
+        assert "unreadable input" in capsys.readouterr().err
+
+    def test_truncated_model_exits_2(self, tmp_path, capsys):
+        from volumetrica.nn.network import build_segmenter_3d, save_network
+
+        model = tmp_path / "net.vnet"
+        save_network(build_segmenter_3d(seed=0), model)
+        model.write_bytes(model.read_bytes()[:20])
+        csv = tmp_path / "s.csv"
+        csv.write_text("position_mm,area_mm2\n0,3\n1,3\n2,3\n")
+        assert main(["estimate", "--input", str(csv), "--model", str(model)]) == 2
+        assert "cannot load model" in capsys.readouterr().err
+
     def test_unknown_method_exits_2(self, tmp_path):
         csv = tmp_path / "s.csv"
         csv.write_text("position_mm,area_mm2\n0,3\n1,3\n")
@@ -228,6 +250,32 @@ class TestPipelineCommands:
             schema = json.loads((schema_dir / schema_name).read_text())
             payload = doc["payload"]["matrix"] if "matrix" in doc["payload"] else doc["payload"]
             jsonschema.validate(payload, schema)
+
+    def test_eval_predicts_once_per_case(self, small_cohort, tmp_path, monkeypatch):
+        import volumetrica.cli as cli
+        import volumetrica.estimators as estimators
+        from volumetrica.nn.network import build_segmenter_3d, load_network, predict, save_network
+
+        model = tmp_path / "net.vnet"
+        save_network(build_segmenter_3d(seed=3), model)
+        calls = []
+
+        def counting_predict(net, x):
+            calls.append(x.shape)
+            return predict(net, x)
+
+        # ml_estimate predicts through the estimators module's binding
+        monkeypatch.setattr(cli, "predict", counting_predict)
+        monkeypatch.setattr(estimators, "predict", counting_predict)
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--cohort", str(small_cohort), "--model", str(model),
+                     "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["payload"]["cases"]
+        assert len(calls) == len(rows) == 5
+        cases, _, _ = cli._load_manifest_cases(small_cohort)
+        net = load_network(model)
+        for case, row in zip(cases, rows):
+            assert row["volume_mm3"] == estimators.ml_estimate(case.grid, net)
 
     def test_stats_k_exceeding_n_exits_2(self, small_cohort, tmp_path):
         assert main(["stats", "--cohort", str(small_cohort), "--folds", "6",

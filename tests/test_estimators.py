@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -213,6 +214,22 @@ class TestEstimateAll:
             manual_radius=6.0,
         )
         assert report.volumes["spherical"] == pytest.approx(904.779, abs=0.001)
+
+    def test_csv_route_matches_mask_route(self, tmp_path):
+        from volumetrica.cli import main
+        from volumetrica.geometry import slice_areas
+        from volumetrica.io import write_series_csv
+
+        spec = PhantomSpec(kind="lobulated", semi_axes=(9.0, 8.0, 7.0), noise_sigma=0.05, seed=4)
+        grid, mask, volume = make_phantom(spec, (40, 40, 40), Spacing(0.8, 0.8, 1.5))
+        csv = tmp_path / "areas.csv"
+        write_series_csv(csv, slice_areas(mask))
+        out = tmp_path / "est.json"
+        assert main(["estimate", "--input", str(csv), "--out", str(out)]) == 0
+        from_csv = json.loads(out.read_text())["payload"]["methods"]
+        report = estimate_all(EstimateCase("lob", grid, mask, volume))
+        for m in ("spherical", "area_based", "regression"):
+            assert from_csv[m]["volume_mm3"] == report.volumes[m]
 
     def test_spherical_largest_on_oblate_ellipsoids(self, trained_net):
         # a = b = 2c forces max-cross-section inflation

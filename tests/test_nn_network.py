@@ -174,3 +174,25 @@ class TestDeterminismAndSerialization:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_network(path)
+
+    def test_corruption_fuzz_never_silent_garbage(self, tmp_path):
+        path = tmp_path / "net.vnet"
+        save_network(build_segmenter_3d(seed=2), path)
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.vnet"
+        # no proper prefix and no over-long file may load
+        for data in [blob[:cut] for cut in range(len(blob))] + [blob + b"\x00"]:
+            bad.write_bytes(data)
+            with pytest.raises(ValueError):
+                load_network(bad)
+        # header corruption either loads a network or raises ValueError
+        for i in range(60):
+            for flip in [1 << bit for bit in range(8)] + [0xFF]:
+                data = bytearray(blob)
+                data[i] ^= flip
+                bad.write_bytes(bytes(data))
+                try:
+                    net = load_network(bad)
+                except ValueError:
+                    continue
+                assert isinstance(net, Network)

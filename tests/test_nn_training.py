@@ -225,7 +225,3 @@ class TestTrain:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(split_fraction=1.5)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=2)
