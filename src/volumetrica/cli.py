@@ -172,16 +172,8 @@ def cmd_ingest(args) -> int:
     src = Path(args.input)
     if not src.is_dir():
         return _fail(EXIT_USAGE, f"{src} is not a directory")
-    files = sorted(p for p in src.iterdir() if p.suffix.lower() == ".dcm" or p.is_file())
-    datasets = []
-    skipped = []
-    for p in files:
-        try:
-            datasets.append(dicomlite.parse_file(p.read_bytes()))
-        except dicomlite.DicomParseError as exc:
-            skipped.append(f"{p.name}: {exc}")
     try:
-        grid, geometry = dicomlite.read_series(datasets)
+        grid, geometry, skipped = dicomlite.read_directory(src)
     except dicomlite.NoValidImagesError as exc:
         return _fail(EXIT_RUNTIME, str(exc))
     except dicomlite.GeometryMismatchError as exc:
@@ -200,7 +192,7 @@ def cmd_ingest(args) -> int:
         "warnings": list(geometry.warnings) + skipped,
     }
     envelope = vio.report_envelope("ingest", payload, _seed(args), {"input": str(src)},
-                                   inputs=files)
+                                   inputs=[src])
     vio.dump_json(out / "geometry.json", envelope)
     print(f"ingested {len(geometry.slice_order)} slice(s) into {out}")
     return EXIT_OK
@@ -279,14 +271,7 @@ def _load_single_case(src: Path, args) -> EstimateCase:
                 )
             return cases[0]
         # a directory of DICOM slices
-        datasets = []
-        for p in sorted(src.iterdir()):
-            if p.is_file():
-                try:
-                    datasets.append(dicomlite.parse_file(p.read_bytes()))
-                except dicomlite.DicomParseError:
-                    continue
-        grid, _ = dicomlite.read_series(datasets)
+        grid, _, _ = dicomlite.read_directory(src)
         mask = _mask_for(grid, args)
         return EstimateCase(src.name, grid, mask)
     if src.suffix.lower() == ".volv":
@@ -523,15 +508,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"volumetrica {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, out_dir: bool = False):
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (falls back to VOLUMETRICA_SEED, then 0)")
-        p.add_argument("--out", help="output file or directory")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if out_dir:
+            p.add_argument("--out", required=True, help="output directory")
+        else:
+            p.add_argument("--out", help="output file (default: stdout)")
 
     p = sub.add_parser("phantom", help="rasterize phantoms from a spec file")
     p.add_argument("--spec", required=True, help="phantom or cohort spec JSON")
-    add_common(p)
+    add_common(p, out_dir=True)
     p.set_defaults(fn=cmd_phantom)
 
     p = sub.add_parser("parse", help="parse one DICOM file and dump its elements")
@@ -541,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="assemble a DICOM directory into a voxel grid")
     p.add_argument("--input", required=True)
-    add_common(p)
+    add_common(p, out_dir=True)
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("estimate", help="estimate volumes for one case")
@@ -552,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--radius", type=float, default=None,
                    help="manually measured radius (mm) for the spherical method")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(p)
     p.set_defaults(fn=cmd_estimate)
 
@@ -561,13 +549,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=("bce", "mse"), default="bce")
     p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     p.add_argument("--lr", type=float, default=1e-3)
-    add_common(p)
+    add_common(p, out_dir=True)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="per-case ML volumes and errors")
     p.add_argument("--cohort", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(p)
     p.set_defaults(fn=cmd_eval)
 

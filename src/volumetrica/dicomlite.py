@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -446,3 +447,20 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
         uniform_z=uniform_z,
     )
     return grid, geometry
+
+
+def read_directory(path) -> tuple[VoxelGrid, SeriesGeometry, list[str]]:
+    """Parse every regular file in ``path`` (sorted by name) and assemble
+    the series. Files that fail to parse are skipped and listed as
+    ``"<name>: <reason>"`` in the third return value."""
+    datasets = []
+    skipped = []
+    for p in sorted(Path(path).iterdir()):
+        if not p.is_file():
+            continue
+        try:
+            datasets.append(parse_file(p.read_bytes()))
+        except DicomParseError as exc:
+            skipped.append(f"{p.name}: {exc}")
+    grid, geometry = read_series(datasets)
+    return grid, geometry, skipped

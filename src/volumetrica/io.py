@@ -22,6 +22,8 @@ from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
 _MAGIC = b"VOLV"
 _DTYPE_GRID = 1
 _DTYPE_MASK = 2
+_DTYPES = {_DTYPE_GRID: np.dtype("<f8"), _DTYPE_MASK: np.dtype(np.uint8)}
+_HEADER_BYTES = 45  # magic, u32 version, u8 code, 3 x u32 dims, 3 x f8 spacing
 
 
 def write_volume(path, volume: VoxelGrid | BinaryMask) -> None:
@@ -40,23 +42,30 @@ def write_volume(path, volume: VoxelGrid | BinaryMask) -> None:
 
 
 def read_volume(path) -> VoxelGrid | BinaryMask:
+    """Read a VOLV container; a truncated, corrupted or over-long file
+    raises ValueError."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise ValueError(f"{path}: not a VOLV container")
+    if len(data) < _HEADER_BYTES:
+        raise ValueError(f"{path}: VOLV header truncated at {len(data)} of {_HEADER_BYTES} bytes")
     version, code, nx, ny, nz = struct.unpack_from("<IBIII", data, 4)
     if version != 1:
         raise ValueError(f"{path}: unsupported container version {version}")
-    sx, sy, sz = struct.unpack_from("<ddd", data, 21)
-    spacing = Spacing(sx, sy, sz)
-    offset = 21 + 24
+    if code not in _DTYPES:
+        raise ValueError(f"{path}: unknown dtype code {code}")
     count = nx * ny * nz
+    expected = _HEADER_BYTES + count * _DTYPES[code].itemsize
+    if len(data) != expected:
+        raise ValueError(
+            f"{path}: VOLV payload is {len(data) - _HEADER_BYTES} bytes, "
+            f"header declares {expected - _HEADER_BYTES}"
+        )
+    spacing = Spacing(*struct.unpack_from("<ddd", data, 21))
+    payload = np.frombuffer(data, dtype=_DTYPES[code], count=count, offset=_HEADER_BYTES)
     if code == _DTYPE_GRID:
-        payload = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         return VoxelGrid(payload.reshape(nz, ny, nx).copy(), spacing)
-    if code == _DTYPE_MASK:
-        payload = np.frombuffer(data, dtype=np.uint8, count=count, offset=offset)
-        return BinaryMask(payload.reshape(nz, ny, nx).astype(bool), spacing)
-    raise ValueError(f"{path}: unknown dtype code {code}")
+    return BinaryMask(payload.reshape(nz, ny, nx).astype(bool), spacing)
 
 
 def write_series_csv(path, series: SliceAreaSeries) -> None:

@@ -2,7 +2,7 @@
 pooling, losses, exact backprop, SGD/Adam, and the two fixed
 segmentation architectures used by the estimation pipeline."""
 
-from volumetrica.nn.layers import AvgPool, ConvLayer, avg_pool, conv_forward
+from volumetrica.nn.layers import AvgPool, ConvLayer, avg_pool
 from volumetrica.nn.losses import bce, bce_with_logits, loss, mse
 from volumetrica.nn.network import (
     Network,
@@ -32,7 +32,6 @@ __all__ = [
     "build_segmenter_2d",
     "build_segmenter_3d",
     "cnn_volume",
-    "conv_forward",
     "dice",
     "extract_tumor_mask",
     "load_network",

@@ -127,14 +127,17 @@ def _im2col(x: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
     """Rows of all same-padded receptive fields: (n_sites, prod(k)*in_ch).
 
     Column block j holds the input channels at kernel offset j, matching
-    the (*kernel, in_ch, out_ch) weight layout flattened to 2-D.
+    the (*kernel, in_ch, out_ch) weight layout flattened to 2-D. For a
+    1x1 kernel the rows are the input itself, returned without a copy.
     """
     rank = len(kernel)
     spatial = x.shape[:rank]
     channels = x.shape[-1]
+    n_sites = math.prod(spatial)
+    if all(k == 1 for k in kernel):
+        return x.reshape(n_sites, channels)
     pads = [(k // 2, k // 2) for k in kernel] + [(0, 0)]
     xp = np.pad(x, pads)
-    n_sites = math.prod(spatial)
     cols = np.empty((n_sites, math.prod(kernel) * channels))
     for j, offsets in enumerate(product(*(range(k) for k in kernel))):
         window = tuple(slice(o, o + s) for o, s in zip(offsets, spatial))
@@ -142,23 +145,13 @@ def _im2col(x: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
     return cols
 
 
-def _correlate(x: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Same-padding cross-correlation. Returns (out, cols or None)."""
-    rank = weights.ndim - 2
-    kernel = weights.shape[:rank]
-    in_ch, out_ch = weights.shape[-2:]
-    spatial = x.shape[:rank]
-    if all(k == 1 for k in kernel):
-        flat = x.reshape(-1, in_ch)
-        out = flat @ weights.reshape(in_ch, out_ch)
-        return out.reshape(spatial + (out_ch,)), None
-    cols = _im2col(x, kernel)
-    out = cols @ weights.reshape(-1, out_ch)
-    return out.reshape(spatial + (out_ch,)), cols
+def conv_forward_cached(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None = None):
+    """Convolve, add bias, apply the layer activation; returns (a, z, cols),
+    the activation plus what backward needs.
 
-
-def conv_forward(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
-    """Convolve, add bias, apply the layer activation."""
+    ``cols`` lets callers reuse a previously built im2col matrix when
+    the same input is convolved repeatedly (training epochs).
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != layer.rank + 1:
         raise ValueError(
@@ -168,23 +161,10 @@ def conv_forward(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input has {x.shape[-1]} channels, layer expects {layer.in_channels}"
         )
-    z, _ = _correlate(x, layer.weights)
-    return apply_activation(z + layer.bias, layer.activation)
-
-
-def conv_forward_cached(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None = None):
-    """Forward pass that also returns what backward needs.
-
-    ``cols`` lets callers reuse a previously built im2col matrix when
-    the same input is convolved repeatedly (training epochs).
-    """
-    if cols is not None:
-        out_ch = layer.out_channels
-        z = (cols @ layer.weights.reshape(-1, out_ch)).reshape(
-            x.shape[: layer.rank] + (out_ch,)
-        )
-    else:
-        z, cols = _correlate(x, layer.weights)
+    if cols is None:
+        cols = _im2col(x, layer.kernel)
+    out_ch = layer.out_channels
+    z = (cols @ layer.weights.reshape(-1, out_ch)).reshape(x.shape[: layer.rank] + (out_ch,))
     z += layer.bias
     a = apply_activation(z, layer.activation)
     return a, z, cols
@@ -194,33 +174,23 @@ def conv_backward(layer: ConvLayer, x, cols, dz, need_dx: bool = True):
     """Gradients given dz = dL/d(pre-activation).
 
     Returns (dW, db, dx); dx is None when not requested (first layer).
-    ``cols`` is the cached im2col matrix (None for 1x1 kernels).
+    ``cols`` is the im2col matrix of ``x`` from the forward pass.
     """
-    rank = layer.rank
-    out_ch = layer.out_channels
-    dz_flat = dz.reshape(-1, out_ch)
+    dz_flat = dz.reshape(-1, layer.out_channels)
     db = dz_flat.sum(axis=0)
-    if cols is None:
-        dW = (x.reshape(-1, layer.in_channels).T @ dz_flat).reshape(layer.weights.shape)
-        if not need_dx:
-            return dW, db, None
-        dx = (dz_flat @ layer.weights.reshape(layer.in_channels, out_ch).T).reshape(x.shape)
-        return dW, db, dx
     dW = (cols.T @ dz_flat).reshape(layer.weights.shape)
     if not need_dx:
         return dW, db, None
     # dx is the same-padding correlation of dz with the spatially
     # flipped kernel, input/output channels swapped
-    w_rev = np.flip(layer.weights, axis=tuple(range(rank)))
+    w_rev = np.flip(layer.weights, axis=tuple(range(layer.rank)))
     w_rev = np.ascontiguousarray(np.swapaxes(w_rev, -1, -2))
-    dx, _ = _correlate(dz, w_rev)
-    return dW, db, dx
+    dx = _im2col(dz, layer.kernel) @ w_rev.reshape(-1, layer.in_channels)
+    return dW, db, dx.reshape(x.shape)
 
 
-def avg_pool(x: np.ndarray, pool: tuple[int, ...] | AvgPool) -> np.ndarray:
+def avg_pool(x: np.ndarray, pool: tuple[int, ...]) -> np.ndarray:
     """Mean over non-overlapping pool windows; channels preserved."""
-    if isinstance(pool, AvgPool):
-        pool = pool.pool
     x = np.asarray(x, dtype=np.float64)
     rank = len(pool)
     if x.ndim != rank + 1:
@@ -230,19 +200,11 @@ def avg_pool(x: np.ndarray, pool: tuple[int, ...] | AvgPool) -> np.ndarray:
             raise ValueError(
                 f"spatial extent {x.shape[ax]} on axis {ax} not divisible by pool {p}"
             )
-    if all(p == 2 for p in pool):
-        # hot path: accumulate the 2^rank window corners
-        out = None
-        for offsets in product((0, 1), repeat=rank):
-            sl = tuple(slice(o, None, 2) for o in offsets)
-            out = x[sl].copy() if out is None else out + x[sl]
-        return out * (1.0 / 2**rank)
-    shape = []
-    for ax, p in enumerate(pool):
-        shape.extend([x.shape[ax] // p, p])
-    shape.append(x.shape[-1])
-    axes = tuple(range(1, 2 * rank, 2))
-    return x.reshape(shape).mean(axis=axes)
+    out = None
+    for offsets in product(*(range(p) for p in pool)):
+        sl = tuple(slice(o, None, p) for o, p in zip(offsets, pool))
+        out = x[sl].copy() if out is None else out + x[sl]
+    return out * (1.0 / math.prod(pool))
 
 
 def avg_pool_backward(pool: tuple[int, ...], x_shape, dz: np.ndarray) -> np.ndarray:

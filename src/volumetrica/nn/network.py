@@ -112,13 +112,11 @@ def _forward_cached(net: Network, x: np.ndarray, first_cols=None):
 
 def input_cols(net: Network, x: np.ndarray):
     """Precompute the first layer's im2col matrix for repeated passes
-    over the same input; returns None when there is nothing to reuse."""
+    over the same input; returns None when the first layer is not a
+    convolution."""
     if not net.layers or not isinstance(net.layers[0], ConvLayer):
         return None
-    layer = net.layers[0]
-    if all(k == 1 for k in layer.kernel):
-        return None
-    return _im2col(np.asarray(x, dtype=np.float64), layer.kernel)
+    return _im2col(np.asarray(x, dtype=np.float64), net.layers[0].kernel)
 
 
 def backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind: str, first_cols=None):
@@ -156,10 +154,7 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind: str, fi
         entry = remaining[pos]
         if entry[0] == "conv":
             _, layer, inp, z, cols, a = entry
-            if layer.activation == "none":
-                dz = da
-            else:
-                dz = np.multiply(da, activation_grad(a, z, layer.activation), out=da)
+            dz = np.multiply(da, activation_grad(a, z, layer.activation), out=da)
             dW, db, da = conv_backward(layer, inp, cols, dz, need_dx=pos > 0)
             grads_rev.append((dW, db))
         else:

@@ -132,6 +132,17 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", str(csv), "--model", str(model)]) == 2
         assert "cannot load model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mangle", [lambda b: b[:30], lambda b: b + b"\x00\x00"], ids=["prefix", "trailing"]
+    )
+    def test_malformed_volv_exits_2(self, sphere_spec, tmp_path, capsys, mangle):
+        out = tmp_path / "ph"
+        assert main(["phantom", "--spec", str(sphere_spec), "--out", str(out)]) == 0
+        bad = tmp_path / "bad.volv"
+        bad.write_bytes(mangle((out / "case_000_mask.volv").read_bytes()))
+        assert main(["estimate", "--input", str(bad), "--out", str(tmp_path / "r.json")]) == 2
+        assert "unreadable input" in capsys.readouterr().err
+
     def test_unknown_method_exits_2(self, tmp_path):
         csv = tmp_path / "s.csv"
         csv.write_text("position_mm,area_mm2\n0,3\n1,3\n")
@@ -188,6 +199,16 @@ class TestDicomCommands:
         geometry = json.loads((out / "geometry.json").read_text())["payload"]
         assert [i for i, _ in geometry["slice_order"]] == [1, 0, 2]
         assert geometry["pixel_spacing_mm"] == [0.5, 0.5]
+
+    def test_ingest_skips_subdirectory_named_like_a_slice(self, dicom_dir, tmp_path):
+        (dicom_dir / "sub.dcm").mkdir()
+        out = tmp_path / "ingested"
+        assert main(["ingest", "--input", str(dicom_dir), "--out", str(out)]) == 0
+        doc = json.loads((out / "geometry.json").read_text())
+        assert doc["payload"]["slice_count"] == 3
+        assert sorted(doc["input_checksums"]) == [
+            str(dicom_dir / f"slice{k}.dcm") for k in range(3)
+        ]
 
     def test_ingest_empty_directory_exits_1(self, tmp_path):
         empty = tmp_path / "empty"
@@ -294,3 +315,37 @@ class TestPipelineCommands:
         assert main(["phantom", "--spec", str(sphere_spec), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 17
+
+
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phantom", "--spec", "s.json"],
+            ["ingest", "--input", "d"],
+            ["train", "--cohort", "m.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_required_for_directory_outputs(self, argv):
+        # argparse exits before the command reads its inputs
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phantom", "--spec", "s.json", "--out", "o"],
+            ["parse", "--input", "x.dcm"],
+            ["ingest", "--input", "d", "--out", "o"],
+            ["train", "--cohort", "m.json", "--out", "o"],
+            ["compare", "--cohort", "m.json"],
+            ["stats", "--cohort", "m.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_format_rejected_where_unused(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2

@@ -218,3 +218,18 @@ class TestReadSeries:
         grid, geometry = dl.read_series([bad, good])
         assert grid.data.shape[0] == 1
         assert any("skipped" in w for w in geometry.warnings)
+
+
+class TestReadDirectory:
+    def test_skips_unparsable_files_and_subdirectories(self, tmp_path):
+        for k, z in enumerate([20.0, 10.0]):
+            px = np.full((4, 4), 10 * (k + 1), dtype=np.uint16)
+            ds = dl.make_slice_dataset(px, pixel_spacing=(0.5, 0.5),
+                                       slice_thickness=2.0, position_z=z)
+            (tmp_path / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
+        (tmp_path / "sub.dcm").mkdir()
+        (tmp_path / "notes.txt").write_bytes(b"\x00" * 3)
+        grid, geometry, skipped = dl.read_directory(tmp_path)
+        assert grid.data.shape == (2, 4, 4)
+        assert [i for i, _ in geometry.slice_order] == [1, 0]
+        assert len(skipped) == 1 and skipped[0].startswith("notes.txt: ")

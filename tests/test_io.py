@@ -35,6 +35,35 @@ class TestVolvContainer:
         with pytest.raises(ValueError, match="VOLV"):
             vio.read_volume(path)
 
+    @pytest.mark.parametrize("kind", ["grid", "mask"])
+    def test_corruption_fuzz_never_silent_garbage(self, tmp_path, kind):
+        rng = np.random.default_rng(2)
+        spacing = Spacing(0.5, 0.7, 2.0)
+        if kind == "grid":
+            volume = VoxelGrid(rng.normal(size=(2, 3, 4)), spacing)
+        else:
+            volume = BinaryMask(rng.uniform(size=(2, 3, 4)) > 0.5, spacing)
+        path = tmp_path / "vol.volv"
+        vio.write_volume(path, volume)
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.volv"
+        # no proper prefix and no over-long file may load
+        for data in [blob[:cut] for cut in range(len(blob))] + [blob + b"\x00\x00"]:
+            bad.write_bytes(data)
+            with pytest.raises(ValueError):
+                vio.read_volume(bad)
+        # header corruption either loads a volume or raises ValueError
+        for i in range(45):
+            for flip in [1 << bit for bit in range(8)]:
+                data = bytearray(blob)
+                data[i] ^= flip
+                bad.write_bytes(bytes(data))
+                try:
+                    loaded = vio.read_volume(bad)
+                except ValueError:
+                    continue
+                assert isinstance(loaded, (VoxelGrid, BinaryMask))
+
 
 class TestSeriesCsv:
     def test_roundtrip(self, tmp_path):

@@ -7,7 +7,7 @@ from volumetrica.nn.layers import (
     ConvLayer,
     avg_pool,
     avg_pool_backward,
-    conv_forward,
+    conv_forward_cached,
     sigmoid,
 )
 from volumetrica.nn.losses import bce, bce_with_logits, loss, mse
@@ -39,13 +39,13 @@ class TestConvForward:
     def test_identity_1x1(self):
         layer = ConvLayer(np.ones((1, 1, 1, 1, 1)), np.zeros(1), "none")
         x = np.random.default_rng(0).normal(size=(4, 4, 4, 1))
-        np.testing.assert_array_equal(conv_forward(layer, x), x)
+        np.testing.assert_array_equal(conv_forward_cached(layer, x)[0], x)
 
     def test_zero_kernel_sigmoid_is_constant(self):
         c = 0.7
         layer = ConvLayer(np.zeros((3, 3, 3, 2, 1)), np.array([c]), "sigmoid")
         x = np.random.default_rng(1).normal(size=(6, 6, 6, 2))
-        out = conv_forward(layer, x)
+        out = conv_forward_cached(layer, x)[0]
         np.testing.assert_allclose(out, 1.0 / (1.0 + math.exp(-c)), atol=1e-15)
 
     def test_matches_loop_oracle(self):
@@ -55,13 +55,13 @@ class TestConvForward:
         bias = rng.normal(size=3)
         layer = ConvLayer(weights, bias, "none")
         np.testing.assert_allclose(
-            conv_forward(layer, x), _loop_conv3d(x, weights, bias), atol=1e-12
+            conv_forward_cached(layer, x)[0], _loop_conv3d(x, weights, bias), atol=1e-12
         )
 
     def test_channel_mismatch_rejected(self):
         layer = ConvLayer(np.zeros((3, 3, 1, 4)), np.zeros(4), "relu")
         with pytest.raises(ValueError, match="channels"):
-            conv_forward(layer, np.zeros((8, 8, 2)))
+            conv_forward_cached(layer, np.zeros((8, 8, 2)))[0]
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
