@@ -500,6 +500,33 @@ def _write_text(out, text: str) -> None:
         print(text, end="")
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= ``minimum``."""
+
+    # argparse reports a ValueError from int() as "invalid integer value"
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
+
+
+def _float_between(low: float, high: float = float("inf")):
+    """argparse type: a finite float strictly inside (``low``, ``high``)."""
+
+    def number(text: str) -> float:
+        value = float(text)
+        # nan fails both comparisons and inf the upper one
+        if not low < value < high:
+            bounds = f"> {low:g}" if high == float("inf") else f"in ({low:g}, {high:g})"
+            raise argparse.ArgumentTypeError(f"must be a finite number {bounds}, got {text}")
+        return value
+
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="volumetrica",
@@ -536,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", help="mask .volv when the input carries no segmentation")
     p.add_argument("--methods", help="comma list from ml,spherical,area_based,regression or 'all'")
     p.add_argument("--model", help="trained network container for the ml method")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--radius", type=float, default=None,
+    p.add_argument("--threshold", type=_float_between(0.0, 1.0), default=0.5)
+    p.add_argument("--radius", type=_float_between(0.0), default=None,
                    help="manually measured radius (mm) for the spherical method")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(p)
@@ -545,17 +572,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the 3-D segmentation network on a cohort")
     p.add_argument("--cohort", required=True, help="cohort manifest JSON")
-    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--epochs", type=_int_at_least(1), default=10)
     p.add_argument("--loss", choices=("bce", "mse"), default="bce")
     p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_float_between(0.0), default=1e-3)
     add_common(p, out_dir=True)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="per-case ML volumes and errors")
     p.add_argument("--cohort", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_float_between(0.0, 1.0), default=0.5)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     add_common(p)
     p.set_defaults(fn=cmd_eval)
@@ -563,18 +590,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="pairwise discrepancy matrix across methods")
     p.add_argument("--cohort", required=True)
     p.add_argument("--model")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_float_between(0.0, 1.0), default=0.5)
     p.add_argument("--emit-plot-csv", help="also write per-case volumes as CSV plot data")
     add_common(p)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("stats", help="cross-validated statistical validation report")
     p.add_argument("--cohort", required=True)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=30, help="training epochs per CV fold")
+    p.add_argument("--folds", type=_int_at_least(2), default=5)
+    p.add_argument("--epochs", type=_int_at_least(1), default=30, help="training epochs per CV fold")
     p.add_argument("--loss", choices=("bce", "mse"), default="bce")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--lr", type=_float_between(0.0), default=1e-3)
+    p.add_argument("--threshold", type=_float_between(0.0, 1.0), default=0.5)
     add_common(p)
     p.set_defaults(fn=cmd_stats)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 ACTIVATIONS = ("none", "relu", "sigmoid")
 
@@ -30,24 +31,30 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of ``z``; relu overwrites ``z`` in place."""
     if kind == "none":
         return z
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind == "sigmoid":
         return sigmoid(z)
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def activation_grad(a: np.ndarray, z: np.ndarray, kind: str) -> np.ndarray:
+def activation_grad(a: np.ndarray, z: np.ndarray, kind: str, out=None):
     """d(activation)/dz from cached forward values, as a multiplicative
-    factor (relu returns the boolean mask; numpy casts on multiply)."""
+    factor, written to ``out`` when given.
+
+    relu gives a boolean mask (numpy casts on multiply) read from the
+    activation: a > 0 exactly where z > 0, and relu's z has been
+    overwritten by a. "none" gives the scalar 1.
+    """
     if kind == "none":
-        return np.ones_like(z)
+        return 1.0
     if kind == "relu":
-        return z > 0
+        return np.greater(a, 0.0, out=out)
     if kind == "sigmoid":
-        return a * (1.0 - a)
+        return np.multiply(a, 1.0 - a, out=out)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -136,21 +143,23 @@ def _im2col(x: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
     n_sites = math.prod(spatial)
     if all(k == 1 for k in kernel):
         return x.reshape(n_sites, channels)
-    pads = [(k // 2, k // 2) for k in kernel] + [(0, 0)]
-    xp = np.pad(x, pads)
-    cols = np.empty((n_sites, math.prod(kernel) * channels))
-    for j, offsets in enumerate(product(*(range(k) for k in kernel))):
-        window = tuple(slice(o, o + s) for o, s in zip(offsets, spatial))
-        cols[:, j * channels : (j + 1) * channels] = xp[window].reshape(n_sites, channels)
-    return cols
+    xp = np.pad(x, [(k // 2, k // 2) for k in kernel] + [(0, 0)])
+    # windows[*site, c, *offset] = xp[site + offset, c]; one copy puts
+    # the offsets ahead of the channel
+    windows = sliding_window_view(xp, kernel, axis=tuple(range(rank)))
+    order = tuple(range(rank)) + tuple(range(rank + 1, 2 * rank + 1)) + (rank,)
+    return windows.transpose(order).reshape(n_sites, math.prod(kernel) * channels)
 
 
-def conv_forward_cached(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None = None):
+def conv_forward_cached(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None = None,
+                        out: np.ndarray | None = None):
     """Convolve, add bias, apply the layer activation; returns (a, z, cols),
     the activation plus what backward needs.
 
     ``cols`` lets callers reuse a previously built im2col matrix when
-    the same input is convolved repeatedly (training epochs).
+    the same input is convolved repeatedly (training epochs). ``out`` is
+    an optional C-contiguous (*spatial, out_ch) float64 buffer for z.
+    relu is applied in place, so for a relu layer ``z is a``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != layer.rank + 1:
@@ -164,7 +173,8 @@ def conv_forward_cached(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None
     if cols is None:
         cols = _im2col(x, layer.kernel)
     out_ch = layer.out_channels
-    z = (cols @ layer.weights.reshape(-1, out_ch)).reshape(x.shape[: layer.rank] + (out_ch,))
+    z = np.empty(x.shape[: layer.rank] + (out_ch,)) if out is None else out
+    np.matmul(cols, layer.weights.reshape(-1, out_ch), out=z.reshape(-1, out_ch))
     z += layer.bias
     a = apply_activation(z, layer.activation)
     return a, z, cols
@@ -203,16 +213,21 @@ def avg_pool(x: np.ndarray, pool: tuple[int, ...]) -> np.ndarray:
     out = None
     for offsets in product(*(range(p) for p in pool)):
         sl = tuple(slice(o, None, p) for o, p in zip(offsets, pool))
-        out = x[sl].copy() if out is None else out + x[sl]
-    return out * (1.0 / math.prod(pool))
+        if out is None:
+            out = x[sl].copy()
+        else:
+            out += x[sl]
+    out *= 1.0 / math.prod(pool)
+    return out
 
 
-def avg_pool_backward(pool: tuple[int, ...], x_shape, dz: np.ndarray) -> np.ndarray:
-    """Spread each pooled gradient evenly over its window."""
-    rank = len(pool)
-    scale = 1.0 / math.prod(pool)
-    src = dz * scale
-    # one broadcast + one copy instead of chained repeats
+def avg_pool_backward(pool: tuple[int, ...], x_shape, dz: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Spread each pooled gradient evenly over its window, into the
+    optional C-contiguous float64 buffer ``out`` of shape ``x_shape``."""
+    src = dz * (1.0 / math.prod(pool))
+    # view the output as (n0, p0, n1, p1, ..., channels) and broadcast
+    # dz over the p axes: one copy instead of chained repeats
     expanded_shape = []
     src_index = []
     for ax, p in enumerate(pool):
@@ -220,7 +235,7 @@ def avg_pool_backward(pool: tuple[int, ...], x_shape, dz: np.ndarray) -> np.ndar
         src_index.extend([slice(None), None])
     expanded_shape.append(dz.shape[-1])
     src_index.append(slice(None))
-    out = np.broadcast_to(src[tuple(src_index)], expanded_shape).reshape(x_shape)
-    if not out.flags.writeable:
-        out = out.copy()
+    if out is None:
+        out = np.empty(x_shape)
+    out.reshape(expanded_shape)[...] = src[tuple(src_index)]
     return out

@@ -84,24 +84,43 @@ class Network:
         return "none"
 
 
+class Workspace:
+    """Output buffers that ``backward`` reuses from step to step: each
+    conv layer's z, each relu mask and each gradient spread back through
+    a pool. A buffer is made again when its shape changes, so any input
+    shape is served; a training run keeps one workspace per case input
+    shape. Returned gradients never alias these buffers."""
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def buffer(self, key, shape, dtype=np.float64) -> np.ndarray:
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = self._buffers[key] = np.empty(shape, dtype)
+        return buf
+
+
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
     """Pure forward pass; identical inputs give bit-identical outputs."""
     a = np.asarray(x, dtype=np.float64)
     for layer in net.layers:
         if isinstance(layer, ConvLayer):
-            a, _, _ = conv_forward_cached(layer, a)
+            # keep only the activation: the im2col matrix is freed here
+            a = conv_forward_cached(layer, a)[0]
         else:
             a = avg_pool(a, layer.pool)
     return a
 
 
-def _forward_cached(net: Network, x: np.ndarray, first_cols=None):
+def _forward_cached(net: Network, x: np.ndarray, first_cols, ws: Workspace):
     a = np.asarray(x, dtype=np.float64)
     cache = []
     for i, layer in enumerate(net.layers):
         if isinstance(layer, ConvLayer):
             inp = a
-            a, z, cols = conv_forward_cached(layer, a, first_cols if i == 0 else None)
+            z_buf = ws.buffer(("z", i), inp.shape[:-1] + (layer.out_channels,))
+            a, z, cols = conv_forward_cached(layer, a, first_cols if i == 0 else None, out=z_buf)
             cache.append(("conv", layer, inp, z, cols, a))
         else:
             inp_shape = a.shape
@@ -119,16 +138,19 @@ def input_cols(net: Network, x: np.ndarray):
     return _im2col(np.asarray(x, dtype=np.float64), net.layers[0].kernel)
 
 
-def backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind: str, first_cols=None):
+def backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind: str, first_cols=None,
+             workspace: Workspace | None = None):
     """Loss and exact gradients for every weight and bias.
 
     Returns (loss_value, grads) where grads maps one (dW, db) tuple per
     conv layer (None for pools), in layer order. For bce the final layer
     must be sigmoid-activated; the gradient is taken through the fused
-    stable path.
+    stable path. ``workspace`` holds the large intermediates between
+    calls; without one a fresh workspace is used.
     """
+    ws = Workspace() if workspace is None else workspace
     target = np.asarray(target, dtype=np.float64)
-    out, cache = _forward_cached(net, x, first_cols)
+    out, cache = _forward_cached(net, x, first_cols, ws)
     if out.shape != target.shape:
         raise ValueError(f"output shape {out.shape} != target shape {target.shape}")
 
@@ -154,13 +176,16 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind: str, fi
         entry = remaining[pos]
         if entry[0] == "conv":
             _, layer, inp, z, cols, a = entry
-            dz = np.multiply(da, activation_grad(a, z, layer.activation), out=da)
+            # relu's mask is the one full-size factor: sigmoid ends the
+            # network and "none" gives a scalar
+            mask = ws.buffer(("mask", pos), a.shape, bool) if layer.activation == "relu" else None
+            dz = np.multiply(da, activation_grad(a, z, layer.activation, out=mask), out=da)
             dW, db, da = conv_backward(layer, inp, cols, dz, need_dx=pos > 0)
             grads_rev.append((dW, db))
         else:
             _, layer, inp_shape = entry
             grads_rev.append(None)
-            da = avg_pool_backward(layer.pool, inp_shape, da)
+            da = avg_pool_backward(layer.pool, inp_shape, da, out=ws.buffer(("dz", pos), inp_shape))
 
     return loss_value, list(reversed(grads_rev))
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from volumetrica.nn.layers import avg_pool
-from volumetrica.nn.network import Network, backward, gradient_list, input_cols
+from volumetrica.nn.network import Network, Workspace, backward, gradient_list, input_cols
 from volumetrica.nn.optim import AdamState, SgdState, optimizer_step
 
 
@@ -88,13 +88,15 @@ def train(net: Network, cases, config: TrainConfig) -> TrainingLog:
     if not cases:
         raise ValueError("no valid images")
     prepared = []
+    workspaces: dict[tuple, Workspace] = {}
     for item in cases:
         x, target = item if isinstance(item, tuple) else (item, None)
         x = np.asarray(x, dtype=np.float64)
         target = x if target is None else np.asarray(target, dtype=np.float64)
         target = fit_target_to_output(net, target, input_shape=x.shape)
         # the first layer sees the same input every epoch: im2col once
-        prepared.append((x, target, input_cols(net, x)))
+        ws = workspaces.setdefault(x.shape, Workspace())
+        prepared.append((x, target, input_cols(net, x), ws))
 
     params = net.parameters()
     if config.optimizer == "adam":
@@ -105,8 +107,8 @@ def train(net: Network, cases, config: TrainConfig) -> TrainingLog:
     log = TrainingLog()
     for _ in range(config.epochs):
         total = 0.0
-        for x, target, cols in prepared:
-            value, grads = backward(net, x, target, config.loss, first_cols=cols)
+        for x, target, cols, ws in prepared:
+            value, grads = backward(net, x, target, config.loss, first_cols=cols, workspace=ws)
             if not math.isfinite(value):
                 raise TrainingDivergedError(f"non-finite loss {value!r}")
             optimizer_step(params, gradient_list(grads), state)

@@ -317,6 +317,23 @@ class TestPipelineCommands:
         assert manifest["seed"] == 17
 
 
+BAD_NUMBERS = [
+    (["train", "--cohort", "m.json", "--out", "o", "--epochs", "0"], "--epochs"),
+    (["stats", "--cohort", "m.json", "--epochs", "0"], "--epochs"),
+    (["stats", "--cohort", "m.json", "--folds", "1"], "--folds"),
+    (["train", "--cohort", "m.json", "--out", "o", "--lr", "-1"], "--lr"),
+    (["train", "--cohort", "m.json", "--out", "o", "--lr", "inf"], "--lr"),
+    (["stats", "--cohort", "m.json", "--lr", "nan"], "--lr"),
+    (["estimate", "--input", "x.csv", "--radius", "nan"], "--radius"),
+    (["estimate", "--input", "x.csv", "--radius", "0"], "--radius"),
+    (["estimate", "--input", "x.csv", "--threshold", "2"], "--threshold"),
+    (["eval", "--cohort", "m.json", "--model", "n.vnet", "--threshold", "1.5"], "--threshold"),
+    (["eval", "--cohort", "m.json", "--model", "n.vnet", "--threshold", "nan"], "--threshold"),
+    (["compare", "--cohort", "m.json", "--threshold", "0"], "--threshold"),
+    (["stats", "--cohort", "m.json", "--threshold", "1"], "--threshold"),
+]
+
+
 class TestArguments:
     @pytest.mark.parametrize(
         "argv",
@@ -349,3 +366,13 @@ class TestArguments:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--format", "csv"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag", BAD_NUMBERS, ids=[f"{argv[0]}{flag}={argv[-1]}" for argv, flag in BAD_NUMBERS]
+    )
+    def test_out_of_range_number_exits_2(self, argv, flag, capsys):
+        # rejected by argparse before the command reads its inputs
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 from volumetrica.nn.layers import (
     ConvLayer,
+    _im2col,
     avg_pool,
     avg_pool_backward,
     conv_forward_cached,
@@ -75,6 +76,25 @@ class TestConvForward:
                     layer = ConvLayer.create(rank, k, in_ch, out_ch, "none", rng)
                     stored = layer.weights.size + layer.bias.size
                     assert layer.param_count == stored == out_ch * (in_ch * k**rank + 1)
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("kernel", [1, 3, 5, (3, 1, 5)], ids=["k1", "k3", "k5", "k315"])
+    def test_matches_offset_slice_oracle(self, rank, channels, kernel):
+        kernel = (kernel,) * rank if isinstance(kernel, int) else kernel[-rank:]
+        spatial = (6, 5, 7)[-rank:]
+        x = np.random.default_rng(rank + channels).normal(size=spatial + (channels,))
+        xp = np.pad(x, [(k // 2, k // 2) for k in kernel] + [(0, 0)])
+        # column block j: the input shifted by kernel offset j
+        blocks = [
+            xp[tuple(slice(o, o + s) for o, s in zip(offsets, spatial))].reshape(-1, channels)
+            for offsets in np.ndindex(*kernel)
+        ]
+        cols = _im2col(x, kernel)
+        assert cols.flags.c_contiguous
+        np.testing.assert_array_equal(cols, np.concatenate(blocks, axis=1), strict=True)
 
 
 class TestAvgPool:

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from volumetrica.nn.layers import AvgPool, ConvLayer
+from volumetrica.nn.layers import AvgPool, ConvLayer, sigmoid
+from volumetrica.nn.losses import bce_with_logits, bce_with_logits_grad, mse, mse_grad
 from volumetrica.nn.network import (
     Network,
+    Workspace,
     backward,
     build_segmenter_2d,
     build_segmenter_3d,
@@ -196,3 +200,205 @@ class TestDeterminismAndSerialization:
                 except ValueError:
                     continue
                 assert isinstance(net, Network)
+
+
+# Reference forward/backward with one fresh array per operation: im2col
+# by one slice per kernel offset, relu from a kept pre-activation,
+# stride-add pooling and a broadcast-copy pool backward. The engine must
+# match it bit for bit.
+
+def _ref_im2col(x, kernel):
+    rank = len(kernel)
+    spatial, channels = x.shape[:rank], x.shape[-1]
+    n_sites = int(np.prod(spatial))
+    xp = np.pad(x, [(k // 2, k // 2) for k in kernel] + [(0, 0)])
+    cols = np.empty((n_sites, int(np.prod(kernel)) * channels))
+    for j, offsets in enumerate(np.ndindex(*kernel)):
+        window = tuple(slice(o, o + s) for o, s in zip(offsets, spatial))
+        cols[:, j * channels : (j + 1) * channels] = xp[window].reshape(n_sites, channels)
+    return cols
+
+
+def _ref_conv(layer, x):
+    cols = _ref_im2col(x, layer.kernel)
+    out_ch = layer.out_channels
+    z = (cols @ layer.weights.reshape(-1, out_ch)).reshape(x.shape[: layer.rank] + (out_ch,))
+    z = z + layer.bias
+    a = {"none": z, "relu": np.maximum(z, 0.0), "sigmoid": sigmoid(z)}[layer.activation]
+    return a, z, cols
+
+
+def _ref_pool(x, pool):
+    out = None
+    for offsets in np.ndindex(*pool):
+        sl = tuple(slice(o, None, p) for o, p in zip(offsets, pool))
+        out = x[sl].copy() if out is None else out + x[sl]
+    return out * (1.0 / np.prod(pool))
+
+
+def _ref_pool_backward(pool, x_shape, dz):
+    src = dz * (1.0 / np.prod(pool))
+    index = tuple(s for _ in pool for s in (slice(None), None)) + (slice(None),)
+    expanded = [n for ax, p in enumerate(pool) for n in (dz.shape[ax], p)] + [dz.shape[-1]]
+    return np.broadcast_to(src[index], expanded).reshape(x_shape).copy()
+
+
+def _ref_predict(net, x):
+    a = x
+    for layer in net.layers:
+        a = _ref_conv(layer, a)[0] if isinstance(layer, ConvLayer) else _ref_pool(a, layer.pool)
+    return a
+
+
+def _ref_conv_backward(layer, inp, cols, dz, grads):
+    dz_flat = dz.reshape(-1, layer.out_channels)
+    grads.append(((cols.T @ dz_flat).reshape(layer.weights.shape), dz_flat.sum(axis=0)))
+    w_rev = np.flip(layer.weights, axis=tuple(range(layer.rank)))
+    w_rev = np.ascontiguousarray(np.swapaxes(w_rev, -1, -2))
+    dx = _ref_im2col(dz, layer.kernel) @ w_rev.reshape(-1, layer.in_channels)
+    return dx.reshape(inp.shape)
+
+
+def _ref_backward(net, x, target, kind):
+    a, cache = x, []
+    for layer in net.layers:
+        if isinstance(layer, ConvLayer):
+            inp = a
+            a, z, cols = _ref_conv(layer, a)
+            cache.append((layer, inp, z, cols, a))
+        else:
+            cache.append((layer, a.shape))
+            a = _ref_pool(a, layer.pool)
+    grads = []
+    if kind == "bce":
+        layer, inp, z, cols, _ = cache.pop()
+        value = bce_with_logits(z, target)
+        da = _ref_conv_backward(layer, inp, cols, bce_with_logits_grad(z, target), grads)
+    else:
+        value, da = mse(a, target), mse_grad(a, target)
+    for entry in reversed(cache):
+        if isinstance(entry[0], AvgPool):
+            grads.append(None)
+            da = _ref_pool_backward(entry[0].pool, entry[1], da)
+        else:
+            layer, inp, z, cols, a = entry
+            factor = {"none": np.ones_like(z), "relu": z > 0, "sigmoid": a * (1.0 - a)}
+            da = _ref_conv_backward(layer, inp, cols, da * factor[layer.activation], grads)
+    return value, grads[::-1]
+
+
+_SHAPES = {2: (6, 4), 3: (6, 4, 4)}
+
+
+def _net(rank, activation, channels, seed):
+    """conv (non-cubic kernel) -> pool (3, 2[, 2]) -> conv 3^rank -> conv 1^rank
+    sigmoid; a pool of 3 makes scaling by 1/6 or 1/12 inexact, so the
+    summation order shows in the last bit. Inputs are (6, 4[, 4])."""
+    rng = np.random.default_rng(seed)
+    first = (3, 1, 5)[-rank:]
+    return Network(
+        [
+            ConvLayer(rng.normal(0, 0.3, first + (channels, 5)), rng.normal(0, 0.2, 5), activation),
+            AvgPool((3,) + (2,) * (rank - 1)),
+            ConvLayer(rng.normal(0, 0.3, (3,) * rank + (5, 4)), rng.normal(0, 0.2, 4), activation),
+            ConvLayer(rng.normal(0, 0.5, (1,) * rank + (4, 1)), rng.normal(0, 0.2, 1), "sigmoid"),
+        ],
+        _SHAPES[rank] + (channels,),
+    )
+
+
+def _assert_same_gradients(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is not None:
+            for a, b in zip(g, w):
+                np.testing.assert_array_equal(a, b, strict=True)
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "none"])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("cached", [False, True], ids=["cols", "cached-cols"])
+    @pytest.mark.parametrize("kind", ["bce", "mse"])
+    def test_matches_reference(self, rank, activation, channels, cached, kind):
+        net = _net(rank, activation, channels, seed=rank * 10 + channels)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=_SHAPES[rank] + (channels,))
+        t = (rng.uniform(size=net.output_shapes()[-1]) > 0.5).astype(float)
+        cols = input_cols(net, x) if cached else None
+        value, grads = backward(net, x, t, kind, first_cols=cols)
+        ref_value, ref_grads = _ref_backward(net, x, t, kind)
+        assert value == ref_value
+        _assert_same_gradients(grads, ref_grads)
+        np.testing.assert_array_equal(predict(net, x), _ref_predict(net, x), strict=True)
+
+    def test_segmenters_match_reference(self):
+        rng = np.random.default_rng(8)
+        net = build_segmenter_3d(seed=1)
+        x = rng.uniform(size=(16, 16, 16, 1))
+        t = (rng.uniform(size=(8, 8, 8, 1)) > 0.5).astype(float)
+        value, grads = backward(net, x, t, "bce", first_cols=input_cols(net, x), workspace=Workspace())
+        ref_value, ref_grads = _ref_backward(net, x, t, "bce")
+        assert value == ref_value
+        _assert_same_gradients(grads, ref_grads)
+        net2d = build_segmenter_2d(seed=1)
+        x2d = rng.uniform(size=(64, 64, 1))
+        np.testing.assert_array_equal(predict(net2d, x2d), _ref_predict(net2d, x2d), strict=True)
+
+
+class TestWorkspace:
+    def test_reuse_across_shapes_matches_fresh(self):
+        net = _net(3, "relu", 2, seed=4)
+        rng = np.random.default_rng(5)
+        ws = Workspace()
+        for shape in [(6, 4, 4), (12, 2, 6), (6, 4, 4), (6, 4, 4)]:
+            x = rng.normal(size=shape + (2,))
+            t = rng.uniform(size=net.output_shapes(x.shape)[-1])
+            for kind in ("bce", "mse"):
+                value, grads = backward(net, x, t, kind, workspace=ws)
+                fresh_value, fresh_grads = backward(net, x, t, kind)
+                assert value == fresh_value
+                _assert_same_gradients(grads, fresh_grads)
+
+    def test_gradients_survive_the_next_step(self):
+        net = _net(3, "relu", 1, seed=6)
+        rng = np.random.default_rng(7)
+        x1, x2 = rng.normal(size=(2, 6, 4, 4, 1))
+        t1, t2 = rng.uniform(size=(2, 2, 2, 2, 1))
+        ws = Workspace()
+        _, grads = backward(net, x1, t1, "bce", workspace=ws)
+        kept = [a.copy() for a in gradient_list(grads)]
+        backward(net, x2, t2, "bce", workspace=ws)
+        for a, b in zip(gradient_list(grads), kept):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestMemory:
+    def test_3d_step_with_workspace_allocates_less_than_one_activation(self):
+        net = build_segmenter_3d(seed=0)
+        rng = np.random.default_rng(9)
+        x = rng.uniform(size=(32, 32, 32, 1))
+        t = (rng.uniform(size=(16, 16, 16, 1)) > 0.5).astype(float)
+        cols, ws = input_cols(net, x), Workspace()
+        backward(net, x, t, "bce", first_cols=cols, workspace=ws)
+        tracemalloc.start()
+        try:
+            backward(net, x, t, "bce", first_cols=cols, workspace=ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32**3 * 32 * 8
+
+    def test_2d_predict_holds_one_conv_output(self):
+        net = build_segmenter_2d(seed=0)
+        x = np.random.default_rng(10).uniform(size=(256, 256, 1))
+        sites = 256 * 256
+        tracemalloc.start()
+        try:
+            predict(net, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sites * 9 * 8 + 1.25 * sites * 32 * 8
