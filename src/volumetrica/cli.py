@@ -225,7 +225,7 @@ def cmd_estimate(args) -> int:
     except UsageError as exc:
         return _fail(EXIT_USAGE, str(exc))
 
-    inputs = [src]
+    inputs = [src] + [p for p in (args.mask, args.model) if p]
     try:
         if src.suffix.lower() == ".csv":
             series = vio.read_series_csv(src)
@@ -243,6 +243,7 @@ def cmd_estimate(args) -> int:
         "methods": list(methods),
         "threshold": args.threshold,
         "radius": args.radius,
+        "mask": str(args.mask) if args.mask else None,
         "model": str(args.model) if args.model else None,
     }
     envelope = vio.report_envelope("estimate", report.to_dict(), _seed(args), config, inputs)

@@ -17,9 +17,11 @@ from volumetrica.numopt import FitResult, poly_integral, select_degree
 
 METHODS = ("ml", "spherical", "area_based", "regression")
 
-# nested least-squares fits have non-increasing mse, so min-mse degree
-# selection always saturates its cap; the cap is therefore the real
-# model-complexity knob, and 8 matches the reference measurement workflow
+# numopt.select_degree fits every degree from the minimum to the cap and
+# keeps a higher one only when it lowers the mse by more than 1e-12
+# relative; nested fits have non-increasing mse, so it ends at the cap or
+# at a lower degree whose higher fits gain only rounding (64 of 114
+# phantom profiles). 8 matches the reference measurement workflow
 REGRESSION_DEGREE_MIN = 2
 REGRESSION_DEGREE_MAX = 8
 

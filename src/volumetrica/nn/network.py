@@ -57,6 +57,10 @@ class Network:
         spatial = list(shape[:-1])
         channels = shape[-1]
         for layer in self.layers:
+            if layer.rank != len(spatial):
+                raise ValueError(
+                    f"input must be rank {layer.rank} spatial + channels, got shape {shape}"
+                )
             if isinstance(layer, ConvLayer):
                 channels = layer.out_channels
             else:
@@ -101,16 +105,63 @@ class Workspace:
         return buf
 
 
-def predict(net: Network, x: np.ndarray) -> np.ndarray:
-    """Pure forward pass; identical inputs give bit-identical outputs."""
-    a = np.asarray(x, dtype=np.float64)
-    for layer in net.layers:
+# byte budget for the widest conv output of one row band in ``predict``;
+# it sets the band height: 32 rows of a 1024^2 slice for the 2-D
+# segmenter, one band for a 32^3 volume through the 3-D segmenter
+_BAND_BYTES = 8 << 20
+
+
+def _bands(net: Network, shape, shapes) -> tuple[int, int, int]:
+    """(height, halo, scale) of the row bands along the first spatial
+    axis: the band height in input rows, a multiple of ``scale`` (the
+    product of the axis-0 pool extents), and the halo in input rows on
+    each side of a band, also a multiple of ``scale``.
+
+    The halo walks the layers: a conv reaches ``kernel[0] // 2`` rows
+    further and a pool of ``p`` covers a reach of ``r`` rows with
+    ``ceil(r / p)`` windows, so a band's kept output rows never see its
+    cut edges. Band edges fall on pool windows, so every band pools the
+    windows of the whole input.
+    """
+    rows, reach, scale = shape[0], 0, 1
+    for layer, out_shape in zip(net.layers, shapes):
         if isinstance(layer, ConvLayer):
-            # keep only the activation: the im2col matrix is freed here
-            a = conv_forward_cached(layer, a)[0]
+            reach += layer.kernel[0] // 2
+            row_bytes = 8 * math.prod(out_shape[1:])
+            rows = min(rows, _BAND_BYTES * scale // max(row_bytes, 1))
         else:
-            a = avg_pool(a, layer.pool)
-    return a
+            reach = -(-reach // layer.pool[0])
+            scale *= layer.pool[0]
+    return max(1, rows // scale) * scale, reach * scale, scale
+
+
+def predict(net: Network, x: np.ndarray) -> np.ndarray:
+    """Pure forward pass; identical inputs give bit-identical outputs.
+
+    Runs in bands of rows along the first spatial axis, each with a halo
+    of real rows (zero padding at the image edges), so peak memory is
+    bounded by the band and not by the input; the result equals one pass
+    over the whole input bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    # the whole input's shape is checked before it is cut into bands
+    shapes = net.output_shapes(x.shape)
+    height, halo, scale = _bands(net, x.shape, shapes)
+    n = x.shape[0]
+    out = np.empty(shapes[-1] if shapes else x.shape)
+    for start in range(0, n, height):
+        stop = min(n, start + height)
+        lo, hi = max(0, start - halo), min(n, stop + halo)
+        a = x[lo:hi]
+        for layer in net.layers:
+            if isinstance(layer, ConvLayer):
+                # keep only the activation: the im2col matrix is freed here
+                a = conv_forward_cached(layer, a)[0]
+            else:
+                a = avg_pool(a, layer.pool)
+        first = (start - lo) // scale
+        out[start // scale : stop // scale] = a[first : first + (stop - start) // scale]
+    return out
 
 
 def _forward_cached(net: Network, x: np.ndarray, first_cols, ws: Workspace):

@@ -132,6 +132,37 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", str(csv), "--model", str(model)]) == 2
         assert "cannot load model" in capsys.readouterr().err
 
+    def test_mask_and_model_are_checksummed(self, sphere_spec, tmp_path):
+        from volumetrica.nn.network import build_segmenter_3d, save_network
+
+        ph = tmp_path / "ph"
+        assert main(["phantom", "--spec", str(sphere_spec), "--out", str(ph)]) == 0
+        grid, mask = ph / "case_000_grid.volv", ph / "case_000_mask.volv"
+        model = tmp_path / "net.vnet"
+        save_network(build_segmenter_3d(seed=0), model)
+        args = ["estimate", "--input", str(grid), "--mask", str(mask), "--model", str(model),
+                "--methods", "area_based"]
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(args + ["--out", str(first)]) == 0
+        doc = json.loads(first.read_text())
+        assert sorted(doc["input_checksums"]) == sorted(str(p) for p in (grid, mask, model))
+        # same paths, different mask bytes: different provenance
+        other = tmp_path / "other"
+        spec = json.loads(sphere_spec.read_text()) | {"radius_mm": 6.0}
+        (tmp_path / "spec6.json").write_text(json.dumps(spec))
+        assert main(["phantom", "--spec", str(tmp_path / "spec6.json"), "--out", str(other)]) == 0
+        mask.write_bytes((other / "case_000_mask.volv").read_bytes())
+        assert main(args + ["--out", str(second)]) == 0
+        changed = json.loads(second.read_text())["input_checksums"]
+        assert changed[str(mask)] != doc["input_checksums"][str(mask)]
+        assert changed[str(grid)] == doc["input_checksums"][str(grid)]
+        assert changed[str(model)] == doc["input_checksums"][str(model)]
+        assert json.loads(second.read_text())["config_hash"] == doc["config_hash"]
+        # the mask path is part of the config
+        args[args.index(str(mask))] = str(other / "case_000_mask.volv")
+        assert main(args + ["--out", str(second)]) == 0
+        assert json.loads(second.read_text())["config_hash"] != doc["config_hash"]
+
     @pytest.mark.parametrize(
         "mangle", [lambda b: b[:30], lambda b: b + b"\x00\x00"], ids=["prefix", "trailing"]
     )

@@ -1,8 +1,13 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from volumetrica.estimators import ml_estimate_slicewise
+from volumetrica.grid import Spacing
+from volumetrica.nn import network
 from volumetrica.nn.layers import AvgPool, ConvLayer, sigmoid
 from volumetrica.nn.losses import bce_with_logits, bce_with_logits_grad, mse, mse_grad
 from volumetrica.nn.network import (
@@ -17,6 +22,7 @@ from volumetrica.nn.network import (
     predict,
     save_network,
 )
+from volumetrica.phantoms import PhantomSpec, make_phantom
 
 
 def finite_difference_check(net, x, target, kind, h=1e-5):
@@ -290,12 +296,12 @@ def _ref_backward(net, x, target, kind):
 _SHAPES = {2: (6, 4), 3: (6, 4, 4)}
 
 
-def _net(rank, activation, channels, seed):
+def _net(rank, activation, channels, seed, first=(3, 1, 5)):
     """conv (non-cubic kernel) -> pool (3, 2[, 2]) -> conv 3^rank -> conv 1^rank
     sigmoid; a pool of 3 makes scaling by 1/6 or 1/12 inexact, so the
     summation order shows in the last bit. Inputs are (6, 4[, 4])."""
     rng = np.random.default_rng(seed)
-    first = (3, 1, 5)[-rank:]
+    first = first[-rank:]
     return Network(
         [
             ConvLayer(rng.normal(0, 0.3, first + (channels, 5)), rng.normal(0, 0.2, 5), activation),
@@ -346,6 +352,55 @@ class TestBitIdentity:
         net2d = build_segmenter_2d(seed=1)
         x2d = rng.uniform(size=(64, 64, 1))
         np.testing.assert_array_equal(predict(net2d, x2d), _ref_predict(net2d, x2d), strict=True)
+
+
+def _band_rows(monkeypatch, net, shape, rows):
+    """Set the band budget so that ``predict`` cuts ``shape`` into bands
+    of ``rows`` input rows."""
+    first_row_bytes = 8 * math.prod(net.output_shapes(shape)[0][1:])
+    monkeypatch.setattr(network, "_BAND_BYTES", rows * first_row_bytes)
+    assert network._bands(net, shape, net.output_shapes(shape))[0] == rows
+
+
+class TestBanding:
+    """predict over many small row bands against the whole-input reference."""
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("first", [(3, 1, 5), (5, 3, 1)])
+    @pytest.mark.parametrize("activation", ["relu", "none"])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("rows, height", [(3, 15), (6, 15), (6, 30), (12, 30), (12, 12)],
+                             ids=["one-window", "short-last", "even", "wide-short-last", "one-band"])
+    def test_matches_reference(self, monkeypatch, rank, first, activation, channels, rows, height):
+        net = _net(rank, activation, channels, seed=rank * 10 + channels, first=first)
+        shape = (height,) + _SHAPES[rank][1:] + (channels,)
+        _band_rows(monkeypatch, net, shape, rows)
+        x = np.random.default_rng(height).normal(size=shape)
+        np.testing.assert_array_equal(predict(net, x), _ref_predict(net, x), strict=True)
+
+    def test_2d_segmenter_matches_reference(self, monkeypatch):
+        net = build_segmenter_2d(seed=1)
+        x = np.random.default_rng(12).uniform(size=(96, 64, 1))
+        _band_rows(monkeypatch, net, x.shape, 8)
+        np.testing.assert_array_equal(predict(net, x), _ref_predict(net, x), strict=True)
+
+    def test_slicewise_volume_is_the_same(self, monkeypatch):
+        spec = PhantomSpec(kind="sphere", radius=6.0, noise_sigma=0.05, seed=21)
+        grid, _, _ = make_phantom(spec, (40, 40, 8), Spacing(0.5, 0.5, 2.0))
+        net = build_segmenter_2d(seed=1)
+        whole = ml_estimate_slicewise(grid, net)
+        assert 0.0 < whole < grid.data.size * grid.spacing.voxel_volume_mm3
+        _band_rows(monkeypatch, net, (40, 40, 1), 2)
+        assert ml_estimate_slicewise(grid, net) == whole
+
+    def test_shape_error_names_the_whole_input(self):
+        net = build_segmenter_2d(seed=0)
+        x = np.zeros((65, 1024, 1))
+        assert network._bands(net, (64, 1024, 1), net.output_shapes((64, 1024, 1)))[0] < 64
+        with pytest.raises(ValueError, match=re.escape("(65, 1024)")):
+            predict(net, x)
+        with pytest.raises(ValueError, match="rank 3"):
+            predict(build_segmenter_3d(seed=0), np.zeros((32, 32, 1)))
 
 
 class TestWorkspace:
@@ -402,3 +457,18 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < sites * 9 * 8 + 1.25 * sites * 32 * 8
+
+    def test_2d_predict_1024_is_bounded_by_the_band(self):
+        net = build_segmenter_2d(seed=0)
+        x = np.random.default_rng(11).uniform(size=(1024, 1024, 1))
+        predict(net, x)
+        tracemalloc.start()
+        try:
+            out = predict(net, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one band's conv output with its halo rows, its im2col matrix
+        # and its pooled rows stay under twice the budget; the whole
+        # conv output would be 268 MB
+        assert peak < 2 * network._BAND_BYTES + out.nbytes
