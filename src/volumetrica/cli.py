@@ -1,16 +1,17 @@
 """Command-line orchestration.
 
 Commands: phantom, parse, ingest, estimate, train, eval, compare,
-stats. Exit codes: 0 success, 1 runtime/model failure, 2 usage or
-configuration error. Every report embeds the tool version, the seed,
-a config hash, and input checksums; reports carry no timestamps so a
-fixed seed reproduces identical bytes.
+stats. Exit codes: 0 success; 1 the tool failed on well-formed input;
+2 the command line, or a file it names, is missing, unreadable or
+malformed. Readers raise ``InputError`` and ``main`` alone turns an
+exception into an exit code. Every report embeds the tool version, the
+seed, a config hash, and input checksums; reports carry no timestamps
+so a fixed seed reproduces identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ import numpy as np
 
 from volumetrica import __version__, dicomlite
 from volumetrica import io as vio
+from volumetrica.errors import InputError
 from volumetrica.estimators import (
     METHODS,
     EstimateCase,
@@ -36,21 +38,12 @@ from volumetrica.nn.inference import (
     prepare_input,
 )
 from volumetrica.nn.network import build_segmenter_3d, load_network, predict, save_network
-from volumetrica.nn.training import (
-    TrainConfig,
-    TrainingDivergedError,
-    fit_target_to_output,
-    train,
-)
-from volumetrica.phantoms import ShapeOutOfBoundsError, load_phantom_config, make_phantom
+from volumetrica.nn.training import TrainConfig, fit_target_to_output, train
+from volumetrica.phantoms import load_phantom_config, make_phantom
 from volumetrica.stats.report import build_stats_report
 from volumetrica.stats.resample import cv_volume_error, kfold
 
 EXIT_OK, EXIT_RUNTIME, EXIT_USAGE = 0, 1, 2
-
-
-class UsageError(Exception):
-    pass
 
 
 def _seed(args) -> int:
@@ -68,40 +61,35 @@ def _fail(code: int, message: str) -> int:
 
 def cmd_phantom(args) -> int:
     seed = _seed(args)
-    try:
-        spec_doc = json.loads(Path(args.spec).read_text())
-    except OSError as exc:
-        return _fail(EXIT_USAGE, f"cannot read spec: {exc}")
-    except json.JSONDecodeError as exc:
-        return _fail(EXIT_USAGE, f"spec is not valid JSON: {exc}")
-
+    spec_doc = vio.read_json(args.spec)
     entries = spec_doc["cohort"] if isinstance(spec_doc, dict) and "cohort" in spec_doc else [spec_doc]
+    if not isinstance(entries, list):
+        raise InputError(f"{args.spec}: 'cohort' must be a list of phantom configs")
+    # every entry is validated before the first file is written
+    configs = [
+        load_phantom_config({"seed": seed + i, **entry} if isinstance(entry, dict) else entry)
+        for i, entry in enumerate(entries)
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cases = []
-    try:
-        for i, entry in enumerate(entries):
-            entry = dict(entry)
-            entry.setdefault("seed", seed + i)
-            spec, dims, spacing = load_phantom_config(entry)
-            grid, mask, volume = make_phantom(spec, dims, spacing)
-            case_id = entry.get("id", f"case_{i:03d}")
-            grid_path = out / f"{case_id}_grid.volv"
-            mask_path = out / f"{case_id}_mask.volv"
-            vio.write_volume(grid_path, grid)
-            vio.write_volume(mask_path, mask)
-            cases.append(
-                {
-                    "id": case_id,
-                    "grid": grid_path.name,
-                    "mask": mask_path.name,
-                    "analytic_volume_mm3": volume,
-                    "shape": spec.kind,
-                    "seed": entry["seed"],
-                }
-            )
-    except (ShapeOutOfBoundsError, ValueError, KeyError, TypeError) as exc:
-        return _fail(EXIT_USAGE, f"invalid phantom config: {exc}")
+    for i, (entry, (spec, dims, spacing)) in enumerate(zip(entries, configs)):
+        grid, mask, volume = make_phantom(spec, dims, spacing)
+        case_id = entry.get("id", f"case_{i:03d}")
+        grid_path = out / f"{case_id}_grid.volv"
+        mask_path = out / f"{case_id}_mask.volv"
+        vio.write_volume(grid_path, grid)
+        vio.write_volume(mask_path, mask)
+        cases.append(
+            {
+                "id": case_id,
+                "grid": grid_path.name,
+                "mask": mask_path.name,
+                "analytic_volume_mm3": volume,
+                "shape": spec.kind,
+                "seed": entry.get("seed", seed + i),
+            }
+        )
 
     payload = {"cases": cases}
     envelope = vio.report_envelope(
@@ -115,31 +103,22 @@ def cmd_phantom(args) -> int:
 def _load_manifest_cases(manifest_path) -> tuple[list[EstimateCase], list[float], int]:
     doc = vio.read_cohort_manifest(manifest_path)
     base = Path(manifest_path).parent
-    cases, truths = [], []
-    for entry in doc["cases"]:
-        grid = vio.read_volume(base / entry["grid"])
-        mask = vio.read_volume(base / entry["mask"])
-        if not isinstance(grid, VoxelGrid) or not isinstance(mask, BinaryMask):
-            raise UsageError(f"case {entry['id']}: grid/mask containers are swapped")
-        truth = float(entry["analytic_volume_mm3"])
-        cases.append(EstimateCase(entry["id"], grid, mask, truth))
-        truths.append(truth)
-    if not cases:
-        raise UsageError("manifest lists no cases")
-    return cases, truths, int(doc.get("seed", 0))
+    cases = [
+        EstimateCase(
+            entry["id"],
+            vio.read_volume(base / entry["grid"]),
+            vio.read_volume(base / entry["mask"]),
+            float(entry["analytic_volume_mm3"]),
+        )
+        for entry in doc["cases"]
+    ]
+    return cases, [c.analytic_volume for c in cases], doc.get("seed", 0)
 
 
 # ------------------------------------------------------------- parse/ingest
 
 def cmd_parse(args) -> int:
-    try:
-        raw = Path(args.input).read_bytes()
-    except OSError as exc:
-        return _fail(EXIT_USAGE, f"cannot read input: {exc}")
-    try:
-        ds = dicomlite.parse_file(raw)
-    except dicomlite.DicomParseError as exc:
-        return _fail(EXIT_RUNTIME, f"parse failed: {exc}")
+    ds = dicomlite.parse_file(Path(args.input).read_bytes())
     import struct
 
     elements = []
@@ -170,14 +149,7 @@ def cmd_parse(args) -> int:
 
 def cmd_ingest(args) -> int:
     src = Path(args.input)
-    if not src.is_dir():
-        return _fail(EXIT_USAGE, f"{src} is not a directory")
-    try:
-        grid, geometry, skipped = dicomlite.read_directory(src)
-    except dicomlite.NoValidImagesError as exc:
-        return _fail(EXIT_RUNTIME, str(exc))
-    except dicomlite.GeometryMismatchError as exc:
-        return _fail(EXIT_RUNTIME, f"inconsistent series: {exc}")
+    grid, geometry, skipped = dicomlite.read_directory(src)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vio.write_volume(out / "grid.volv", grid)
@@ -200,43 +172,30 @@ def cmd_ingest(args) -> int:
 
 # ---------------------------------------------------------------- estimate
 
-def _parse_methods(arg: str | None, have_model: bool) -> tuple[str, ...]:
+def _methods(arg: str | None, network) -> tuple[str, ...]:
+    """The ``--methods`` list; ``None`` and "all" mean every method the
+    inputs can drive (ml needs a model)."""
     if arg in (None, "all"):
-        return METHODS if have_model else tuple(m for m in METHODS if m != "ml")
+        return tuple(m for m in METHODS if network is not None or m != "ml")
     methods = tuple(m.strip() for m in arg.split(",") if m.strip())
-    for m in methods:
-        if m not in METHODS:
-            raise UsageError(f"unknown method {m!r} (choose from {', '.join(METHODS)})")
+    if not methods or not set(methods) <= set(METHODS):
+        raise InputError(f"--methods {arg!r}: choose one or more of {', '.join(METHODS)}")
     return methods
 
 
 def cmd_estimate(args) -> int:
     src = Path(args.input)
-    if not src.exists():
-        return _fail(EXIT_USAGE, f"input {src} does not exist")
-    network = None
-    if args.model:
-        try:
-            network = load_network(args.model)
-        except (OSError, ValueError) as exc:
-            return _fail(EXIT_USAGE, f"cannot load model: {exc}")
-    try:
-        methods = _parse_methods(args.methods, network is not None)
-    except UsageError as exc:
-        return _fail(EXIT_USAGE, str(exc))
-
+    network = load_network(args.model) if args.model else None
+    methods = _methods(args.methods, network)
     inputs = [src] + [p for p in (args.mask, args.model) if p]
-    try:
-        if src.suffix.lower() == ".csv":
-            series = vio.read_series_csv(src)
-            report = estimate_series(series, methods, manual_radius=args.radius)
-            report.metadata.update(thickness_mm=series.thickness, source="slice-area series")
-        else:
-            case = _load_single_case(src, args)
-            report = estimate_all(case, network=network, threshold=args.threshold,
-                                  methods=methods, manual_radius=args.radius)
-    except (OSError, ValueError) as exc:
-        return _fail(EXIT_USAGE, f"unreadable input: {exc}")
+    if src.suffix.lower() == ".csv":
+        series = vio.read_series_csv(src)
+        report = estimate_series(series, methods, manual_radius=args.radius)
+        report.metadata.update(thickness_mm=series.thickness, source="slice-area series")
+    else:
+        case = _load_single_case(src, args)
+        report = estimate_all(case, network=network, threshold=args.threshold,
+                              methods=methods, manual_radius=args.radius)
 
     config = {
         "input": str(src),
@@ -267,9 +226,7 @@ def _load_single_case(src: Path, args) -> EstimateCase:
         if manifest.exists():
             cases, _, _ = _load_manifest_cases(manifest)
             if len(cases) != 1:
-                raise UsageError(
-                    f"{manifest} lists {len(cases)} cases; use `compare` for cohorts"
-                )
+                raise InputError(f"{manifest} lists {len(cases)} cases; use `compare` for cohorts")
             return cases[0]
         # a directory of DICOM slices
         grid, _, _ = dicomlite.read_directory(src)
@@ -281,15 +238,12 @@ def _load_single_case(src: Path, args) -> EstimateCase:
             grid = VoxelGrid(volume.data.astype(np.float64), volume.spacing)
             return EstimateCase(src.stem, grid, volume)
         return EstimateCase(src.stem, volume, _mask_for(volume, args))
-    raise UsageError(f"cannot interpret input {src}")
+    raise InputError(f"cannot interpret input {src}")
 
 
 def _mask_for(grid: VoxelGrid, args) -> BinaryMask:
     if args.mask:
-        mask = vio.read_volume(args.mask)
-        if not isinstance(mask, BinaryMask):
-            raise UsageError(f"{args.mask} is not a mask container")
-        return mask
+        return vio.read_volume(args.mask)
     # no segmentation supplied: binarize the intensities
     return BinaryMask(grid.data > 0.5, grid.spacing)
 
@@ -298,10 +252,7 @@ def _mask_for(grid: VoxelGrid, args) -> BinaryMask:
 
 def cmd_train(args) -> int:
     seed = _seed(args)
-    try:
-        cases, _, _ = _load_manifest_cases(args.cohort)
-    except (OSError, ValueError, UsageError, KeyError) as exc:
-        return _fail(EXIT_USAGE, f"cannot load cohort: {exc}")
+    cases, _, _ = _load_manifest_cases(args.cohort)
     net = build_segmenter_3d(seed=seed)
     target_shape = net.input_shape[:-1]
     training_cases = [
@@ -311,10 +262,7 @@ def cmd_train(args) -> int:
     config = TrainConfig(
         epochs=args.epochs, loss=args.loss, optimizer=args.optimizer, learning_rate=args.lr
     )
-    try:
-        log = train(net, training_cases, config)
-    except TrainingDivergedError as exc:
-        return _fail(EXIT_RUNTIME, str(exc))
+    log = train(net, training_cases, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_network(net, out / "net.vnet")
@@ -339,11 +287,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     seed = _seed(args)
-    try:
-        cases, truths, _ = _load_manifest_cases(args.cohort)
-        network = load_network(args.model)
-    except (OSError, ValueError, UsageError, KeyError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    cases, truths, _ = _load_manifest_cases(args.cohort)
+    network = load_network(args.model)
     rows = []
     target_shape = network.input_shape[:-1]
     for case, truth in zip(cases, truths):
@@ -386,12 +331,9 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     seed = _seed(args)
-    try:
-        cases, _, _ = _load_manifest_cases(args.cohort)
-        network = load_network(args.model) if args.model else None
-    except (OSError, ValueError, UsageError, KeyError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    methods = METHODS if network is not None else tuple(m for m in METHODS if m != "ml")
+    cases, _, _ = _load_manifest_cases(args.cohort)
+    network = load_network(args.model) if args.model else None
+    methods = _methods(None, network)
     reports = [
         estimate_all(c, network=network, threshold=args.threshold, methods=methods)
         for c in cases
@@ -420,10 +362,7 @@ def cmd_compare(args) -> int:
 
 def cmd_stats(args) -> int:
     seed = _seed(args)
-    try:
-        cases, truths, _ = _load_manifest_cases(args.cohort)
-    except (OSError, ValueError, UsageError, KeyError) as exc:
-        return _fail(EXIT_USAGE, str(exc))
+    cases, truths, _ = _load_manifest_cases(args.cohort)
     n = len(cases)
     if args.folds > n:
         return _fail(EXIT_USAGE, f"k = {args.folds} folds exceed {n} cases")
@@ -460,10 +399,7 @@ def cmd_stats(args) -> int:
 
     plan = kfold(n, args.folds, seed)
     indexed = [(i, truths[i]) for i in range(n)]
-    try:
-        cv = cv_volume_error(indexed, trainer, estimator, plan)
-    except TrainingDivergedError as exc:
-        return _fail(EXIT_RUNTIME, str(exc))
+    cv = cv_volume_error(indexed, trainer, estimator, plan)
 
     volumes = {m: np.asarray(v) for m, v in manual.items()}
     volumes["ml"] = cv.per_case_volume
@@ -613,9 +549,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except InputError as exc:
+        return _fail(EXIT_USAGE, f"unreadable input: {exc}")
+    except OSError as exc:  # every path the CLI opens is one the user named
         return _fail(EXIT_USAGE, str(exc))
-    except Exception as exc:  # runtime contract: unexpected failures exit 1
+    except Exception as exc:  # the tool failed on well-formed input
         return _fail(EXIT_RUNTIME, f"{type(exc).__name__}: {exc}")
 
 

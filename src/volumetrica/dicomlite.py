@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from volumetrica.errors import InputError
 from volumetrica.grid import Spacing, VoxelGrid
 
 logger = logging.getLogger(__name__)
@@ -78,7 +79,7 @@ _LONG_VRS = frozenset({"OB", "OW", "OF", "SQ", "UT", "UN"})
 _STRING_VRS = frozenset({"IS", "DS", "CS", "LO"})
 
 
-class DicomParseError(ValueError):
+class DicomParseError(InputError):
     """File bytes do not parse under the supported subset."""
 
 
@@ -92,11 +93,11 @@ class TruncatedFileError(DicomParseError):
         self.offset = offset
 
 
-class NoValidImagesError(ValueError):
+class NoValidImagesError(InputError):
     pass
 
 
-class GeometryMismatchError(ValueError):
+class GeometryMismatchError(InputError):
     pass
 
 
@@ -145,7 +146,10 @@ class DicomDataset:
         raw = self.text(tag)
         if raw is None or raw.strip() == "":
             return None
-        return [float(part) for part in raw.split("\\")]
+        try:
+            return [float(part) for part in raw.split("\\")]
+        except ValueError as exc:
+            raise DicomParseError(f"tag {tuple(tag)}: {raw!r} is not a number list") from exc
 
 
 def _parse_element(data: bytes, pos: int, explicit: bool):
@@ -205,6 +209,8 @@ def parse_file(data: bytes) -> DicomDataset:
             el, pos = _parse_element(data, pos, explicit=True)
             ds.elements[el.tag] = el
             if el.tag == TAG_META_GROUP_LENGTH:
+                if len(el.value) != 4:
+                    raise DicomParseError(f"meta group length is {len(el.value)} bytes, not 4")
                 meta_end = pos + struct.unpack("<I", el.value)[0]
         syntax = ds.text(TAG_TRANSFER_SYNTAX) or EXPLICIT_VR_LE
         if syntax not in (EXPLICIT_VR_LE, IMPLICIT_VR_LE):
@@ -436,16 +442,19 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
             warnings.append("non-uniform z gaps between slices; series flagged, not resampled")
 
     slices = [_decode_pixels(usable[j][1]) for j in order]
-    grid = VoxelGrid(np.stack(slices), Spacing(sx, sy, thickness))
-    geometry = SeriesGeometry(
-        rows=rows,
-        cols=cols,
-        pixel_spacing=(sx, sy),
-        slice_thickness=thickness,
-        slice_order=tuple((usable[j][0], keys[j]) for j in order),
-        warnings=tuple(warnings),
-        uniform_z=uniform_z,
-    )
+    try:
+        grid = VoxelGrid(np.stack(slices), Spacing(sx, sy, thickness))
+        geometry = SeriesGeometry(
+            rows=rows,
+            cols=cols,
+            pixel_spacing=(sx, sy),
+            slice_thickness=thickness,
+            slice_order=tuple((usable[j][0], keys[j]) for j in order),
+            warnings=tuple(warnings),
+            uniform_z=uniform_z,
+        )
+    except ValueError as exc:  # empty slices, non-finite spacing or rescale values
+        raise GeometryMismatchError(str(exc)) from exc
     return grid, geometry
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from volumetrica.errors import InputError
 from volumetrica.geometry import SliceAreaSeries, max_equivalent_diameter, slice_areas
 from volumetrica.grid import BinaryMask, VoxelGrid
 from volumetrica.nn.inference import cnn_volume, extract_tumor_mask, prepare_input
@@ -88,6 +89,20 @@ class EstimateCase:
     grid: VoxelGrid
     mask: BinaryMask
     analytic_volume: float | None = None
+
+    def __post_init__(self):
+        # spacing is not compared: DICOM stores it rounded to 6 decimals,
+        # so a grid ingested from DICOM and its mask differ in the last digits
+        if not isinstance(self.grid, VoxelGrid) or not isinstance(self.mask, BinaryMask):
+            raise InputError(
+                f"case {self.case_id}: needs a grid and a mask container, got "
+                f"{type(self.grid).__name__} and {type(self.mask).__name__}"
+            )
+        if self.mask.dims != self.grid.dims:
+            raise InputError(
+                f"case {self.case_id}: mask dims {self.mask.dims} differ from grid dims "
+                f"{self.grid.dims}"
+            )
 
 
 @dataclass

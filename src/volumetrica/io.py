@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from volumetrica import __version__
+from volumetrica.errors import InputError
 from volumetrica.geometry import SliceAreaSeries
 from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
 
@@ -43,29 +45,32 @@ def write_volume(path, volume: VoxelGrid | BinaryMask) -> None:
 
 def read_volume(path) -> VoxelGrid | BinaryMask:
     """Read a VOLV container; a truncated, corrupted or over-long file
-    raises ValueError."""
+    raises InputError."""
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a VOLV container")
+        raise InputError(f"{path}: not a VOLV container")
     if len(data) < _HEADER_BYTES:
-        raise ValueError(f"{path}: VOLV header truncated at {len(data)} of {_HEADER_BYTES} bytes")
+        raise InputError(f"{path}: VOLV header truncated at {len(data)} of {_HEADER_BYTES} bytes")
     version, code, nx, ny, nz = struct.unpack_from("<IBIII", data, 4)
     if version != 1:
-        raise ValueError(f"{path}: unsupported container version {version}")
+        raise InputError(f"{path}: unsupported container version {version}")
     if code not in _DTYPES:
-        raise ValueError(f"{path}: unknown dtype code {code}")
+        raise InputError(f"{path}: unknown dtype code {code}")
     count = nx * ny * nz
     expected = _HEADER_BYTES + count * _DTYPES[code].itemsize
     if len(data) != expected:
-        raise ValueError(
+        raise InputError(
             f"{path}: VOLV payload is {len(data) - _HEADER_BYTES} bytes, "
             f"header declares {expected - _HEADER_BYTES}"
         )
-    spacing = Spacing(*struct.unpack_from("<ddd", data, 21))
     payload = np.frombuffer(data, dtype=_DTYPES[code], count=count, offset=_HEADER_BYTES)
-    if code == _DTYPE_GRID:
-        return VoxelGrid(payload.reshape(nz, ny, nx).copy(), spacing)
-    return BinaryMask(payload.reshape(nz, ny, nx).astype(bool), spacing)
+    try:
+        spacing = Spacing(*struct.unpack_from("<ddd", data, 21))
+        if code == _DTYPE_GRID:
+            return VoxelGrid(payload.reshape(nz, ny, nx).copy(), spacing)
+        return BinaryMask(payload.reshape(nz, ny, nx).astype(bool), spacing)
+    except ValueError as exc:  # invalid spacing or non-finite intensities
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def write_series_csv(path, series: SliceAreaSeries) -> None:
@@ -76,24 +81,72 @@ def write_series_csv(path, series: SliceAreaSeries) -> None:
 
 def read_series_csv(path) -> SliceAreaSeries:
     """Read `position_mm,area_mm2` rows; thickness is the uniform gap
-    (1.0 for a single sample)."""
+    (1.0 for a single sample). A malformed file raises InputError."""
     rows = []
-    text = Path(path).read_text()
-    for i, line in enumerate(text.splitlines()):
+    for i, line in enumerate(_read_text(path).splitlines()):
         line = line.strip()
         if not line or (i == 0 and line.lower().startswith("position")):
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise ValueError(f"{path}: line {i + 1}: expected two columns")
-        rows.append((float(parts[0]), float(parts[1])))
+            raise InputError(f"{path}: line {i + 1}: expected two columns")
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise InputError(f"{path}: line {i + 1}: {exc}") from exc
     if not rows:
-        raise ValueError(f"{path}: no samples")
+        raise InputError(f"{path}: no samples")
     rows.sort()
     positions = np.array([r[0] for r in rows])
     areas = np.array([r[1] for r in rows])
     thickness = float(positions[1] - positions[0]) if len(rows) > 1 else 1.0
-    return SliceAreaSeries(positions, areas, thickness)
+    try:
+        return SliceAreaSeries(positions, areas, thickness)
+    except ValueError as exc:  # non-finite, negative or unevenly spaced samples
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _finite_number(parse):
+    """A json.loads number hook that rejects literals a float cannot hold."""
+
+    def number(text: str):
+        value = parse(text)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"number {text[:32]} is out of range")
+        return value
+
+    return number
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a number")
+
+
+def read_json(path):
+    """Parse a JSON file the user supplied. NaN, Infinity and literals
+    that overflow a float, such as 1e999, raise InputError like any
+    other malformed document; ``canonical_json`` never writes them."""
+    text = _read_text(path)
+    try:
+        return json.loads(
+            text,
+            parse_float=_finite_number(float),
+            parse_int=_finite_number(int),
+            parse_constant=_no_constant,
+        )
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise InputError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def canonical_json(obj) -> str:
@@ -136,17 +189,36 @@ def report_envelope(report_type: str, payload: dict, seed: int, config: dict, in
     }
 
 
-def write_cohort_manifest(path, cases: list[dict], seed: int) -> None:
-    dump_json(path, {"seed": seed, "cases": cases})
-
-
 def read_cohort_manifest(path) -> dict:
-    """Accepts either a bare manifest or one wrapped in a report envelope."""
-    manifest = json.loads(Path(path).read_text())
-    if "payload" in manifest and isinstance(manifest["payload"], dict):
+    """Accepts either a bare manifest or one wrapped in a report envelope.
+
+    Each case is an object with an ``id``, string ``grid`` and ``mask``
+    file names, and an ``analytic_volume_mm3`` that is a finite number
+    > 0; anything else raises InputError."""
+    manifest = read_json(path)
+    if not isinstance(manifest, dict):
+        raise InputError(f"{path}: manifest must be a JSON object")
+    if isinstance(manifest.get("payload"), dict):
         seed = manifest.get("seed", 0)
         manifest = dict(manifest["payload"])
         manifest.setdefault("seed", seed)
-    if "cases" not in manifest or not isinstance(manifest["cases"], list):
-        raise ValueError(f"{path}: manifest must carry a 'cases' list")
+    seed = manifest.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InputError(f"{path}: manifest seed must be an integer, got {seed!r}")
+    cases = manifest.get("cases")
+    if not isinstance(cases, list) or not cases:
+        raise InputError(f"{path}: manifest must carry a non-empty 'cases' list")
+    for i, case in enumerate(cases):
+        if not isinstance(case, dict) or "id" not in case:
+            raise InputError(f"{path}: case {i} must be an object with an 'id'")
+        for key in ("grid", "mask"):
+            if not isinstance(case.get(key), str):
+                raise InputError(f"{path}: case {case['id']!r} needs a string '{key}' file name")
+        truth = case.get("analytic_volume_mm3")
+        is_number = isinstance(truth, (int, float)) and not isinstance(truth, bool)
+        if not (is_number and 0 < truth < math.inf):
+            raise InputError(
+                f"{path}: case {case['id']!r}: analytic_volume_mm3 must be a finite number > 0, "
+                f"got {truth!r}"
+            )
     return manifest

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from volumetrica.errors import InputError
 from volumetrica.nn.layers import (
     AvgPool,
     ConvLayer,
@@ -304,10 +305,18 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    """Read a container written by ``save_network``; a truncated,
-    corrupted or over-long file raises ValueError."""
+    """Read a container written by ``save_network``. A truncated,
+    corrupted or over-long file, or one with non-finite parameters,
+    raises InputError naming ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
+    try:
+        return _decode_network(data)
+    except ValueError as exc:
+        raise InputError(f"cannot load model {path}: {exc}") from exc
+
+
+def _decode_network(data: bytes) -> Network:
     if data[:4] != _MAGIC:
         raise ValueError("not a network container (bad magic)")
     pos = 4
@@ -327,6 +336,8 @@ def load_network(path) -> Network:
             raise ValueError(f"network container truncated at byte {pos}")
         values = np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy()
         pos += 8 * count
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"non-finite parameter before byte {pos}")
         return values
 
     (version,) = take("<I")
@@ -356,4 +367,6 @@ def load_network(path) -> Network:
             raise ValueError(f"unknown layer kind {kind} in container")
     if pos != len(data):
         raise ValueError(f"{len(data) - pos} trailing bytes after the network container")
-    return Network(layers, tuple(input_shape))
+    network = Network(layers, tuple(input_shape))
+    network.output_shapes()  # layer ranks match the input and every pool divides it
+    return network

@@ -1,5 +1,5 @@
-"""Numerical kernels: polynomial fitting with degree selection, exact and
-composite integration, and a damped Gauss-Newton (Levenberg-Marquardt)
+"""Numerical kernels: polynomial fitting with degree selection, exact
+polynomial integration, and a damped Gauss-Newton (Levenberg-Marquardt)
 solver for nonlinear least squares."""
 
 from __future__ import annotations
@@ -137,24 +137,6 @@ def poly_integral(p: Polynomial, a: float, b: float) -> float:
         raise ValueError(f"need a <= b, got {a} > {b}")
     k = np.arange(len(p.coefficients), dtype=np.float64)
     return float(np.sum(p.coefficients * (b ** (k + 1) - a ** (k + 1)) / (k + 1)))
-
-
-def trapezoid(series: SliceAreaSeries) -> float:
-    """Composite trapezoidal rule over the series samples."""
-    if len(series) < 2:
-        raise ValueError("trapezoid needs at least 2 samples")
-    x, y = series.positions, series.areas
-    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
-
-
-def simpson(series: SliceAreaSeries) -> float:
-    """Composite Simpson rule; needs an odd sample count (even panel count)."""
-    n = len(series)
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"simpson needs an odd sample count >= 3, got {n}")
-    h = series.thickness
-    y = series.areas
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
 @dataclass(frozen=True)

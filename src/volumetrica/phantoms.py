@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from volumetrica.errors import InputError
 from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
 
 _KINDS = ("sphere", "ellipsoid", "lobulated")
@@ -23,7 +24,7 @@ _MAX_LOBES = 8
 _MAX_LOBE_AMPLITUDE = 0.2
 
 
-class ShapeOutOfBoundsError(ValueError):
+class ShapeOutOfBoundsError(InputError):
     """Shape does not fit inside the grid with a one-voxel margin."""
 
 
@@ -71,8 +72,12 @@ class PhantomSpec:
             if not all(s > 0 for s in self.semi_axes):
                 raise ValueError("semi-axes must be positive")
             object.__setattr__(self, "semi_axes", tuple(float(s) for s in self.semi_axes))
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if self.center is not None and (
+            len(self.center) != 3 or not all(math.isfinite(c) for c in self.center)
+        ):
+            raise ValueError(f"center must be three finite numbers, got {self.center!r}")
         if self.kind == "lobulated":
             if not 1 <= self.lobe_count <= _MAX_LOBES:
                 raise ValueError(f"lobe count must be in [1, {_MAX_LOBES}]")
@@ -162,16 +167,12 @@ def _quadrature_volume(spec: PhantomSpec, n_polar: int = 128, n_azim: int = 256)
     return float((inner * w).sum() / 3.0)
 
 
-def make_phantom(
+def _placed_center(
     spec: PhantomSpec, dims: tuple[int, int, int], spacing: Spacing
-) -> tuple[VoxelGrid, BinaryMask, float]:
-    """Rasterize a phantom into a grid.
-
-    Returns the intensity grid (1.0 inside, 0.0 outside, plus optional
-    Gaussian noise), the boolean mask, and the analytic volume in mm^3.
-    """
+) -> tuple[float, float, float]:
+    """The shape center in mm; raises ShapeOutOfBoundsError unless the
+    shape fits inside the grid with a one-voxel margin."""
     nx, ny, nz = dims
-    a, b, c = spec.semi_axes
     reach = max(spec.semi_axes) + sum(l.amplitude_mm for l in spec.lobes)
     if spec.center is None:
         center = (nx * spacing.sx / 2.0, ny * spacing.sy / 2.0, nz * spacing.sz / 2.0)
@@ -187,6 +188,20 @@ def make_phantom(
                 f"shape reach [{lo[ax]:.2f}, {hi[ax]:.2f}] mm exceeds axis {ax} "
                 f"extent {bounds[ax]:.2f} mm with one-voxel margin"
             )
+    return center
+
+
+def make_phantom(
+    spec: PhantomSpec, dims: tuple[int, int, int], spacing: Spacing
+) -> tuple[VoxelGrid, BinaryMask, float]:
+    """Rasterize a phantom into a grid.
+
+    Returns the intensity grid (1.0 inside, 0.0 outside, plus optional
+    Gaussian noise), the boolean mask, and the analytic volume in mm^3.
+    """
+    nx, ny, nz = dims
+    a, b, c = spec.semi_axes
+    center = _placed_center(spec, dims, spacing)
 
     xs = (np.arange(nx) + 0.5) * spacing.sx - center[0]
     ys = (np.arange(ny) + 0.5) * spacing.sy - center[1]
@@ -215,14 +230,22 @@ def load_phantom_config(d: dict) -> tuple[PhantomSpec, tuple[int, int, int], Spa
 
     Required keys: shape, dims, spacing_mm, and radius_mm or
     semi_axes_mm. Optional: center_mm, noise_sigma, seed, lobe_count,
-    lobe_amplitude.
+    lobe_amplitude. A missing, mistyped or out-of-range value raises
+    InputError, and a shape that does not fit its grid
+    ShapeOutOfBoundsError.
     """
     try:
+        if not isinstance(d, dict):
+            raise TypeError(f"expected an object, got {d!r}")
         dims = tuple(int(v) for v in d["dims"])
+        if len(dims) != 3 or any(n <= 0 for n in dims):
+            raise ValueError(f"dims must be three positive integers, got {dims}")
         sp = d["spacing_mm"]
         spacing = Spacing(float(sp[0]), float(sp[1]), float(sp[2]))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"invalid phantom config: {exc}") from exc
-    if len(dims) != 3 or any(n <= 0 for n in dims):
-        raise ValueError(f"dims must be three positive integers, got {dims}")
-    return PhantomSpec.from_dict(d), dims, spacing
+        spec = PhantomSpec.from_dict(d)
+    except KeyError as exc:
+        raise InputError(f"invalid phantom config: missing key {exc}") from exc
+    except (TypeError, IndexError, ValueError, OverflowError) as exc:
+        raise InputError(f"invalid phantom config: {exc}") from exc
+    _placed_center(spec, dims, spacing)
+    return spec, dims, spacing

@@ -218,11 +218,11 @@ class TestDicomCommands:
         tags = [e["tag"] for e in payload["elements"]]
         assert "7FE0,0010" in tags
 
-    def test_parse_truncated_exits_1(self, dicom_dir, tmp_path):
+    def test_parse_truncated_exits_2(self, dicom_dir, tmp_path):
         blob = (dicom_dir / "slice0.dcm").read_bytes()
         bad = tmp_path / "trunc.dcm"
         bad.write_bytes(blob[:-10])
-        assert main(["parse", "--input", str(bad)]) == 1
+        assert main(["parse", "--input", str(bad)]) == 2
 
     def test_ingest_sorts_by_z(self, dicom_dir, tmp_path):
         out = tmp_path / "ingested"
@@ -241,10 +241,10 @@ class TestDicomCommands:
             str(dicom_dir / f"slice{k}.dcm") for k in range(3)
         ]
 
-    def test_ingest_empty_directory_exits_1(self, tmp_path):
+    def test_ingest_empty_directory_exits_2(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
-        assert main(["ingest", "--input", str(empty), "--out", str(tmp_path / "o")]) == 1
+        assert main(["ingest", "--input", str(empty), "--out", str(tmp_path / "o")]) == 2
 
     def test_ingest_nondir_exits_2(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "missing"),

@@ -53,7 +53,7 @@ class TestAreaBased:
             area_based_estimate(SliceAreaSeries(np.empty(0), np.empty(0), 1.0))
 
     def test_riemann_vs_trapezoid_bound(self, sample_nodule_series):
-        from volumetrica.numopt import trapezoid
+        from test_numopt import trapezoid
 
         t = sample_nodule_series.thickness
         a = sample_nodule_series.areas
@@ -70,7 +70,7 @@ class TestRegression:
         assert fit.mse == pytest.approx(10.0889, rel=0.02)
 
     def test_parabolic_profile_matches_simpson(self):
-        from volumetrica.numopt import simpson
+        from test_numopt import simpson
 
         x = np.arange(9.0)
         areas = 2.0 + 8.0 * x - x**2
@@ -79,7 +79,7 @@ class TestRegression:
         assert volume == pytest.approx(simpson(series), abs=1e-9)
 
     def test_three_collinear_samples_equal_trapezoid(self):
-        from volumetrica.numopt import trapezoid
+        from test_numopt import trapezoid
 
         series = SliceAreaSeries(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]), 1.0)
         volume, _ = regression_estimate(series)

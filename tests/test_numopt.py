@@ -15,9 +15,26 @@ from volumetrica.numopt import (
     polyfit,
     refine_volume,
     select_degree,
-    simpson,
-    trapezoid,
 )
+
+
+# quadrature oracles for the regression and area-based estimators
+def trapezoid(series: SliceAreaSeries) -> float:
+    """Composite trapezoidal rule over the series samples."""
+    if len(series) < 2:
+        raise ValueError("trapezoid needs at least 2 samples")
+    x, y = series.positions, series.areas
+    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
+
+
+def simpson(series: SliceAreaSeries) -> float:
+    """Composite Simpson rule; needs an odd sample count (even panel count)."""
+    n = len(series)
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"simpson needs an odd sample count >= 3, got {n}")
+    h = series.thickness
+    y = series.areas
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
 def _series(y, h=1.0, x0=0.0):
