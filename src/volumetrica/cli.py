@@ -207,12 +207,8 @@ def cmd_estimate(args) -> int:
     }
     envelope = vio.report_envelope("estimate", report.to_dict(), _seed(args), config, inputs)
     if args.format == "csv":
-        lines = ["method,volume_mm3,seconds,error"]
-        for m in methods:
-            vol = report.volumes.get(m, "")
-            err = report.errors.get(m, "")
-            lines.append(f"{m},{vol},{report.seconds.get(m, '')},{err}")
-        _write_text(args.out, "\n".join(lines) + "\n")
+        rows = [(m, report.volumes.get(m, ""), report.errors.get(m, "")) for m in methods]
+        vio.write_csv(args.out, ("method", "volume_mm3", "error"), rows)
     else:
         _write_report(args.out, envelope)
     if not report.volumes:
@@ -266,7 +262,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_network(net, out / "net.vnet")
-    _write_text(out / "loss.csv", log.to_csv())
+    log.to_csv(out / "loss.csv")
     payload = {
         "epochs": config.epochs,
         "cases": len(cases),
@@ -315,13 +311,8 @@ def cmd_eval(args) -> int:
         "eval", payload, seed, {"threshold": args.threshold}, inputs=[args.cohort, args.model]
     )
     if args.format == "csv":
-        lines = ["case_id,volume_mm3,analytic_volume_mm3,rel_error,dice"]
-        lines.extend(
-            f"{r['case_id']},{r['volume_mm3']!r},{r['analytic_volume_mm3']!r},"
-            f"{r['rel_error']!r},{r['dice']!r}"
-            for r in rows
-        )
-        _write_text(args.out, "\n".join(lines) + "\n")
+        columns = ("case_id", "volume_mm3", "analytic_volume_mm3", "rel_error", "dice")
+        vio.write_csv(args.out, columns, ([r[c] for c in columns] for r in rows))
     else:
         _write_report(args.out, envelope)
     return EXIT_OK
@@ -352,11 +343,11 @@ def cmd_compare(args) -> int:
     _write_report(args.out, envelope)
     if args.emit_plot_csv:
         # one row per case, one column per method
-        lines = ["case_id," + ",".join(methods)]
-        for r in reports:
-            cells = [repr(r.volumes[m]) if m in r.volumes else "" for m in methods]
-            lines.append(f"{r.case_id}," + ",".join(cells))
-        _write_text(args.emit_plot_csv, "\n".join(lines) + "\n")
+        vio.write_csv(
+            args.emit_plot_csv,
+            ("case_id", *methods),
+            ([r.case_id, *(r.volumes.get(m, "") for m in methods)] for r in reports),
+        )
     return EXIT_OK
 
 
@@ -428,13 +419,6 @@ def _write_report(out, envelope: dict) -> None:
         vio.dump_json(out, envelope)
     else:
         print(vio.canonical_json(envelope), end="")
-
-
-def _write_text(out, text: str) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        print(text, end="")
 
 
 def _int_at_least(minimum: int):

@@ -71,9 +71,6 @@ _TAG_VR = {
     TAG_PIXEL_DATA: "OW",
 }
 
-SUPPORTED_VRS = frozenset(
-    {"US", "SS", "IS", "DS", "CS", "UI", "LO", "OW", "OB", "UL", "UN"}
-)
 # VRs serialized with the 4-byte length form in explicit VR
 _LONG_VRS = frozenset({"OB", "OW", "OF", "SQ", "UT", "UN"})
 _STRING_VRS = frozenset({"IS", "DS", "CS", "LO"})
@@ -383,7 +380,8 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
     Slices sort by the z component of ImagePositionPatient when every
     slice carries it, else by InstanceNumber, else input order; equal
     keys keep input order. Missing PixelSpacing/SliceThickness default
-    to 1.0 mm with a recorded warning.
+    to 1.0 mm with a recorded warning; a PixelSpacing with fewer than
+    two values raises GeometryMismatchError.
     """
     usable: list[tuple[int, DicomDataset]] = []
     warnings: list[str] = []
@@ -416,13 +414,17 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
     order = sorted(range(len(usable)), key=lambda j: keys[j])
 
     first = usable[order[0]][1]
-    spacing_vals = first.numbers(TAG_PIXEL_SPACING)
-    if spacing_vals is None or len(spacing_vals) < 2 or min(spacing_vals) <= 0:
-        if spacing_vals is not None and min(spacing_vals) <= 0:
-            raise GeometryMismatchError(f"non-positive PixelSpacing {spacing_vals}")
+    if TAG_PIXEL_SPACING not in first:
         warnings.append("PixelSpacing missing: assigning default values (1.0, 1.0) mm")
         sy, sx = 1.0, 1.0
     else:
+        spacing_vals = first.numbers(TAG_PIXEL_SPACING) or []
+        if len(spacing_vals) < 2:
+            raise GeometryMismatchError(
+                f"PixelSpacing needs a row and a column spacing, got {spacing_vals}"
+            )
+        if min(spacing_vals) <= 0:
+            raise GeometryMismatchError(f"non-positive PixelSpacing {spacing_vals}")
         sy, sx = spacing_vals[0], spacing_vals[1]  # row spacing first
     thick_vals = first.numbers(TAG_SLICE_THICKNESS)
     if thick_vals is None or thick_vals[0] <= 0:

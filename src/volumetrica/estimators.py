@@ -4,7 +4,6 @@ cross-method discrepancy matrix."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,19 +40,18 @@ def area_based_estimate(series: SliceAreaSeries) -> float:
     return float(series.areas.sum() * series.thickness)
 
 
-def regression_estimate(
-    series: SliceAreaSeries,
-    d_min: int = REGRESSION_DEGREE_MIN,
-    d_max: int = REGRESSION_DEGREE_MAX,
-) -> tuple[float, FitResult]:
-    """Best polynomial fit of the area profile, integrated over the span.
+def regression_estimate(series: SliceAreaSeries) -> tuple[float, FitResult]:
+    """Best polynomial fit of degree REGRESSION_DEGREE_MIN to
+    REGRESSION_DEGREE_MAX of the area profile, integrated over the span.
 
     A negative raw integral (possible with high-degree fits) is clamped
     to zero; the flag travels on the returned fit's condition_flag.
     """
     if len(series) < 3:
         raise ValueError(f"regression needs >= 3 samples, got {len(series)}")
-    fit = select_degree((series.positions, series.areas), d_min, d_max)
+    fit = select_degree(
+        (series.positions, series.areas), REGRESSION_DEGREE_MIN, REGRESSION_DEGREE_MAX
+    )
     lo, hi = series.span
     volume = poly_integral(fit.polynomial, lo, hi)
     if volume < 0.0:
@@ -110,19 +108,15 @@ class EstimateReport:
     case_id: str
     volumes: dict[str, float] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
-    seconds: dict[str, float] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-
-    def volume(self, method: str) -> float | None:
-        return self.volumes.get(method)
 
     def to_dict(self) -> dict:
         methods = {}
         for m in METHODS:
             if m in self.volumes:
-                methods[m] = {"volume_mm3": self.volumes[m], "seconds": self.seconds.get(m)}
+                methods[m] = {"volume_mm3": self.volumes[m]}
             elif m in self.errors:
-                methods[m] = {"error": self.errors[m], "seconds": self.seconds.get(m)}
+                methods[m] = {"error": self.errors[m]}
         return {"case_id": self.case_id, "methods": methods, "metadata": self.metadata}
 
 
@@ -145,7 +139,6 @@ def estimate_series(
     """
     report = EstimateReport(case_id=case_id, metadata={"slice_count": len(series)})
     for method in methods:
-        start = time.perf_counter()
         try:
             if method == "ml":
                 if grid is None:
@@ -170,7 +163,6 @@ def estimate_series(
             report.volumes[method] = float(value)
         except Exception as exc:
             report.errors[method] = f"{type(exc).__name__}: {exc}"
-        report.seconds[method] = time.perf_counter() - start
     return report
 
 

@@ -65,14 +65,6 @@ class VoxelGrid:
         nz, ny, nx = self.data.shape
         return (nx, ny, nz)
 
-    @classmethod
-    def from_flat(cls, dims, flat, spacing: Spacing) -> "VoxelGrid":
-        nx, ny, nz = dims
-        a = np.asarray(flat, dtype=np.float64)
-        if a.size != nx * ny * nz:
-            raise ValueError(f"flat data length {a.size} != nx*ny*nz = {nx * ny * nz}")
-        return cls(a.reshape(nz, ny, nx), spacing)
-
 
 @dataclass(frozen=True)
 class BinaryMask:
@@ -91,11 +83,3 @@ class BinaryMask:
     def dims(self) -> tuple[int, int, int]:
         nz, ny, nx = self.data.shape
         return (nx, ny, nz)
-
-    @classmethod
-    def from_flat(cls, dims, flat, spacing: Spacing) -> "BinaryMask":
-        nx, ny, nz = dims
-        a = np.asarray(flat)
-        if a.size != nx * ny * nz:
-            raise ValueError(f"flat data length {a.size} != nx*ny*nz = {nx * ny * nz}")
-        return cls(a.reshape(nz, ny, nx), spacing)

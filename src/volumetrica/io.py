@@ -8,10 +8,13 @@ raw C-order (nz, ny, nx) payload.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,10 +76,26 @@ def read_volume(path) -> VoxelGrid | BinaryMask:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV to ``path``, or to stdout when
+    ``path`` is empty. Fields that hold a comma, quote or newline are
+    quoted; floats are written as their repr."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    if path:
+        Path(path).write_text(text.getvalue())
+    else:
+        sys.stdout.write(text.getvalue())
+
+
 def write_series_csv(path, series: SliceAreaSeries) -> None:
-    lines = ["position_mm,area_mm2"]
-    lines.extend(f"{float(p)!r},{float(a)!r}" for p, a in zip(series.positions, series.areas))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(
+        path,
+        ("position_mm", "area_mm2"),
+        ((float(p), float(a)) for p, a in zip(series.positions, series.areas)),
+    )
 
 
 def read_series_csv(path) -> SliceAreaSeries:

@@ -11,8 +11,6 @@ import numpy as np
 
 from volumetrica.nn.layers import sigmoid
 
-LOSS_KINDS = ("mse", "bce")
-
 
 def _check_shapes(pred: np.ndarray, target: np.ndarray) -> None:
     if pred.shape != target.shape:

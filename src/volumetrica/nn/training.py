@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from volumetrica.io import write_csv
 from volumetrica.nn.layers import avg_pool
 from volumetrica.nn.network import Network, Workspace, backward, gradient_list, input_cols
 from volumetrica.nn.optim import AdamState, SgdState, optimizer_step
@@ -36,13 +37,9 @@ class TrainConfig:
 class TrainingLog:
     losses: list[float] = field(default_factory=list)
 
-    def rows(self) -> list[tuple[int, float]]:
-        return [(i + 1, l) for i, l in enumerate(self.losses)]
-
-    def to_csv(self) -> str:
-        lines = ["epoch,loss"]
-        lines.extend(f"{epoch},{value!r}" for epoch, value in self.rows())
-        return "\n".join(lines) + "\n"
+    def to_csv(self, path) -> None:
+        """Write the ``epoch,loss`` table, epochs counted from 1."""
+        write_csv(path, ("epoch", "loss"), enumerate(self.losses, start=1))
 
 
 def split_cases(n: int, test_fraction: float, seed: int) -> tuple[list[int], list[int]]:

@@ -22,6 +22,13 @@ from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
 _KINDS = ("sphere", "ellipsoid", "lobulated")
 _MAX_LOBES = 8
 _MAX_LOBE_AMPLITUDE = 0.2
+# intensities are 0 or 1; a larger sigma is noise, not a phantom, and
+# 1e308 would overflow the grid to inf
+_MAX_NOISE_SIGMA = 1e3
+# Gauss-Legendre nodes in cos(theta) and uniform nodes in phi of the
+# oracle quadrature for lobulated volumes
+_QUAD_POLAR = 128
+_QUAD_AZIM = 256
 
 
 class ShapeOutOfBoundsError(InputError):
@@ -72,8 +79,10 @@ class PhantomSpec:
             if not all(s > 0 for s in self.semi_axes):
                 raise ValueError("semi-axes must be positive")
             object.__setattr__(self, "semi_axes", tuple(float(s) for s in self.semi_axes))
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if not 0 <= self.noise_sigma <= _MAX_NOISE_SIGMA:
+            raise ValueError(
+                f"noise sigma must be in [0, {_MAX_NOISE_SIGMA:g}], got {self.noise_sigma!r}"
+            )
         if self.center is not None and (
             len(self.center) != 3 or not all(math.isfinite(c) for c in self.center)
         ):
@@ -153,17 +162,17 @@ def _analytic_volume(spec: PhantomSpec) -> float:
     return _quadrature_volume(spec)
 
 
-def _quadrature_volume(spec: PhantomSpec, n_polar: int = 128, n_azim: int = 256) -> float:
+def _quadrature_volume(spec: PhantomSpec) -> float:
     """Oracle volume of a star-shaped boundary: (1/3) * integral of R^3 dOmega.
 
     Gauss-Legendre in cos(theta), uniform (spectrally accurate) in phi.
     """
-    t, w = np.polynomial.legendre.leggauss(n_polar)
+    t, w = np.polynomial.legendre.leggauss(_QUAD_POLAR)
     theta = np.arccos(t)
-    phi = np.arange(n_azim) * (2.0 * math.pi / n_azim)
+    phi = np.arange(_QUAD_AZIM) * (2.0 * math.pi / _QUAD_AZIM)
     th, ph = np.meshgrid(theta, phi, indexing="ij")
     r3 = _boundary_radius(spec, th, ph) ** 3
-    inner = r3.sum(axis=1) * (2.0 * math.pi / n_azim)
+    inner = r3.sum(axis=1) * (2.0 * math.pi / _QUAD_AZIM)
     return float((inner * w).sum() / 3.0)
 
 

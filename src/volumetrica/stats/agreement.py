@@ -23,15 +23,6 @@ class BlandAltman:
         d.flags.writeable = False
         object.__setattr__(self, "differences", d)
 
-    def to_dict(self) -> dict:
-        return {
-            "bias": self.bias,
-            "sd_diff": self.sd_diff,
-            "loa_lower": self.loa_lower,
-            "loa_upper": self.loa_upper,
-            "n": len(self.differences),
-        }
-
 
 def bland_altman(m, a) -> BlandAltman:
     """Differences d_i = m_i - a_i, bias d-bar, sd with the n-1

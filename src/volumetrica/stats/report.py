@@ -29,20 +29,14 @@ _METHOD_LABELS = {
     "area_based": "Area-Based Method",
     "regression": "Nonlinear Regression",
 }
+BOOTSTRAP_RESAMPLES = 2000
 
 
 def _row(metric: str, value, remark: str) -> dict:
     return {"metric": metric, "value": value, "remark": remark}
 
 
-def build_stats_report(
-    truth,
-    volumes: dict,
-    cv: CVResult,
-    k: int,
-    seed: int,
-    resamples: int = 2000,
-) -> dict:
+def build_stats_report(truth, volumes: dict, cv: CVResult, k: int, seed: int) -> dict:
     """Build the report rows from per-case volumes.
 
     ``volumes['ml']`` must hold the out-of-fold CV predictions; manual
@@ -74,12 +68,12 @@ def build_stats_report(
             "spread of the per-fold mean errors, %",
         )
     )
-    lo, hi = bootstrap_ci(cv.per_case_error, resamples=resamples, seed=seed)
+    lo, hi = bootstrap_ci(cv.per_case_error, resamples=BOOTSTRAP_RESAMPLES, seed=seed)
     rows.append(
         _row(
             "95% Confidence Interval for Error",
             [lo * 100.0, hi * 100.0],
-            f"percentile bootstrap of the mean, {resamples} resamples, %",
+            f"percentile bootstrap of the mean, {BOOTSTRAP_RESAMPLES} resamples, %",
         )
     )
 

@@ -12,27 +12,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+CI_LEVEL = 0.95
+
 
 def _stream(seed: int, stream: int = 0) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def bootstrap_ci(
-    values, resamples: int = 2000, level: float = 0.95, seed: int = 0
-) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean."""
+def bootstrap_ci(values, resamples: int = 2000, seed: int = 0) -> tuple[float, float]:
+    """Percentile bootstrap interval for the mean at CI_LEVEL."""
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
     if n < 2:
         raise ValueError("need at least 2 values")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
     means = np.empty(resamples)
     for i in range(resamples):
         rng = _stream(seed, i)
         means[i] = values[rng.integers(0, n, size=n)].mean()
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - CI_LEVEL) / 2.0
     lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
     return float(lo), float(hi)
 

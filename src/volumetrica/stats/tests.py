@@ -31,14 +31,6 @@ class TestResult:
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "test": self.name,
-            "statistic": self.statistic,
-            "df": list(self.df),
-            "p_value": self.p_value,
-        }
-
 
 def paired_t(x, y) -> TestResult:
     """Two-sided paired t-test on the differences x - y."""
@@ -86,7 +78,7 @@ def one_way_anova(groups) -> TestResult:
     return TestResult("one-way anova", f, f_sf(f, df1, df2), (df1, df2))
 
 
-def tukey_hsd(groups, alpha: float = 0.05) -> list[tuple[tuple[int, int], TestResult]]:
+def tukey_hsd(groups) -> list[tuple[tuple[int, int], TestResult]]:
     """Tukey-Kramer pairwise contrasts after an ANOVA.
 
     Returns ((i, j), TestResult) per pair; p-values come from the

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -189,13 +190,35 @@ class TestEstimateCommand:
         assert payload["methods"]["area_based"]["volume_mm3"] == pytest.approx(truth, rel=0.05)
 
     def test_csv_format_output(self, tmp_path):
-        csv = tmp_path / "s.csv"
-        csv.write_text("position_mm,area_mm2\n0,3\n1,3\n2,3\n")
+        series = tmp_path / "s.csv"
+        series.write_text("position_mm,area_mm2\n0,3\n1,3\n2,3\n")
         out = tmp_path / "r.csv"
-        assert main(["estimate", "--input", str(csv), "--format", "csv",
+        assert main(["estimate", "--input", str(series), "--format", "csv",
                      "--out", str(out)]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "method,volume_mm3,seconds,error"
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[0] == ["method", "volume_mm3", "error"]
+        assert [r[0] for r in rows[1:]] == ["spherical", "area_based", "regression"]
+        assert all(len(r) == 3 and r[1] and not r[2] for r in rows[1:])
+
+    def test_csv_format_quotes_error_text(self, tmp_path):
+        series = tmp_path / "s.csv"
+        series.write_text("position_mm,area_mm2\n0,3\n1,3\n2,3\n")
+        out = tmp_path / "r.csv"
+        assert main(["estimate", "--input", str(series), "--methods", "ml,area_based",
+                     "--format", "csv", "--out", str(out)]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows == [
+            ["method", "volume_mm3", "error"],
+            ["ml", "", "ValueError: ml needs voxel input, not an area series"],
+            ["area_based", "9.0", ""],
+        ]
+
+    def test_csv_format_to_stdout(self, tmp_path, capsys):
+        series = tmp_path / "s.csv"
+        series.write_text("position_mm,area_mm2\n0,3\n1,3\n2,3\n")
+        assert main(["estimate", "--input", str(series), "--methods", "area_based",
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "method,volume_mm3,error\narea_based,9.0,\n"
 
 
 class TestDicomCommands:
@@ -257,8 +280,8 @@ class TestPipelineCommands:
         assert main(["train", "--cohort", str(small_cohort), "--out", str(model_dir),
                      "--epochs", "30", "--seed", "3"]) == 0
         assert (model_dir / "net.vnet").exists()
-        loss_rows = (model_dir / "loss.csv").read_text().strip().splitlines()
-        assert loss_rows[0] == "epoch,loss"
+        loss_rows = list(csv.reader((model_dir / "loss.csv").read_text().splitlines()))
+        assert loss_rows[0] == ["epoch", "loss"]
         assert len(loss_rows) == 31
 
         eval_out = tmp_path / "eval.json"
@@ -275,9 +298,10 @@ class TestPipelineCommands:
                      "--emit-plot-csv", str(plot_csv), "--seed", "3"]) == 0
         matrix = json.loads(compare_out.read_text())["payload"]["matrix"]
         assert matrix["methods"] == ["ml", "spherical", "area_based", "regression"]
-        plot_lines = plot_csv.read_text().strip().splitlines()
-        assert plot_lines[0] == "case_id,ml,spherical,area_based,regression"
-        assert len(plot_lines) == 6  # header + one row per case
+        plot_rows = list(csv.reader(plot_csv.read_text().splitlines()))
+        assert plot_rows[0] == ["case_id", "ml", "spherical", "area_based", "regression"]
+        assert len(plot_rows) == 6  # header + one row per case
+        assert all(len(r) == 5 for r in plot_rows)
 
         stats_out = tmp_path / "stats.json"
         assert main(["stats", "--cohort", str(small_cohort), "--folds", "5",

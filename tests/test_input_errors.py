@@ -166,12 +166,13 @@ class TestPhantomSpec:
             _with_literal(SPHERE, "noise_sigma", "1e999"),
             json.dumps(dict(SPHERE, noise_sigma="nan")),
             json.dumps(dict(SPHERE, noise_sigma=-0.1)),
+            json.dumps(dict(SPHERE, noise_sigma=1e308)),
             json.dumps(dict(SPHERE, center_mm=["nan", 8, 8])),
             json.dumps(dict(SPHERE, center_mm=[8])),
             json.dumps(dict(SPHERE, radius_mm=30.0)),
             "5",
         ],
-        ids=["nan-literal", "overflow-literal", "nan-string", "negative", "nan-center",
+        ids=["nan-literal", "overflow-literal", "nan-string", "negative", "huge", "nan-center",
              "short-center", "out-of-bounds", "not-an-object"],
     )
     def test_bad_second_entry_writes_nothing(self, tmp_path, capsys, entry_text):
@@ -244,6 +245,21 @@ class TestDicom:
             path.write_bytes(dl.write_file(ds))
         assert main(["ingest", "--input", str(src), "--out", str(tmp_path / "o")]) == 2
         assert main(["estimate", "--input", str(src), "--methods", "area_based"]) == 2
+
+    @pytest.mark.parametrize("value", [b"0.7 ", b"  "], ids=["one-value", "empty"])
+    def test_short_pixel_spacing_exits_2(self, tmp_path, capsys, value):
+        # a present PixelSpacing without two values is an error, not a
+        # missing tag that defaults to 1 mm
+        src = self._series(tmp_path / "d")
+        for path in src.iterdir():
+            ds = dl.parse_file(path.read_bytes())
+            ds.put(dl.TAG_PIXEL_SPACING, "DS", value)
+            path.write_bytes(dl.write_file(ds))
+        with pytest.raises(dl.GeometryMismatchError, match="PixelSpacing"):
+            dl.read_directory(src)
+        assert main(["ingest", "--input", str(src), "--out", str(tmp_path / "o")]) == 2
+        assert main(["estimate", "--input", str(src), "--methods", "area_based"]) == 2
+        assert capsys.readouterr().err.count("PixelSpacing") == 2
 
     def test_non_finite_rescale_exits_2(self, tmp_path):
         src = self._series(tmp_path / "d", rescale=(math.nan, 0.0))
@@ -336,6 +352,29 @@ class TestFuzzDicom:
         path.write_bytes(_flip(blob, data.draw(_bit_flips(blob))))
         _, raised = _loads_or_raises(lambda p: dl.parse_file(p.read_bytes()), path)
         assert main(["parse", "--input", str(path)]) == (2 if raised else 0)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_ingest_bit_flips(self, tmp_path, data):
+        src = tmp_path / "series"
+        src.mkdir(exist_ok=True)
+        blobs = [
+            dl.write_file(dl.make_slice_dataset(
+                np.arange(16, dtype=np.uint16).reshape(4, 4) + k, pixel_spacing=(0.5, 0.7),
+                slice_thickness=2.0, position_z=2.0 * k, instance_number=k + 1,
+            ))
+            for k in range(3)
+        ]
+        k = data.draw(st.integers(0, len(blobs) - 1))
+        blobs[k] = _flip(blobs[k], data.draw(_bit_flips(blobs[k])))
+        for i, blob in enumerate(blobs):
+            (src / f"s{i}.dcm").write_bytes(blob)
+        loaded, raised = _loads_or_raises(dl.read_directory, src)
+        if not raised:
+            grid = loaded[0]
+            assert np.all(np.isfinite(grid.data)) and grid.dims[:2] == (4, 4)
+        code = main(["ingest", "--input", str(src), "--out", str(tmp_path / "out")])
+        assert code == (2 if raised else 0)
 
 
 class TestFuzzSeriesCsv:

@@ -114,8 +114,7 @@ class TestEnvelope:
         f.write_bytes(b"x")
         env = vio.report_envelope(
             "estimate",
-            {"case_id": "c", "methods": {"area_based": {"volume_mm3": 5.0, "seconds": 0.1}},
-             "metadata": {}},
+            {"case_id": "c", "methods": {"area_based": {"volume_mm3": 5.0}}, "metadata": {}},
             seed=0, config={}, inputs=[f],
         )
         schema_dir = resources.files("volumetrica") / "schemas"
@@ -123,3 +122,14 @@ class TestEnvelope:
         estimate_schema = json.loads((schema_dir / "estimate_report.schema.json").read_text())
         jsonschema.validate(env, envelope_schema)
         jsonschema.validate(env["payload"], estimate_schema)
+
+    def test_estimate_schema_rejects_timings(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        from importlib import resources
+
+        schema_dir = resources.files("volumetrica") / "schemas"
+        estimate_schema = json.loads((schema_dir / "estimate_report.schema.json").read_text())
+        for entry in ({"volume_mm3": 5.0, "seconds": 0.1}, {"error": "x", "seconds": None}):
+            payload = {"case_id": "c", "methods": {"area_based": entry}, "metadata": {}}
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(payload, estimate_schema)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -213,14 +215,15 @@ class TestTrain:
         v = cnn_volume(extract_tumor_mask(pred, 0.5), grid.dims, grid.spacing)
         assert v == pytest.approx(volume, rel=0.15)
 
-    def test_log_csv_shape(self, sphere_case):
+    def test_log_csv_shape(self, sphere_case, tmp_path):
         x, t, *_ = sphere_case
         net = build_segmenter_3d(seed=0)
         log = train(net, [(x, t)], TrainConfig(epochs=3, loss="mse"))
-        csv = log.to_csv()
-        lines = csv.strip().splitlines()
-        assert lines[0] == "epoch,loss"
-        assert len(lines) == 4
+        path = tmp_path / "loss.csv"
+        log.to_csv(path)
+        rows = list(csv.reader(path.read_text().splitlines()))
+        assert rows[0] == ["epoch", "loss"]
+        assert [(int(e), float(v)) for e, v in rows[1:]] == list(enumerate(log.losses, start=1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
