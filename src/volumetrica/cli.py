@@ -37,7 +37,13 @@ from volumetrica.nn.inference import (
     mask_training_target,
     prepare_input,
 )
-from volumetrica.nn.network import build_segmenter_3d, load_network, predict, save_network
+from volumetrica.nn.network import (
+    build_segmenter_3d,
+    input_cols,
+    load_network,
+    predict,
+    save_network,
+)
 from volumetrica.nn.training import TrainConfig, fit_target_to_output, train
 from volumetrica.phantoms import load_phantom_config, make_phantom
 from volumetrica.stats.report import build_stats_report
@@ -370,10 +376,15 @@ def cmd_stats(args) -> int:
 
     net_template = build_segmenter_3d(seed=seed)
     target_shape = net_template.input_shape[:-1]
-    prepared = [
-        (prepare_input(c.grid, target_shape), mask_training_target(c.mask, target_shape))
-        for c in cases
-    ]
+    # every fold trains on these arrays at once: each case's first-layer
+    # im2col is built once, and all of them are read-only
+    prepared = []
+    for c in cases:
+        x = prepare_input(c.grid, target_shape)
+        case = (x, mask_training_target(c.mask, target_shape), input_cols(net_template, x))
+        for a in case:
+            a.flags.writeable = False
+        prepared.append(case)
     train_config = TrainConfig(
         epochs=args.epochs, loss=args.loss, optimizer="adam", learning_rate=args.lr
     )

@@ -9,6 +9,7 @@ round-trip testing.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -139,14 +140,18 @@ class DicomDataset:
         return el.value.decode("ascii", errors="replace").rstrip("\x00 ")
 
     def numbers(self, tag) -> list[float] | None:
-        """DS/IS multi-valued numeric content, backslash separated."""
+        """DS/IS multi-valued numeric content, backslash separated; a
+        value that is not a finite number raises DicomParseError."""
         raw = self.text(tag)
         if raw is None or raw.strip() == "":
             return None
         try:
-            return [float(part) for part in raw.split("\\")]
+            values = [float(part) for part in raw.split("\\")]
         except ValueError as exc:
             raise DicomParseError(f"tag {tuple(tag)}: {raw!r} is not a number list") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise DicomParseError(f"tag {tuple(tag)}: {raw!r} holds a non-finite number")
+        return values
 
 
 def _parse_element(data: bytes, pos: int, explicit: bool):

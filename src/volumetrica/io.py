@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import struct
 import sys
 from pathlib import Path
@@ -48,30 +49,34 @@ def write_volume(path, volume: VoxelGrid | BinaryMask) -> None:
 
 def read_volume(path) -> VoxelGrid | BinaryMask:
     """Read a VOLV container; a truncated, corrupted or over-long file
-    raises InputError."""
-    data = Path(path).read_bytes()
-    if data[:4] != _MAGIC:
-        raise InputError(f"{path}: not a VOLV container")
-    if len(data) < _HEADER_BYTES:
-        raise InputError(f"{path}: VOLV header truncated at {len(data)} of {_HEADER_BYTES} bytes")
-    version, code, nx, ny, nz = struct.unpack_from("<IBIII", data, 4)
-    if version != 1:
-        raise InputError(f"{path}: unsupported container version {version}")
-    if code not in _DTYPES:
-        raise InputError(f"{path}: unknown dtype code {code}")
-    count = nx * ny * nz
-    expected = _HEADER_BYTES + count * _DTYPES[code].itemsize
-    if len(data) != expected:
-        raise InputError(
-            f"{path}: VOLV payload is {len(data) - _HEADER_BYTES} bytes, "
-            f"header declares {expected - _HEADER_BYTES}"
-        )
-    payload = np.frombuffer(data, dtype=_DTYPES[code], count=count, offset=_HEADER_BYTES)
+    raises InputError. The payload is read straight into the array the
+    volume keeps."""
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER_BYTES)
+        if header[:4] != _MAGIC:
+            raise InputError(f"{path}: not a VOLV container")
+        if len(header) < _HEADER_BYTES:
+            raise InputError(
+                f"{path}: VOLV header truncated at {len(header)} of {_HEADER_BYTES} bytes"
+            )
+        version, code, nx, ny, nz = struct.unpack_from("<IBIII", header, 4)
+        if version != 1:
+            raise InputError(f"{path}: unsupported container version {version}")
+        if code not in _DTYPES:
+            raise InputError(f"{path}: unknown dtype code {code}")
+        # sizes are checked before the header's dims reach an allocation
+        declared = nx * ny * nz * _DTYPES[code].itemsize
+        size = os.fstat(fh.fileno()).st_size - _HEADER_BYTES
+        if size == declared:
+            payload = np.empty((nz, ny, nx), dtype=_DTYPES[code])
+            size = fh.readinto(payload)  # short only if the file shrank meanwhile
+        if size != declared:
+            raise InputError(f"{path}: VOLV payload is {size} bytes, header declares {declared}")
     try:
-        spacing = Spacing(*struct.unpack_from("<ddd", data, 21))
+        spacing = Spacing(*struct.unpack_from("<ddd", header, 21))
         if code == _DTYPE_GRID:
-            return VoxelGrid(payload.reshape(nz, ny, nx).copy(), spacing)
-        return BinaryMask(payload.reshape(nz, ny, nx).astype(bool), spacing)
+            return VoxelGrid(payload, spacing)
+        return BinaryMask(payload, spacing)  # 0/1 bytes become bools
     except ValueError as exc:  # invalid spacing or non-finite intensities
         raise InputError(f"{path}: {exc}") from exc
 

@@ -91,8 +91,9 @@ class Network:
 
 class Workspace:
     """Output buffers that ``backward`` reuses from step to step: each
-    conv layer's z, each relu mask and each gradient spread back through
-    a pool. A buffer is made again when its shape changes, so any input
+    conv layer's z, each relu mask, and the gradient spread back through
+    a pool, which lands in the z of the conv below the pool when there is
+    one. A buffer is made again when its shape changes, so any input
     shape is served; a training run keeps one workspace per case input
     shape. Returned gradients never alias these buffers."""
 
@@ -224,20 +225,31 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind: str, fi
     else:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
 
-    for pos in range(len(remaining) - 1, -1, -1):
-        entry = remaining[pos]
+    # every activation factor is taken first, so a pool can spread its
+    # gradient into the z of the conv below it: that z is read no more
+    factors = {}
+    for pos, entry in enumerate(remaining):
         if entry[0] == "conv":
             _, layer, inp, z, cols, a = entry
             # relu's mask is the one full-size factor: sigmoid ends the
             # network and "none" gives a scalar
             mask = ws.buffer(("mask", pos), a.shape, bool) if layer.activation == "relu" else None
-            dz = np.multiply(da, activation_grad(a, z, layer.activation, out=mask), out=da)
+            factors[pos] = activation_grad(a, z, layer.activation, out=mask)
+    for pos in range(len(remaining) - 1, -1, -1):
+        entry = remaining[pos]
+        if entry[0] == "conv":
+            _, layer, inp, z, cols, a = entry
+            dz = np.multiply(da, factors[pos], out=da)
             dW, db, da = conv_backward(layer, inp, cols, dz, need_dx=pos > 0)
             grads_rev.append((dW, db))
         else:
             _, layer, inp_shape = entry
             grads_rev.append(None)
-            da = avg_pool_backward(layer.pool, inp_shape, da, out=ws.buffer(("dz", pos), inp_shape))
+            if pos > 0 and remaining[pos - 1][0] == "conv":
+                out = remaining[pos - 1][3]  # that conv's z
+            else:
+                out = ws.buffer(("dz", pos), inp_shape)
+            da = avg_pool_backward(layer.pool, inp_shape, da, out=out)
 
     return loss_value, list(reversed(grads_rev))
 

@@ -75,11 +75,15 @@ def fit_target_to_output(net: Network, target: np.ndarray, input_shape=None) -> 
 
 
 def train(net: Network, cases, config: TrainConfig) -> TrainingLog:
-    """Run the epoch loop; targets of None mean autoencoder mode (the
+    """Run the epoch loop over cases given as ``x``, ``(x, target)`` or
+    ``(x, target, cols)``. A target of None means autoencoder mode (the
     input itself, pooled to the output resolution, is the label).
+    ``cols`` is the caller's ``input_cols(net, x)``; it is built here
+    when a case brings none.
 
-    Deterministic for a fixed configuration: cases are visited in order
-    and all arithmetic is pure float64.
+    Inputs are only read, so several runs may share them, read-only,
+    across threads. Deterministic for a fixed configuration: cases are
+    visited in order and all arithmetic is pure float64.
     """
     cases = list(cases)
     if not cases:
@@ -87,13 +91,14 @@ def train(net: Network, cases, config: TrainConfig) -> TrainingLog:
     prepared = []
     workspaces: dict[tuple, Workspace] = {}
     for item in cases:
-        x, target = item if isinstance(item, tuple) else (item, None)
+        x, target, cols = (item + (None,))[:3] if isinstance(item, tuple) else (item, None, None)
         x = np.asarray(x, dtype=np.float64)
         target = x if target is None else np.asarray(target, dtype=np.float64)
         target = fit_target_to_output(net, target, input_shape=x.shape)
-        # the first layer sees the same input every epoch: im2col once
+        if cols is None:  # the first layer sees the same input every epoch: im2col once
+            cols = input_cols(net, x)
         ws = workspaces.setdefault(x.shape, Workspace())
-        prepared.append((x, target, input_cols(net, x), ws))
+        prepared.append((x, target, cols, ws))
 
     params = net.parameters()
     if config.optimizer == "adam":

@@ -8,6 +8,8 @@ reproducible and independently addressable from the recorded seed.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,21 +95,92 @@ class CVResult:
         return self.per_case_error[self.fold_of == fold]
 
 
+def _blas_threads(cpus: int) -> int:
+    """Threads one BLAS call runs on, by OpenBLAS's rule: the first
+    positive count among these variables, else every CPU."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cpus)
+    return cpus
+
+
+def _fold_workers(k: int) -> int:
+    """Folds trained at once: one per CPU that BLAS leaves spare. Fold
+    threads on CPUs that BLAS threads already fill only contend (a
+    5-fold 30-epoch run on 2 CPUs took 54 s, not 40 s, with both), so a
+    multi-threaded BLAS keeps the folds sequential."""
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(k, cpus // _blas_threads(cpus)))
+
+
+def _train_folds(cohort, trainer, plan: CVPlan) -> list:
+    """One model per fold, in fold order.
+
+    The calling thread trains folds alongside ``_fold_workers(k) - 1``
+    extra threads; each worker takes the next untrained fold. After a
+    trainer raises no further fold is started, and the exception of the
+    first failing fold in fold order is raised once every worker has
+    stopped: folds are taken in order, so every fold before a failure
+    has already been started and runs to its end.
+    """
+    models = [None] * plan.k
+    errors = [None] * plan.k
+    lock = threading.Lock()
+    pending = iter(range(plan.k))
+    stop = False
+
+    def work():
+        nonlocal stop
+        while True:
+            with lock:
+                fold = None if stop else next(pending, None)
+            if fold is None:
+                return
+            try:
+                models[fold] = trainer([cohort[i][0] for i in plan.train_indices(fold)])
+            except BaseException as exc:  # re-raised on the calling thread below
+                errors[fold] = exc
+                with lock:
+                    stop = True
+
+    extra = [threading.Thread(target=work, name=f"cv-fold-{n}")
+             for n in range(1, _fold_workers(plan.k))]
+    for thread in extra:
+        thread.start()
+    try:
+        work()
+    finally:
+        # an interrupt on the calling thread also ends the extra workers
+        # after their current fold
+        with lock:
+            stop = True
+        for thread in extra:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return models
+
+
 def cv_volume_error(cohort, trainer, estimator, plan: CVPlan) -> CVResult:
     """Train on k-1 folds, measure relative volume error on the held-out
     fold; every case is scored exactly once, out of fold.
 
     ``cohort`` is a sequence of (case, true_volume); ``trainer`` maps a
     list of cases to a model; ``estimator`` maps (model, case) to mm^3.
+    The k models are trained concurrently (see ``_train_folds``), so
+    ``trainer`` must be safe to call from several threads at once;
+    scoring then runs on the calling thread, fold by fold.
     """
     cohort = list(cohort)
     if len(cohort) != len(plan.fold_of):
         raise ValueError("plan does not match cohort size")
+    models = _train_folds(cohort, trainer, plan)
     per_case_error = np.full(len(cohort), np.nan)
     per_case_volume = np.full(len(cohort), np.nan)
     fold_means = []
-    for fold in range(plan.k):
-        model = trainer([cohort[i][0] for i in plan.train_indices(fold)])
+    for fold, model in enumerate(models):
         errors = []
         for i in plan.test_indices(fold):
             case, truth = cohort[i]

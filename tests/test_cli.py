@@ -6,6 +6,7 @@ import pytest
 
 from volumetrica import dicomlite as dl
 from volumetrica.cli import main
+from volumetrica.stats import resample
 
 
 @pytest.fixture
@@ -363,6 +364,22 @@ class TestPipelineCommands:
             assert main(["stats", "--cohort", str(small_cohort), "--folds", "5",
                          "--epochs", "4", "--out", str(out), "--seed", "11"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_stats_bytes_independent_of_fold_workers(self, tmp_path, monkeypatch):
+        entries = [{"dims": [24, 24, 24], "spacing_mm": [1.0, 1.0, 1.0], "noise_sigma": 0.05,
+                    "shape": "sphere", "radius_mm": 4.0 + i} for i in range(6)]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"cohort": entries}))
+        assert main(["phantom", "--spec", str(spec), "--out", str(tmp_path / "ph"),
+                     "--seed", "5"]) == 0
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(resample, "_fold_workers", lambda k: workers)
+            out = tmp_path / f"stats{workers}.json"
+            assert main(["stats", "--cohort", str(tmp_path / "ph" / "manifest.json"),
+                         "--folds", "3", "--epochs", "3", "--out", str(out), "--seed", "5"]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_env_seed_fallback(self, sphere_spec, tmp_path, monkeypatch):
         monkeypatch.setenv("VOLUMETRICA_SEED", "17")

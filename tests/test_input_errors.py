@@ -261,6 +261,20 @@ class TestDicom:
         assert main(["estimate", "--input", str(src), "--methods", "area_based"]) == 2
         assert capsys.readouterr().err.count("PixelSpacing") == 2
 
+    @pytest.mark.parametrize("z", ["nan", "inf", "-1e999"])
+    def test_non_finite_position_exits_2_before_writing(self, tmp_path, capsys, z):
+        src = self._series(tmp_path / "d")
+        path = src / "s1.dcm"
+        ds = dl.parse_file(path.read_bytes())
+        ds.put(dl.TAG_IMAGE_POSITION, "DS", f"0\\0\\{z}".encode() + b" " * (len(z) % 2))
+        path.write_bytes(dl.write_file(ds))
+        with pytest.raises(dl.DicomParseError, match="non-finite"):
+            dl.read_directory(src)
+        out = tmp_path / "o"
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_rescale_exits_2(self, tmp_path):
         src = self._series(tmp_path / "d", rescale=(math.nan, 0.0))
         assert main(["ingest", "--input", str(src), "--out", str(tmp_path / "o")]) == 2

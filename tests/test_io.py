@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from volumetrica import io as vio
+from volumetrica.errors import InputError
 from volumetrica.geometry import SliceAreaSeries
 from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
 
@@ -34,6 +36,35 @@ class TestVolvContainer:
         path.write_bytes(b"XXXX" + b"\x00" * 64)
         with pytest.raises(ValueError, match="VOLV"):
             vio.read_volume(path)
+
+    def test_read_holds_one_copy_of_the_grid(self, tmp_path):
+        grid = VoxelGrid(np.random.default_rng(3).normal(size=(40, 48, 56)), Spacing(1, 1, 1))
+        path = tmp_path / "grid.volv"
+        vio.write_volume(path, grid)
+        tracemalloc.start()
+        try:
+            loaded = vio.read_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.data, grid.data, strict=True)
+        # the grid plus its finiteness check (one byte a voxel); the file
+        # bytes held beside a decoded copy would be twice the grid
+        assert peak < 1.25 * grid.data.nbytes
+
+    def test_size_errors_name_both_sizes(self, tmp_path):
+        path = tmp_path / "grid.volv"
+        vio.write_volume(path, VoxelGrid(np.zeros((2, 3, 4)), Spacing(1, 1, 1)))
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.volv"
+        for data, message in [
+            (blob[:44], "VOLV header truncated at 44 of 45 bytes"),
+            (blob[:-1], "VOLV payload is 191 bytes, header declares 192"),
+            (blob + b"\x00", "VOLV payload is 193 bytes, header declares 192"),
+        ]:
+            bad.write_bytes(data)
+            with pytest.raises(InputError, match=message):
+                vio.read_volume(bad)
 
     @pytest.mark.parametrize("kind", ["grid", "mask"])
     def test_corruption_fuzz_never_silent_garbage(self, tmp_path, kind):

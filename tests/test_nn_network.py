@@ -430,6 +430,25 @@ class TestWorkspace:
             np.testing.assert_array_equal(a, b)
 
 
+    @pytest.mark.parametrize("kind", ["bce", "mse"])
+    def test_pool_gradient_reuses_the_relu_output(self, kind):
+        # the gradient spread back through a pool lands in the z buffer
+        # of the relu conv below it, so no full-size ("dz", ...) buffer
+        # is kept; two steps on one workspace both match the reference
+        rng = np.random.default_rng(12)
+        for net, shape in [(build_segmenter_3d(seed=0), (8, 8, 8, 1)),
+                           (build_segmenter_2d(seed=0), (16, 16, 1))]:
+            ws = Workspace()
+            for _ in range(2):
+                x = rng.uniform(size=shape)
+                t = rng.uniform(size=net.output_shapes(shape)[-1])
+                value, grads = backward(net, x, t, kind, workspace=ws)
+                assert not [key for key in ws._buffers if key[0] == "dz"]
+                ref_value, ref_grads = _ref_backward(net, x, t, kind)
+                assert value == ref_value
+                _assert_same_gradients(grads, ref_grads)
+
+
 class TestMemory:
     def test_3d_step_with_workspace_allocates_less_than_one_activation(self):
         net = build_segmenter_3d(seed=0)

@@ -12,7 +12,7 @@ from volumetrica.nn.inference import (
     prepare_input,
     resize_volume,
 )
-from volumetrica.nn.network import build_segmenter_3d, predict
+from volumetrica.nn.network import build_segmenter_3d, input_cols, predict
 from volumetrica.nn.optim import AdamState, SgdState, optimizer_step
 from volumetrica.nn.training import TrainConfig, split_cases, train
 from volumetrica.phantoms import PhantomSpec, make_phantom
@@ -175,6 +175,25 @@ class TestTrain:
             net = build_segmenter_3d(seed=4)
             logs.append(train(net, [(x, t)], TrainConfig(epochs=5, loss="bce")).losses)
         assert logs[0] == logs[1]
+
+    def test_precomputed_columns_give_identical_parameters(self, sphere_case):
+        x, t, *_ = sphere_case
+        nets = [build_segmenter_3d(seed=4) for _ in range(2)]
+        train(nets[0], [(x, t)], TrainConfig(epochs=3, loss="bce"))
+        train(nets[1], [(x, t, input_cols(nets[1], x))], TrainConfig(epochs=3, loss="bce"))
+        for a, b in zip(nets[0].parameters(), nets[1].parameters()):
+            np.testing.assert_array_equal(a, b, strict=True)
+
+    def test_read_only_inputs(self, sphere_case):
+        x, t, *_ = sphere_case
+        net = build_segmenter_3d(seed=0)
+        case = (x.copy(), t.copy(), input_cols(net, x))
+        for a in case:
+            a.flags.writeable = False
+        log = train(net, [case], TrainConfig(epochs=2, loss="bce"))
+        reference = build_segmenter_3d(seed=0)
+        assert train(reference, [(x, t)], TrainConfig(epochs=2, loss="bce")).losses == log.losses
+        np.testing.assert_array_equal(case[0], x, strict=True)
 
     def test_empty_dataset_raises(self):
         net = build_segmenter_3d()

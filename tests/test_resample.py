@@ -1,6 +1,14 @@
+import sys
+import threading
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from volumetrica.nn.network import build_segmenter_3d, input_cols, predict
+from volumetrica.nn.training import TrainConfig, train
+from volumetrica.stats import resample
 from volumetrica.stats.resample import cv_volume_error, kfold
 
 
@@ -76,13 +84,133 @@ class TestCvVolumeError:
             return set(cases)
 
         def estimator(model, case):
+            # folds train concurrently, so a model is matched to its fold
+            # through the held-out case it scores, not through call order
             assert case not in model
+            assert model == set(int(i) for i in plan.train_indices(plan.fold_of[case]))
             return 1.0
 
         cv_volume_error(cohort, trainer, estimator, plan)
         assert len(seen) == 3
-        for fold, train_set in enumerate(seen):
-            assert set(train_set) == set(int(i) for i in plan.train_indices(fold))
+        assert sorted(seen) == sorted(
+            sorted(int(i) for i in plan.train_indices(fold)) for fold in range(3)
+        )
+
+
+def _net_cohort(n, rng):
+    """(case, truth) pairs whose cases are small 3-D training triples
+    with read-only first-layer columns, as ``stats`` prepares them."""
+    net = build_segmenter_3d(seed=0)
+    cohort = []
+    for _ in range(n):
+        x = rng.uniform(size=(8, 8, 8, 1))
+        case = (x, (rng.uniform(size=(4, 4, 4, 1)) > 0.5).astype(float), input_cols(net, x))
+        for a in case:
+            a.flags.writeable = False
+        cohort.append((case, float(rng.uniform(5.0, 50.0))))
+    return cohort
+
+
+def _train_net(cases):
+    net = build_segmenter_3d(seed=3)
+    train(net, cases, TrainConfig(epochs=2))
+    return net
+
+
+def _predicted_volume(net, case):
+    return float(predict(net, case[0]).sum())
+
+
+class TestFoldWorkers:
+    def test_any_worker_count_gives_the_same_result(self, monkeypatch):
+        cohort = _net_cohort(8, np.random.default_rng(3))
+        plan = kfold(8, 4, seed=4)
+        results = []
+        for workers in (1, 2, plan.k):
+            monkeypatch.setattr(resample, "_fold_workers", lambda k: workers)
+            results.append(cv_volume_error(cohort, _train_net, _predicted_volume, plan))
+        for cv in results[1:]:
+            for field in ("per_fold_mean", "per_case_error", "per_case_volume", "fold_of"):
+                np.testing.assert_array_equal(getattr(cv, field), getattr(results[0], field),
+                                              strict=True)
+
+    @pytest.mark.parametrize(
+        "env, workers",
+        [({}, 1), ({"OPENBLAS_NUM_THREADS": "1"}, 4), ({"OMP_NUM_THREADS": "2"}, 2),
+         ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
+         ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
+         ({"GOTO_NUM_THREADS": "8"}, 1)],
+    )
+    def test_workers_fill_the_cpus_blas_leaves_spare(self, monkeypatch, env, workers):
+        monkeypatch.setattr(resample.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert resample._fold_workers(5) == workers
+        assert resample._fold_workers(3) == min(3, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_first_failing_fold_in_fold_order_is_raised(self, monkeypatch, workers):
+        plan = kfold(10, 5, seed=6)
+        cohort = [(i, 1.0) for i in range(10)]
+        fold_of_train = {
+            tuple(int(i) for i in plan.train_indices(f)): f for f in range(5)
+        }
+        started = []
+
+        def trainer(cases):
+            fold = fold_of_train[tuple(cases)]
+            started.append(fold)
+            if fold == 1:
+                time.sleep(0.2)  # fold 3 fails first in time
+                raise ValueError("fold 1")
+            if fold == 3:
+                raise ValueError("fold 3")
+            return None
+
+        monkeypatch.setattr(resample, "_fold_workers", lambda k: workers)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="fold 1"):
+            cv_volume_error(cohort, trainer, lambda m, c: 1.0, plan)
+        assert set(threading.enumerate()) == before
+        assert 1 in started and sorted(started) == list(range(len(started)))
+        if workers == 1:
+            assert started == [0, 1]  # no fold starts after a failure
+
+    def test_more_workers_than_cores_train_each_fold_once(self, monkeypatch):
+        # a lost update in handing out folds would train one twice or skip one
+        k = 12
+        plan = kfold(3 * k, k, seed=8)
+        cohort = [(i, 1.0) for i in range(3 * k)]
+        trained = Counter()
+        lock = threading.Lock()
+
+        def trainer(cases):
+            key = tuple(cases)
+            sum(i * i for i in range(2000))  # Python work, so threads switch mid-fold
+            with lock:
+                trained[key] += 1
+            return key
+
+        def estimator(model, case):  # exact only with the model of the case's fold
+            own = tuple(int(i) for i in plan.train_indices(plan.fold_of[case]))
+            return 1.0 if model == own else 2.0
+
+        monkeypatch.setattr(resample, "_fold_workers", lambda k: k)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                trained.clear()
+                cv = cv_volume_error(cohort, trainer, estimator, plan)
+                assert np.all(cv.per_case_error == 0.0)
+                assert sorted(trained.values()) == [1] * k
+                assert set(trained) == {
+                    tuple(int(i) for i in plan.train_indices(f)) for f in range(k)
+                }
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCVPlan:
