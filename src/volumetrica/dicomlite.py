@@ -128,9 +128,12 @@ class DicomDataset:
 
     # -- typed value accessors -------------------------------------------
     def ushort(self, tag) -> int | None:
+        """US content; a value shorter than 2 bytes raises DicomParseError."""
         el = self.get(tag)
         if el is None:
             return None
+        if len(el.value) < 2:
+            raise DicomParseError(f"tag {tuple(tag)}: US value has {len(el.value)} bytes, need 2")
         return struct.unpack("<H", el.value[:2])[0]
 
     def text(self, tag) -> str | None:
@@ -356,7 +359,11 @@ class SeriesGeometry:
             raise ValueError("spacing components must be positive")
 
 
-def _decode_pixels(ds: DicomDataset) -> np.ndarray:
+def _stored_pixels(ds: DicomDataset) -> tuple[np.ndarray, float, float]:
+    """One slice's stored values as a flat view of its PixelData, with
+    its rescale slope and intercept. Raises DicomParseError when the
+    bytes hold fewer pixels than Rows x Columns declare, so a header
+    alone never sizes an allocation."""
     rows = ds.ushort(TAG_ROWS)
     cols = ds.ushort(TAG_COLUMNS)
     bits = ds.ushort(TAG_BITS_ALLOCATED) or 16
@@ -371,12 +378,12 @@ def _decode_pixels(ds: DicomDataset) -> np.ndarray:
     need = rows * cols * (bits // 8)
     if len(raw) < need:
         raise DicomParseError(f"pixel data has {len(raw)} bytes, expected {need}")
-    stored = np.frombuffer(raw[:need], dtype=dtype).reshape(rows, cols)
+    stored = np.frombuffer(raw, dtype=dtype, count=rows * cols)
     slope_vals = ds.numbers(TAG_RESCALE_SLOPE)
     inter_vals = ds.numbers(TAG_RESCALE_INTERCEPT)
     slope = slope_vals[0] if slope_vals else 1.0
     intercept = inter_vals[0] if inter_vals else 0.0
-    return stored.astype(np.float64) * slope + intercept
+    return stored, slope, intercept
 
 
 def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry]:
@@ -448,9 +455,15 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
             uniform_z = False
             warnings.append("non-uniform z gaps between slices; series flagged, not resampled")
 
-    slices = [_decode_pixels(usable[j][1]) for j in order]
+    # every slice is checked before the grid is allocated
+    pixels = [_stored_pixels(usable[j][1]) for j in order]
+    data = np.empty((len(pixels), rows, cols))
+    for plane, (stored, slope, intercept) in zip(data, pixels):
+        plane[...] = stored.reshape(rows, cols)  # exact int -> float64
+        plane *= slope
+        plane += intercept
     try:
-        grid = VoxelGrid(np.stack(slices), Spacing(sx, sy, thickness))
+        grid = VoxelGrid(data, Spacing(sx, sy, thickness))
         geometry = SeriesGeometry(
             rows=rows,
             cols=cols,

@@ -44,7 +44,9 @@ def write_volume(path, volume: VoxelGrid | BinaryMask) -> None:
     header = _MAGIC + struct.pack("<IBIII", 1, code, nx, ny, nz) + struct.pack(
         "<ddd", sp.sx, sp.sy, sp.sz
     )
-    Path(path).write_bytes(header + payload.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)  # the array's own buffer, not a bytes copy of it
 
 
 def read_volume(path) -> VoxelGrid | BinaryMask:
@@ -183,8 +185,12 @@ def dump_json(path, obj) -> None:
 
 
 def sha256_file(path) -> str:
+    """Hex SHA-256 of a file, read through one 1 MiB buffer."""
     h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    chunk = memoryview(bytearray(1 << 20))
+    with open(path, "rb") as fh:
+        while n := fh.readinto(chunk):
+            h.update(chunk[:n])
     return h.hexdigest()
 
 

@@ -8,37 +8,73 @@ import numpy as np
 from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
 
 
+# Bytes of float64 source planes that one band of output z slices may
+# hold. A band is at least one slice; a grid of up to this size resizes
+# in one band.
+_BAND_BYTES = 4 << 20
+
+
+def _axis_weights(n_src: int, n_tgt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower source index and blend fraction of each target position."""
+    if n_tgt == 1:
+        pos = np.array([(n_src - 1) / 2.0])
+    else:
+        pos = np.arange(n_tgt) * ((n_src - 1) / (n_tgt - 1))
+    i0 = np.clip(np.floor(pos).astype(int), 0, n_src - 2)
+    return i0, pos - i0
+
+
+def _lerp(a: np.ndarray, i0: np.ndarray, frac: np.ndarray, axis: int) -> np.ndarray:
+    """``a`` at positions ``i0 + frac`` along ``axis``: float64 copies of
+    the planes below and above, blended in place as ``lo * (1 - frac) +
+    hi * frac``."""
+    lo = np.take(a, i0, axis=axis).astype(np.float64, copy=False)
+    hi = np.take(a, i0 + 1, axis=axis).astype(np.float64, copy=False)
+    shape = [1] * a.ndim
+    shape[axis] = frac.size
+    frac = frac.reshape(shape)
+    lo *= 1.0 - frac
+    hi *= frac
+    lo += hi
+    return lo
+
+
 def resize_volume(grid, target: tuple[int, int, int] = (32, 32, 32)) -> np.ndarray:
     """Trilinear resample onto the target lattice (align-corners).
 
-    Accepts a VoxelGrid or a raw (nz, ny, nx) array; returns a float64
-    array of the target shape with values inside the input range.
+    Accepts a VoxelGrid or a raw (nz, ny, nx) array of real or bool
+    values; returns a float64 array of the target shape with values
+    inside the input range. The output is made in bands of z slices:
+    each band casts only the source planes it blends to float64, then
+    runs the z, y and x passes in turn, so the memory beside the input
+    and the output stays near ``_BAND_BYTES`` whatever the grid size.
     """
-    data = grid.data if isinstance(grid, VoxelGrid) else np.asarray(grid, dtype=np.float64)
+    data = grid.data if isinstance(grid, VoxelGrid) else np.asarray(grid)
     if data.ndim != 3:
         raise ValueError("volume must be 3-D")
     if tuple(data.shape) == tuple(target):
         return data.astype(np.float64, copy=True)
-    out = data.astype(np.float64)
+    weights = []
     for axis, (n_src, n_tgt) in enumerate(zip(data.shape, target)):
         if n_src < 2:
             raise ValueError(f"axis {axis} has extent {n_src}; need >= 2 to interpolate")
         if n_tgt < 1:
             raise ValueError("target extents must be >= 1")
-        if n_src == n_tgt:
-            continue
-        if n_tgt == 1:
-            pos = np.array([(n_src - 1) / 2.0])
+        weights.append(None if n_src == n_tgt else _axis_weights(n_src, n_tgt))
+    wz, wy, wx = weights
+    out = np.empty(tuple(target))
+    planes = 1 if wz is None else 2  # source planes per output slice
+    band = max(1, _BAND_BYTES // (planes * data[0].size * 8))
+    for k0 in range(0, out.shape[0], band):
+        rows = slice(k0, k0 + band)
+        if wz is None:
+            slab = np.asarray(data[rows], dtype=np.float64)  # the y or x pass copies it
         else:
-            pos = np.arange(n_tgt) * ((n_src - 1) / (n_tgt - 1))
-        i0 = np.clip(np.floor(pos).astype(int), 0, n_src - 2)
-        frac = pos - i0
-        lo = np.take(out, i0, axis=axis)
-        hi = np.take(out, i0 + 1, axis=axis)
-        shape = [1] * out.ndim
-        shape[axis] = n_tgt
-        frac = frac.reshape(shape)
-        out = lo * (1.0 - frac) + hi * frac
+            slab = _lerp(data, wz[0][rows], wz[1][rows], 0)
+        for axis, w in ((1, wy), (2, wx)):
+            if w is not None:
+                slab = _lerp(slab, *w, axis)
+        out[rows] = slab
     return out
 
 
@@ -90,4 +126,4 @@ def prepare_input(grid: VoxelGrid, target: tuple[int, int, int] = (32, 32, 32)) 
 
 def mask_training_target(mask: BinaryMask, target: tuple[int, int, int] = (32, 32, 32)) -> np.ndarray:
     """Fractional-occupancy target: the mask resampled like the input."""
-    return resize_volume(mask.data.astype(np.float64), target)[..., None]
+    return resize_volume(mask.data, target)[..., None]

@@ -1,10 +1,13 @@
+import contextlib
 import logging
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from volumetrica import dicomlite as dl
+from volumetrica.cli import main
 
 
 def _implicit_bytes(elements):
@@ -233,3 +236,88 @@ class TestReadDirectory:
         assert grid.data.shape == (2, 4, 4)
         assert [i for i, _ in geometry.slice_order] == [1, 0]
         assert len(skipped) == 1 and skipped[0].startswith("notes.txt: ")
+
+
+@contextlib.contextmanager
+def _traced():
+    """Yields a list that holds the tracemalloc peak, in bytes, on exit."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+
+
+def _series(n, shape, signed=False, rescale=(1.25, -1024.0), seed=0):
+    """n slices in shuffled z order, stored values from a seeded rng."""
+    rng = np.random.default_rng(seed)
+    low = -2000 if signed else 0
+    return [
+        dl.make_slice_dataset(
+            rng.integers(low, 4096, size=shape), pixel_spacing=(0.7, 0.7), slice_thickness=2.5,
+            position_z=2.5 * ((7 * z) % n), rescale=rescale, signed=signed,
+        )
+        for z in range(n)
+    ]
+
+
+class TestBoundedDecode:
+    @pytest.mark.parametrize("signed, rescale", [(False, (1.25, -1024.0)), (True, (-1.5, 3.0))])
+    def test_grid_matches_per_slice_reference(self, signed, rescale):
+        datasets = _series(9, (12, 10), signed=signed, rescale=rescale)
+        grid, geometry = dl.read_series(datasets)
+        dtype = "<i2" if signed else "<u2"
+        expected = np.stack([
+            np.frombuffer(datasets[i].get(dl.TAG_PIXEL_DATA).value, dtype=dtype)
+            .reshape(12, 10).astype(np.float64) * rescale[0] + rescale[1]
+            for i, _ in geometry.slice_order
+        ])
+        np.testing.assert_array_equal(grid.data, expected, strict=True)
+
+    def test_read_holds_grid_raw_pixels_and_one_mask(self, tmp_path):
+        for k, ds in enumerate(_series(24, (256, 256))):
+            (tmp_path / f"slice{k:02d}.dcm").write_bytes(dl.write_file(ds))
+        file_bytes = (tmp_path / "slice00.dcm").stat().st_size
+        with _traced() as peak:
+            grid, _, _ = dl.read_directory(tmp_path)
+        # the float64 grid, the stored 16-bit pixels, the bool finiteness
+        # check, and one file's bytes twice while it parses
+        assert peak[0] <= grid.data.size * (8 + 2 + 1) + 2 * file_bytes + (256 << 10)
+
+    def test_declared_shape_beyond_pixel_data_never_sizes_the_grid(self):
+        datasets = _series(40, (16, 16))
+        for ds in datasets:
+            ds.put(dl.TAG_ROWS, "US", struct.pack("<H", 4096))
+            ds.put(dl.TAG_COLUMNS, "US", struct.pack("<H", 4096))
+        with _traced() as peak, pytest.raises(dl.DicomParseError, match="pixel data has 512 bytes"):
+            dl.read_series(datasets)
+        assert peak[0] < 40 * 4096 * 4096 * 8
+
+    def test_ingest_of_declared_shape_beyond_pixel_data_exits_2(self, tmp_path):
+        series = tmp_path / "series"
+        series.mkdir()
+        for k, ds in enumerate(_series(3, (16, 16))):
+            ds.put(dl.TAG_ROWS, "US", struct.pack("<H", 4096))
+            ds.put(dl.TAG_COLUMNS, "US", struct.pack("<H", 4096))
+            (series / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(series), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_empty_rows_value_exits_2(self, tmp_path):
+        ds = _series(1, (4, 4))[0]
+        ds.put(dl.TAG_ROWS, "US", b"")
+        with pytest.raises(dl.DicomParseError, match="US value has 0 bytes"):
+            dl.read_series([ds])
+        (tmp_path / "slice.dcm").write_bytes(dl.write_file(ds))
+        assert main(["ingest", "--input", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_every_slice_checked_before_any_is_decoded(self):
+        datasets = _series(8, (128, 128))
+        last = max(datasets, key=lambda ds: ds.numbers(dl.TAG_IMAGE_POSITION)[2])
+        last.put(dl.TAG_PIXEL_DATA, "OW", last.get(dl.TAG_PIXEL_DATA).value[:-2])
+        with _traced() as peak, pytest.raises(dl.DicomParseError, match="expected 32768"):
+            dl.read_series(datasets)
+        assert peak[0] < 128 * 128 * 8  # less than one decoded plane

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -51,6 +52,36 @@ class TestVolvContainer:
         # the grid plus its finiteness check (one byte a voxel); the file
         # bytes held beside a decoded copy would be twice the grid
         assert peak < 1.25 * grid.data.nbytes
+
+    def test_write_and_hash_hold_no_copy_of_the_grid(self, tmp_path):
+        grid = VoxelGrid(np.random.default_rng(4).normal(size=(40, 96, 128)), Spacing(0.5, 1, 2))
+        path = tmp_path / "grid.volv"
+        tracemalloc.start()
+        try:
+            vio.write_volume(path, grid)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            digest = vio.sha256_file(path)
+            hash_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        header = b"VOLV" + (1).to_bytes(4, "little") + bytes([1])
+        header += b"".join(n.to_bytes(4, "little") for n in (128, 96, 40))
+        header += np.array([0.5, 1.0, 2.0], dtype="<f8").tobytes()
+        blob = path.read_bytes()
+        assert blob == header + grid.data.astype("<f8").tobytes()
+        assert digest == hashlib.sha256(blob).hexdigest()
+        # the payload goes from the array's buffer; hashing reads 1 MiB chunks
+        assert write_peak < grid.data.nbytes / 8
+        assert hash_peak < (1 << 20) + grid.data.nbytes / 8
+
+    def test_hash_of_files_around_the_chunk_size(self, tmp_path):
+        path = tmp_path / "blob"
+        rng = np.random.default_rng(6)
+        for size in (0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 3 << 20):
+            data = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+            path.write_bytes(data)
+            assert vio.sha256_file(path) == hashlib.sha256(data).hexdigest()
 
     def test_size_errors_name_both_sizes(self, tmp_path):
         path = tmp_path / "grid.volv"

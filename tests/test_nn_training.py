@@ -1,9 +1,11 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from volumetrica.grid import Spacing, VoxelGrid
+from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
+from volumetrica.nn import inference
 from volumetrica.nn.inference import (
     cnn_volume,
     dice,
@@ -58,7 +60,74 @@ class TestOptimizer:
         np.testing.assert_allclose(p[0], ref_p, atol=1e-14)
 
 
+def _whole_array_resize(data, target):
+    """Reference trilinear resize: each axis pass over the whole array."""
+    data = np.asarray(data, dtype=np.float64)
+    if tuple(data.shape) == tuple(target):
+        return data.astype(np.float64, copy=True)
+    out = data.astype(np.float64)
+    for axis, (n_src, n_tgt) in enumerate(zip(data.shape, target)):
+        if n_src == n_tgt:
+            continue
+        if n_tgt == 1:
+            pos = np.array([(n_src - 1) / 2.0])
+        else:
+            pos = np.arange(n_tgt) * ((n_src - 1) / (n_tgt - 1))
+        i0 = np.clip(np.floor(pos).astype(int), 0, n_src - 2)
+        frac = pos - i0
+        lo = np.take(out, i0, axis=axis)
+        hi = np.take(out, i0 + 1, axis=axis)
+        shape = [1] * out.ndim
+        shape[axis] = n_tgt
+        frac = frac.reshape(shape)
+        out = lo * (1.0 - frac) + hi * frac
+    return out
+
+
+RESIZE_PAIRS = [
+    ((44, 44, 44), (32, 32, 32)),  # the phantom cohort
+    ((20, 17, 25), (32, 32, 32)),  # non-cubic, upsampled
+    ((40, 64, 48), (32, 32, 32)),  # non-cubic, downsampled
+    ((32, 11, 32), (32, 32, 32)),  # z and x already at the target
+    ((7, 32, 9), (1, 32, 16)),  # target extent 1, y already at the target
+    ((9, 9, 9), (9, 9, 1)),
+    ((2, 2, 2), (5, 1, 3)),  # source extents 2
+    ((3, 50, 2), (32, 32, 32)),
+]
+
+
 class TestResizeVolume:
+    @pytest.mark.parametrize("shape, target", RESIZE_PAIRS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8, bool])
+    @pytest.mark.parametrize("band_bytes", [None, 1, 3000])
+    def test_matches_whole_array_reference(self, shape, target, dtype, band_bytes, monkeypatch):
+        if band_bytes is not None:  # one output slice, or a few, per band
+            monkeypatch.setattr(inference, "_BAND_BYTES", band_bytes)
+        rng = np.random.default_rng(sum(shape))
+        values = rng.uniform(0, 200, size=shape)
+        x = values > 100 if dtype is bool else values.astype(dtype)
+        expected = _whole_array_resize(x, target)
+        np.testing.assert_array_equal(resize_volume(x, target), expected, strict=True)
+
+    def test_mask_target_matches_reference(self):
+        rng = np.random.default_rng(5)
+        mask = BinaryMask(rng.uniform(size=(30, 40, 36)) > 0.6, Spacing(1, 1, 1))
+        out = mask_training_target(mask, (16, 16, 16))
+        expected = _whole_array_resize(mask.data.astype(np.float64), (16, 16, 16))
+        np.testing.assert_array_equal(out, expected[..., None], strict=True)
+
+    def test_large_grid_resizes_in_bounded_memory(self):
+        grid = np.random.default_rng(2).random((40, 512, 512))
+        tracemalloc.start()
+        try:
+            out = resize_volume(grid, (32, 32, 32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole-array pass would hold several copies of the 84 MB grid
+        assert peak < 4 * grid[0].nbytes + out.nbytes
+        assert out.min() >= grid.min() and out.max() <= grid.max()
+
     def test_constant_stays_constant(self):
         out = resize_volume(np.full((20, 17, 25), 3.5), (32, 32, 32))
         np.testing.assert_array_equal(out, 3.5)
