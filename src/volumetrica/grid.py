@@ -42,6 +42,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# voxels per band of the finiteness check: its bool temporary stays near
+# 1 MiB instead of one byte per voxel of the whole grid
+_CHECK_VOXELS = 1 << 20
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.all(np.isfinite(a))``, checked in bands of first-axis slices."""
+    step = max(1, _CHECK_VOXELS // max(1, math.prod(a.shape[1:])))
+    return all(np.isfinite(a[k : k + step]).all() for k in range(0, a.shape[0], step))
+
+
 @dataclass(frozen=True)
 class VoxelGrid:
     """Scalar intensity volume with physical spacing.
@@ -56,7 +67,7 @@ class VoxelGrid:
         a = np.asarray(self.data, dtype=np.float64)
         if a.ndim != 3:
             raise ValueError(f"grid data must be 3-D (nz, ny, nx), got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not _all_finite(a):
             raise ValueError("grid data contains non-finite values")
         object.__setattr__(self, "data", _freeze(a))
 
@@ -77,7 +88,7 @@ class BinaryMask:
         a = np.asarray(self.data)
         if a.ndim != 3:
             raise ValueError(f"mask data must be 3-D (nz, ny, nx), got shape {a.shape}")
-        object.__setattr__(self, "data", _freeze(a.astype(bool)))
+        object.__setattr__(self, "data", _freeze(a.astype(bool, copy=False)))
 
     @property
     def dims(self) -> tuple[int, int, int]:

@@ -78,7 +78,10 @@ def read_volume(path) -> VoxelGrid | BinaryMask:
         spacing = Spacing(*struct.unpack_from("<ddd", header, 21))
         if code == _DTYPE_GRID:
             return VoxelGrid(payload, spacing)
-        return BinaryMask(payload, spacing)  # 0/1 bytes become bools
+        # each byte becomes 0 or 1 in place, and the mask keeps the buffer
+        mask = payload.view(bool)
+        np.not_equal(payload, 0, out=mask)
+        return BinaryMask(mask, spacing)
     except ValueError as exc:  # invalid spacing or non-finite intensities
         raise InputError(f"{path}: {exc}") from exc
 

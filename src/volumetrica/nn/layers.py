@@ -22,12 +22,13 @@ _SIGMOID_MIN = float(np.nextafter(0.0, 1.0))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) otherwise,
+    so exp never overflows; one exp over the whole array. The exp
+    argument is -z or z itself, never -|z|, so a NaN keeps its sign."""
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, _SIGMOID_MIN, _SIGMOID_MAX)
+    e = np.exp(np.where(pos, -z, z))
+    d = 1.0 + e
+    return np.clip(np.where(pos, 1.0 / d, e / d), _SIGMOID_MIN, _SIGMOID_MAX)
 
 
 def apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
@@ -137,18 +138,40 @@ def _im2col(x: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
     the (*kernel, in_ch, out_ch) weight layout flattened to 2-D. For a
     1x1 kernel the rows are the input itself, returned without a copy.
     """
+    return _im2col_rows(x, kernel, 0, x.shape[0])
+
+
+def _im2col_rows(x: np.ndarray, kernel: tuple[int, ...], first: int, stop: int) -> np.ndarray:
+    """``_im2col`` rows of only the sites in rows [first, stop) of the
+    first axis. Their receptive fields read the real rows of ``x``
+    around them and zero rows only past the edges of ``x``."""
     rank = len(kernel)
-    spatial = x.shape[:rank]
     channels = x.shape[-1]
-    n_sites = math.prod(spatial)
     if all(k == 1 for k in kernel):
-        return x.reshape(n_sites, channels)
-    xp = np.pad(x, [(k // 2, k // 2) for k in kernel] + [(0, 0)])
+        rows = x[first:stop]
+        return rows.reshape(math.prod(rows.shape[:rank]), channels)
+    reach = kernel[0] // 2
+    lo, hi = max(0, first - reach), min(x.shape[0], stop + reach)
+    pad = [(lo - (first - reach), stop + reach - hi)] + [(k // 2, k // 2) for k in kernel[1:]]
+    xp = np.pad(x[lo:hi], pad + [(0, 0)])
     # windows[*site, c, *offset] = xp[site + offset, c]; one copy puts
     # the offsets ahead of the channel
     windows = sliding_window_view(xp, kernel, axis=tuple(range(rank)))
     order = tuple(range(rank)) + tuple(range(rank + 1, 2 * rank + 1)) + (rank,)
+    n_sites = math.prod(windows.shape[:rank])
     return windows.transpose(order).reshape(n_sites, math.prod(kernel) * channels)
+
+
+def _add_bias(z: np.ndarray, bias: np.ndarray) -> None:
+    """``z += bias`` over the channel axis of the C-contiguous ``z``,
+    through rows of up to 256 sites: the same element-wise additions,
+    with inner loops of 256 sites' channels instead of one site's."""
+    if z.size == 0:
+        return
+    channels = bias.shape[0]
+    sites = math.gcd(z.size // channels, 256)
+    rows = z.reshape(-1, sites * channels)
+    rows += np.tile(bias, sites)
 
 
 def conv_forward_cached(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None = None,
@@ -175,7 +198,7 @@ def conv_forward_cached(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None
     out_ch = layer.out_channels
     z = np.empty(x.shape[: layer.rank] + (out_ch,)) if out is None else out
     np.matmul(cols, layer.weights.reshape(-1, out_ch), out=z.reshape(-1, out_ch))
-    z += layer.bias
+    _add_bias(z, layer.bias)
     a = apply_activation(z, layer.activation)
     return a, z, cols
 

@@ -14,6 +14,7 @@ from volumetrica.nn.layers import (
     AvgPool,
     ConvLayer,
     _im2col,
+    _im2col_rows,
     activation_grad,
     avg_pool,
     avg_pool_backward,
@@ -113,56 +114,67 @@ class Workspace:
 _BAND_BYTES = 8 << 20
 
 
-def _bands(net: Network, shape, shapes) -> tuple[int, int, int]:
-    """(height, halo, scale) of the row bands along the first spatial
-    axis: the band height in input rows, a multiple of ``scale`` (the
-    product of the axis-0 pool extents), and the halo in input rows on
-    each side of a band, also a multiple of ``scale``.
-
-    The halo walks the layers: a conv reaches ``kernel[0] // 2`` rows
-    further and a pool of ``p`` covers a reach of ``r`` rows with
-    ``ceil(r / p)`` windows, so a band's kept output rows never see its
-    cut edges. Band edges fall on pool windows, so every band pools the
-    windows of the whole input.
-    """
-    rows, reach, scale = shape[0], 0, 1
+def _bands(net: Network, shape, shapes) -> tuple[int, int]:
+    """(height, scale) of the row bands along the first spatial axis:
+    the band height in input rows is a multiple of ``scale``, the
+    product of the axis-0 pool extents, so band edges fall on pool
+    windows and every band pools the windows of the whole input."""
+    rows, scale = shape[0], 1
     for layer, out_shape in zip(net.layers, shapes):
         if isinstance(layer, ConvLayer):
-            reach += layer.kernel[0] // 2
             row_bytes = 8 * math.prod(out_shape[1:])
             rows = min(rows, _BAND_BYTES * scale // max(row_bytes, 1))
         else:
-            reach = -(-reach // layer.pool[0])
             scale *= layer.pool[0]
-    return max(1, rows // scale) * scale, reach * scale, scale
+    return max(1, rows // scale) * scale, scale
+
+
+def _spans(net: Network, in_rows, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Rows [lo, hi) of each layer's input, then of the output, that a
+    band computes for output rows [lo, hi). Walking back from the
+    output, a conv needs ``kernel[0] // 2`` more rows on each side,
+    clipped to its input, and a pool of ``p`` needs ``p`` rows a row."""
+    spans = [(lo, hi)]
+    for layer, rows in zip(reversed(net.layers), reversed(in_rows)):
+        if isinstance(layer, ConvLayer):
+            reach = layer.kernel[0] // 2
+            lo, hi = max(0, lo - reach), min(rows, hi + reach)
+        else:
+            lo, hi = lo * layer.pool[0], hi * layer.pool[0]
+        spans.append((lo, hi))
+    return spans[::-1]
 
 
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
     """Pure forward pass; identical inputs give bit-identical outputs.
 
-    Runs in bands of rows along the first spatial axis, each with a halo
-    of real rows (zero padding at the image edges), so peak memory is
-    bounded by the band and not by the input; the result equals one pass
-    over the whole input bit for bit.
+    Runs in bands of rows along the first spatial axis, so peak memory
+    is bounded by the band and not by the input. Each layer of a band
+    computes only the rows that the next layer reads: a conv reads its
+    real neighbour rows and zero rows only at the image edges. The
+    result equals one pass over the whole input bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
     # the whole input's shape is checked before it is cut into bands
     shapes = net.output_shapes(x.shape)
-    height, halo, scale = _bands(net, x.shape, shapes)
+    height, scale = _bands(net, x.shape, shapes)
     n = x.shape[0]
+    in_rows = [n] + [s[0] for s in shapes[:-1]]
     out = np.empty(shapes[-1] if shapes else x.shape)
     for start in range(0, n, height):
-        stop = min(n, start + height)
-        lo, hi = max(0, start - halo), min(n, stop + halo)
-        a = x[lo:hi]
-        for layer in net.layers:
+        spans = _spans(net, in_rows, start // scale, min(n, start + height) // scale)
+        a = x[spans[0][0] : spans[0][1]]
+        for layer, (a_lo, _), (lo, hi) in zip(net.layers, spans, spans[1:]):
             if isinstance(layer, ConvLayer):
-                # keep only the activation: the im2col matrix is freed here
-                a = conv_forward_cached(layer, a)[0]
+                first, stop = lo - a_lo, hi - a_lo
+                cols = _im2col_rows(a, layer.kernel, first, stop)
+                a = conv_forward_cached(layer, a[first:stop], cols)[0]
+                # keep only the activation: the im2col matrix is freed
+                # before the next layer allocates
+                del cols
             else:
                 a = avg_pool(a, layer.pool)
-        first = (start - lo) // scale
-        out[start // scale : stop // scale] = a[first : first + (stop - start) // scale]
+        out[spans[-1][0] : spans[-1][1]] = a
     return out
 
 

@@ -23,8 +23,19 @@ def normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT2PI
 
 
-_phi_vec = np.vectorize(normal_cdf, otypes=[np.float64])
-_pdf_vec = np.vectorize(normal_pdf, otypes=[np.float64])
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_exp = np.frompyfunc(math.exp, 1, 1)
+
+
+def _phi_vec(z: np.ndarray) -> np.ndarray:
+    """``normal_cdf`` element-wise: the same float operations, in numpy
+    around libm's erfc."""
+    return 0.5 * _erfc(-z / _SQRT2).astype(np.float64)
+
+
+def _pdf_vec(z: np.ndarray) -> np.ndarray:
+    """``normal_pdf`` element-wise, likewise around libm's exp."""
+    return _exp(-0.5 * z * z).astype(np.float64) / _SQRT2PI
 
 
 # Acklam's rational approximation followed by one Halley step

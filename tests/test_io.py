@@ -8,6 +8,7 @@ import pytest
 from volumetrica import io as vio
 from volumetrica.errors import InputError
 from volumetrica.geometry import SliceAreaSeries
+from volumetrica import grid as vgrid
 from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
 
 
@@ -125,6 +126,59 @@ class TestVolvContainer:
                 except ValueError:
                     continue
                 assert isinstance(loaded, (VoxelGrid, BinaryMask))
+
+
+class TestBoundedChecks:
+    def test_grid_finiteness_check_holds_no_bool_grid(self):
+        data = np.random.default_rng(7).normal(size=(40, 256, 256))
+        tracemalloc.start()
+        try:
+            grid = VoxelGrid(data, Spacing(1, 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(grid.data, data)
+        # one band's bool temporary, not the 2.6 MB whole-grid one
+        assert peak < vgrid._CHECK_VOXELS + (64 << 10)
+
+    @pytest.mark.parametrize("check_voxels", [1, 12, 40, 1 << 20])
+    def test_finiteness_verdict_is_unchanged(self, monkeypatch, check_voxels):
+        monkeypatch.setattr(vgrid, "_CHECK_VOXELS", check_voxels)
+        for shape in [(0, 3, 4), (3, 0, 4), (0, 0, 0), (1, 1, 1), (7, 3, 4)]:
+            assert VoxelGrid(np.zeros(shape), Spacing(1, 1, 1)).data.shape == shape
+        for bad in (np.nan, np.inf, -np.inf):
+            for index in [(0, 0, 0), (3, 1, 2), (6, 2, 3)]:
+                data = np.zeros((7, 3, 4))
+                data[index] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    VoxelGrid(data, Spacing(1, 1, 1))
+
+    def test_mask_read_holds_one_buffer(self, tmp_path):
+        mask = BinaryMask(np.random.default_rng(8).uniform(size=(40, 256, 256)) > 0.5,
+                          Spacing(1, 1, 1))
+        path = tmp_path / "mask.volv"
+        vio.write_volume(path, mask)
+        tracemalloc.start()
+        try:
+            loaded = vio.read_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.data, mask.data, strict=True)
+        # the payload buffer becomes the mask; a bool copy would double it
+        assert peak < 1.1 * mask.data.nbytes
+
+    def test_any_nonzero_mask_byte_reads_as_true(self, tmp_path):
+        path = tmp_path / "mask.volv"
+        vio.write_volume(path, BinaryMask(np.zeros((2, 2, 3), bool), Spacing(1, 1, 1)))
+        payload = np.array([0, 1, 2, 127, 128, 255, 0, 3, 0, 64, 1, 0], dtype=np.uint8)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: -payload.size] + payload.tobytes())
+        loaded = vio.read_volume(path)
+        assert loaded.data.dtype == bool
+        np.testing.assert_array_equal(loaded.data.ravel(), payload != 0)
+        # every bool holds the byte 0 or 1, so numpy reads them canonically
+        np.testing.assert_array_equal(loaded.data.view(np.uint8).ravel(), payload != 0)
 
 
 class TestSeriesCsv:

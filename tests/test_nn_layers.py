@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from volumetrica.nn.layers import (
+    _SIGMOID_MAX,
+    _SIGMOID_MIN,
     ConvLayer,
+    _add_bias,
     _im2col,
     avg_pool,
     avg_pool_backward,
@@ -183,3 +186,42 @@ class TestSigmoid:
     def test_symmetric(self):
         z = np.linspace(-30, 30, 601)
         np.testing.assert_allclose(sigmoid(z) + sigmoid(-z), 1.0, atol=1e-15)
+
+    def test_matches_two_branch_reference_bit_for_bit(self):
+        def reference(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return np.clip(out, _SIGMOID_MIN, _SIGMOID_MAX)
+
+        tiny = np.nextafter(0.0, 1.0)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0,
+                            745.0, -745.0, 710.0, -710.0, 36.8, -36.8, tiny, -tiny,
+                            2.2250738585072014e-308 / 3, -2.2250738585072014e-308 / 3])
+        rng = np.random.default_rng(13)
+        cases = [special, special.reshape(2, 9, 1)]
+        cases += [rng.normal(0.0, scale, size=n) for n in (1, 7, 31, 255, 257, 1001)
+                  for scale in (1.0, 50.0, 800.0)]
+        for z in cases:
+            got, want = sigmoid(z), reference(z)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestBias:
+    @pytest.mark.parametrize("sites", [1, 3, 7, 255, 257, 384, 1000, 4096 + 5])
+    @pytest.mark.parametrize("channels", [1, 2, 32])
+    def test_equals_broadcast_add(self, sites, channels):
+        rng = np.random.default_rng(sites * 100 + channels)
+        z = rng.normal(size=(sites, 1, channels))
+        bias = rng.normal(size=channels)
+        want = z + bias
+        _add_bias(z, bias)
+        np.testing.assert_array_equal(z, want, strict=True)
+
+    def test_empty_output(self):
+        z = np.empty((0, 5, 3))
+        _add_bias(z, np.ones(3))
+        assert z.shape == (0, 5, 3)

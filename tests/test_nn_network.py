@@ -403,6 +403,45 @@ class TestBanding:
             predict(build_segmenter_3d(seed=0), np.zeros((32, 32, 1)))
 
 
+class TestExactSpans:
+    """Each band computes, layer by layer, only the rows the next layer
+    reads, so no conv row is computed twice."""
+
+    @pytest.mark.parametrize("bands", [1, 2, 5])
+    @pytest.mark.parametrize("build, shape", [(build_segmenter_2d, (40, 24, 1)),
+                                              (build_segmenter_3d, (20, 6, 4, 1))])
+    def test_each_conv_row_is_computed_once(self, monkeypatch, bands, build, shape):
+        net = build(seed=2)
+        _band_rows(monkeypatch, net, shape, shape[0] // bands)
+        rows = {}
+
+        def counting(layer, x, cols=None, out=None):
+            # the rows of x are the rows the GEMM computes: cols has one
+            # row per site of x
+            assert cols.shape[0] == math.prod(x.shape[:-1])
+            rows.setdefault(id(layer), []).append(x.shape[0])
+            return conv_forward_cached(layer, x, cols, out)
+
+        conv_forward_cached = network.conv_forward_cached
+        monkeypatch.setattr(network, "conv_forward_cached", counting)
+        x = np.random.default_rng(14).uniform(size=shape)
+        got = predict(net, x)
+        np.testing.assert_array_equal(got, _ref_predict(net, x), strict=True)
+        convs = [(i, layer) for i, layer in enumerate(net.layers) if isinstance(layer, ConvLayer)]
+        in_rows = [shape[0]] + [s[0] for s in net.output_shapes(shape)]
+        for i, layer in convs:
+            assert len(rows[id(layer)]) == bands
+            assert sum(rows[id(layer)]) == in_rows[i]
+
+    def test_spans_widen_by_the_kernel_reach_inside_the_image(self):
+        # 2-D segmenter, 32 input rows, bands of 8: the 3x3 conv reads one
+        # real row on each side of the band, clipped at the image edge;
+        # the pool and the 1x1 conv widen nothing
+        net = build_segmenter_2d(seed=3)
+        assert network._spans(net, [32, 32, 16], 0, 4) == [(0, 9), (0, 8), (0, 4), (0, 4)]
+        assert network._spans(net, [32, 32, 16], 4, 8) == [(7, 17), (8, 16), (4, 8), (4, 8)]
+
+
 class TestWorkspace:
     def test_reuse_across_shapes_matches_fresh(self):
         net = _net(3, "relu", 2, seed=4)

@@ -14,6 +14,7 @@ from volumetrica.stats import (
     shapiro_wilk,
     tukey_hsd,
 )
+from volumetrica.stats import special
 from volumetrica.stats.special import betainc, studentized_range_cdf, t_two_sided
 
 # frozen reference-oracle values (scipy 1.15.3, computed before the build)
@@ -150,6 +151,18 @@ class TestTukey:
     def test_identical_groups_degenerate(self):
         with pytest.raises(DegenerateDataError):
             tukey_hsd([[1.0, 1.0], [1.0, 1.0]])
+
+    def test_vector_normal_functions_equal_the_scalar_ones(self):
+        # the studentized range quadrature evaluates them on arrays; every
+        # element must be the scalar function's float, bit for bit
+        z = np.concatenate([np.random.default_rng(9).normal(0.0, 6.0, 999),
+                            [0.0, -0.0, 8.5, -8.5, 38.5, -38.5, 1e-300, -1e-300]])
+        for vec, scalar in [(special._phi_vec, special.normal_cdf),
+                            (special._pdf_vec, special.normal_pdf)]:
+            got = vec(z)
+            assert got.dtype == np.float64 and got.shape == z.shape
+            want = np.array([scalar(float(v)) for v in z])
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestShapiroWilk:
