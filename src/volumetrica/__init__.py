@@ -12,9 +12,7 @@ from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
 from volumetrica.geometry import (
     SliceAreaSeries,
     ctr,
-    ellipse_fit_area,
     max_equivalent_diameter,
-    max_feret_diameter,
     slice_areas,
     voxel_volume,
 )
@@ -27,10 +25,8 @@ __all__ = [
     "Spacing",
     "VoxelGrid",
     "ctr",
-    "ellipse_fit_area",
     "make_phantom",
     "max_equivalent_diameter",
-    "max_feret_diameter",
     "slice_areas",
     "voxel_volume",
 ]

@@ -106,7 +106,7 @@ def cmd_phantom(args) -> int:
     return EXIT_OK
 
 
-def _load_manifest_cases(manifest_path) -> tuple[list[EstimateCase], list[float], int]:
+def _load_manifest_cases(manifest_path) -> tuple[list[EstimateCase], list[float]]:
     doc = vio.read_cohort_manifest(manifest_path)
     base = Path(manifest_path).parent
     cases = [
@@ -118,7 +118,7 @@ def _load_manifest_cases(manifest_path) -> tuple[list[EstimateCase], list[float]
         )
         for entry in doc["cases"]
     ]
-    return cases, [c.analytic_volume for c in cases], doc.get("seed", 0)
+    return cases, [c.analytic_volume for c in cases]
 
 
 # ------------------------------------------------------------- parse/ingest
@@ -226,7 +226,7 @@ def _load_single_case(src: Path, args) -> EstimateCase:
     if src.is_dir():
         manifest = src / "manifest.json"
         if manifest.exists():
-            cases, _, _ = _load_manifest_cases(manifest)
+            cases, _ = _load_manifest_cases(manifest)
             if len(cases) != 1:
                 raise InputError(f"{manifest} lists {len(cases)} cases; use `compare` for cohorts")
             return cases[0]
@@ -254,7 +254,7 @@ def _mask_for(grid: VoxelGrid, args) -> BinaryMask:
 
 def cmd_train(args) -> int:
     seed = _seed(args)
-    cases, _, _ = _load_manifest_cases(args.cohort)
+    cases, _ = _load_manifest_cases(args.cohort)
     net = build_segmenter_3d(seed=seed)
     target_shape = net.input_shape[:-1]
     training_cases = [
@@ -289,7 +289,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     seed = _seed(args)
-    cases, truths, _ = _load_manifest_cases(args.cohort)
+    cases, truths = _load_manifest_cases(args.cohort)
     network = load_network(args.model)
     rows = []
     target_shape = network.input_shape[:-1]
@@ -328,7 +328,7 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     seed = _seed(args)
-    cases, _, _ = _load_manifest_cases(args.cohort)
+    cases, _ = _load_manifest_cases(args.cohort)
     network = load_network(args.model) if args.model else None
     methods = _methods(None, network)
     reports = [
@@ -359,7 +359,7 @@ def cmd_compare(args) -> int:
 
 def cmd_stats(args) -> int:
     seed = _seed(args)
-    cases, truths, _ = _load_manifest_cases(args.cohort)
+    cases, truths = _load_manifest_cases(args.cohort)
     n = len(cases)
     if args.folds > n:
         return _fail(EXIT_USAGE, f"k = {args.folds} folds exceed {n} cases")

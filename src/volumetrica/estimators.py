@@ -74,9 +74,8 @@ def ml_estimate_slicewise(grid: VoxelGrid, network: Network, threshold: float = 
     resolution, then sum the rescaled slice areas."""
     if network.rank != 2:
         raise ValueError("slicewise estimation needs a 2-D network")
-    preds = np.stack([predict(network, sl[..., None]) for sl in grid.data])
-    mask = extract_tumor_mask(preds, threshold)
-    return cnn_volume(mask, grid.dims, grid.spacing)
+    masks = [extract_tumor_mask(predict(network, sl[..., None]), threshold) for sl in grid.data]
+    return cnn_volume(np.stack(masks), grid.dims, grid.spacing)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,6 @@ import numpy as np
 from volumetrica.grid import BinaryMask
 
 
-class DegenerateSliceError(ValueError):
-    """Slice has too few pixels for the requested measurement."""
-
-
 @dataclass(frozen=True)
 class SliceAreaSeries:
     """Ordered (axial position mm, cross-sectional area mm^2) samples.
@@ -82,61 +78,11 @@ def slice_areas(mask: BinaryMask) -> SliceAreaSeries:
     return SliceAreaSeries(ks * sp.sz, counts[k0 : k1 + 1] * (sp.sx * sp.sy), sp.sz)
 
 
-def ellipse_fit_area(slice_mask: np.ndarray, sx: float, sy: float) -> float:
-    """Moment-based ellipse area of a 2-D pixel mask, in mm^2.
-
-    Fits an ellipse by matching the centroid and central second moments
-    of the true pixel centers; for a filled ellipse this recovers its
-    area pi * (2*sqrt(l1)) * (2*sqrt(l2)) * sx * sy.
-    """
-    m = np.asarray(slice_mask, dtype=bool)
-    if m.ndim != 2:
-        raise ValueError("slice mask must be 2-D")
-    ys, xs = np.nonzero(m)
-    if len(xs) < 3:
-        raise DegenerateSliceError(f"need >= 3 pixels for an ellipse fit, got {len(xs)}")
-    pts = np.stack([xs, ys]).astype(np.float64)
-    pts -= pts.mean(axis=1, keepdims=True)
-    cov = pts @ pts.T / len(xs)
-    eigvals = np.linalg.eigvalsh(cov)
-    eigvals = np.clip(eigvals, 0.0, None)
-    return float(math.pi * 4.0 * math.sqrt(eigvals[0] * eigvals[1]) * sx * sy)
-
-
 def max_equivalent_diameter(series: SliceAreaSeries) -> float:
     """Diameter of the circle whose area equals the largest slice area."""
     if len(series) == 0 or not np.any(series.areas > 0):
         raise ValueError("series has no positive slice area")
     return 2.0 * math.sqrt(float(series.areas.max()) / math.pi)
-
-
-def max_feret_diameter(mask: BinaryMask) -> float:
-    """Largest in-plane caliper distance over all slices, in mm.
-
-    Non-default alternative to the equivalent diameter; measures the
-    max pairwise distance between boundary pixel centers per slice.
-    """
-    sp = mask.spacing
-    best = 0.0
-    for sl in mask.data:
-        if not sl.any():
-            continue
-        # boundary pixels only; 4-neighborhood erosion by shifting
-        inner = sl.copy()
-        inner[1:, :] &= sl[:-1, :]
-        inner[:-1, :] &= sl[1:, :]
-        inner[:, 1:] &= sl[:, :-1]
-        inner[:, :-1] &= sl[:, 1:]
-        ys, xs = np.nonzero(sl & ~inner)
-        if len(xs) == 0:
-            ys, xs = np.nonzero(sl)
-        px = xs * sp.sx
-        py = ys * sp.sy
-        d2 = (px[:, None] - px[None, :]) ** 2 + (py[:, None] - py[None, :]) ** 2
-        best = max(best, float(np.sqrt(d2.max())))
-    if best == 0.0 and not mask.data.any():
-        raise ValueError("empty mask has no diameter")
-    return best
 
 
 def ctr(d_solid: float, d_total: float) -> float:

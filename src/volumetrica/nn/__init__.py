@@ -3,7 +3,7 @@ pooling, losses, exact backprop, SGD/Adam, and the two fixed
 segmentation architectures used by the estimation pipeline."""
 
 from volumetrica.nn.layers import AvgPool, ConvLayer, avg_pool
-from volumetrica.nn.losses import bce, bce_with_logits, loss, mse
+from volumetrica.nn.losses import bce, bce_with_logits, mse
 from volumetrica.nn.network import (
     Network,
     backward,
@@ -14,7 +14,7 @@ from volumetrica.nn.network import (
     save_network,
 )
 from volumetrica.nn.optim import AdamState, SgdState, optimizer_step
-from volumetrica.nn.training import TrainConfig, TrainingLog, split_cases, train
+from volumetrica.nn.training import TrainConfig, TrainingLog, train
 from volumetrica.nn.inference import cnn_volume, dice, extract_tumor_mask, resize_volume
 
 __all__ = [
@@ -35,12 +35,10 @@ __all__ = [
     "dice",
     "extract_tumor_mask",
     "load_network",
-    "loss",
     "mse",
     "optimizer_step",
     "predict",
     "resize_volume",
     "save_network",
-    "split_cases",
     "train",
 ]

@@ -46,12 +46,3 @@ def bce_with_logits(logits: np.ndarray, target: np.ndarray) -> float:
 def bce_with_logits_grad(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
     return (sigmoid(logits) - target) / logits.size
 
-
-def loss(pred: np.ndarray, target: np.ndarray, kind: str) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if kind == "mse":
-        return mse(pred, target)
-    if kind == "bce":
-        return bce(pred, target)
-    raise ValueError(f"unknown loss kind {kind!r}")

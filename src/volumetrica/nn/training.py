@@ -42,18 +42,6 @@ class TrainingLog:
         write_csv(path, ("epoch", "loss"), enumerate(self.losses, start=1))
 
 
-def split_cases(n: int, test_fraction: float, seed: int) -> tuple[list[int], list[int]]:
-    """Shuffled train/test split; each index lands on exactly one side,
-    test size rounded from n * test_fraction."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    n_test = int(round(n * test_fraction))
-    n_test = min(max(n_test, 1), n - 1) if n > 1 else n_test
-    return sorted(int(i) for i in order[n_test:]), sorted(int(i) for i in order[:n_test])
-
-
 def fit_target_to_output(net: Network, target: np.ndarray, input_shape=None) -> np.ndarray:
     """Average-pool a full-resolution target down to the network's
     output grid when the architecture downsamples.
@@ -75,11 +63,9 @@ def fit_target_to_output(net: Network, target: np.ndarray, input_shape=None) -> 
 
 
 def train(net: Network, cases, config: TrainConfig) -> TrainingLog:
-    """Run the epoch loop over cases given as ``x``, ``(x, target)`` or
-    ``(x, target, cols)``. A target of None means autoencoder mode (the
-    input itself, pooled to the output resolution, is the label).
-    ``cols`` is the caller's ``input_cols(net, x)``; it is built here
-    when a case brings none.
+    """Run the epoch loop over cases given as ``(x, target)`` or
+    ``(x, target, cols)``. ``cols`` is the caller's ``input_cols(net, x)``;
+    it is built here when a case brings none.
 
     Inputs are only read, so several runs may share them, read-only,
     across threads. Deterministic for a fixed configuration: cases are
@@ -91,9 +77,8 @@ def train(net: Network, cases, config: TrainConfig) -> TrainingLog:
     prepared = []
     workspaces: dict[tuple, Workspace] = {}
     for item in cases:
-        x, target, cols = (item + (None,))[:3] if isinstance(item, tuple) else (item, None, None)
+        x, target, cols = (*item, None)[:3]
         x = np.asarray(x, dtype=np.float64)
-        target = x if target is None else np.asarray(target, dtype=np.float64)
         target = fit_target_to_output(net, target, input_shape=x.shape)
         if cols is None:  # the first layer sees the same input every epoch: im2col once
             cols = input_cols(net, x)

@@ -1,9 +1,8 @@
 """Statistical validation suite built from first principles on numpy."""
 
 from volumetrica.stats.agreement import BlandAltman, bland_altman
-from volumetrica.stats.logistic import LogisticModel, SeparationError, logistic_fit
 from volumetrica.stats.resample import CVPlan, bootstrap_ci, cv_volume_error, kfold
-from volumetrica.stats.roc import RocCurve, delong_test, roc_auc, youden
+from volumetrica.stats.roc import RocCurve, roc_auc
 from volumetrica.stats.tests import (
     DegenerateDataError,
     TestResult,
@@ -19,22 +18,17 @@ __all__ = [
     "BlandAltman",
     "CVPlan",
     "DegenerateDataError",
-    "LogisticModel",
     "RocCurve",
-    "SeparationError",
     "TestResult",
     "bland_altman",
     "bootstrap_ci",
     "build_stats_report",
     "cv_volume_error",
-    "delong_test",
     "kfold",
     "levene",
-    "logistic_fit",
     "one_way_anova",
     "paired_t",
     "roc_auc",
     "shapiro_wilk",
     "tukey_hsd",
-    "youden",
 ]

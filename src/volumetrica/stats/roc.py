@@ -1,15 +1,11 @@
-"""ROC analysis: AUC via the rank statistic, Youden's threshold, and the
-DeLong test for paired AUCs."""
+"""ROC analysis: the curve over observed thresholds and its AUC via the
+rank statistic."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from volumetrica.stats.special import normal_cdf
-from volumetrica.stats.tests import TestResult
 
 
 @dataclass(frozen=True)
@@ -84,56 +80,3 @@ def roc_auc(scores, labels) -> RocCurve:
         sens[i] = tp / m
         spec[i] = (n - fp) / n
     return RocCurve(thresholds, sens, spec, float(auc))
-
-
-def youden(curve: RocCurve) -> tuple[float, float]:
-    """Threshold maximizing J = sensitivity + specificity - 1; ties on J
-    break toward higher specificity."""
-    j = curve.sensitivity + curve.specificity - 1.0
-    best = None
-    for i in range(len(j)):
-        key = (j[i], curve.specificity[i])
-        if best is None or key > best[0]:
-            best = (key, i)
-    i = best[1]
-    return float(curve.thresholds[i]), float(j[i])
-
-
-def _placements(scores: np.ndarray, labels: np.ndarray):
-    """Fast-DeLong placement values and AUC for one score vector."""
-    pos = scores[labels]
-    neg = scores[~labels]
-    m, n = len(pos), len(neg)
-    tx = _midranks(pos)
-    ty = _midranks(neg)
-    tz = _midranks(scores)
-    auc = (float(tz[labels].sum()) / m - (m + 1) / 2.0) / n
-    v01 = (tz[labels] - tx) / n
-    v10 = 1.0 - (tz[~labels] - ty) / m
-    return auc, v01, v10
-
-
-def delong_test(scores_a, scores_b, labels) -> TestResult:
-    """DeLong z-test for two correlated AUCs measured on the same cases."""
-    scores_a = np.asarray(scores_a, dtype=np.float64)
-    scores_b = np.asarray(scores_b, dtype=np.float64)
-    labels = _check_labels(labels)
-    if scores_a.shape != labels.shape or scores_b.shape != labels.shape:
-        raise ValueError("scores and labels must align")
-    m = int(labels.sum())
-    n = len(labels) - m
-
-    auc_a, v01_a, v10_a = _placements(scores_a, labels)
-    auc_b, v01_b, v10_b = _placements(scores_b, labels)
-
-    s01 = np.cov(np.stack([v01_a, v01_b]), ddof=1) if m > 1 else np.zeros((2, 2))
-    s10 = np.cov(np.stack([v10_a, v10_b]), ddof=1) if n > 1 else np.zeros((2, 2))
-    s = s01 / m + s10 / n
-    var = float(s[0, 0] + s[1, 1] - 2.0 * s[0, 1])
-    diff = auc_a - auc_b
-    if var <= 0.0:
-        z = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
-    else:
-        z = diff / math.sqrt(var)
-    p = 1.0 if z == 0.0 else 2.0 * (1.0 - normal_cdf(abs(z)))
-    return TestResult("delong", float(z), min(p, 1.0), ())

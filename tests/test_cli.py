@@ -349,7 +349,7 @@ class TestPipelineCommands:
                      "--out", str(out)]) == 0
         rows = json.loads(out.read_text())["payload"]["cases"]
         assert len(calls) == len(rows) == 5
-        cases, _, _ = cli._load_manifest_cases(small_cohort)
+        cases, _ = cli._load_manifest_cases(small_cohort)
         net = load_network(model)
         for case, row in zip(cases, rows):
             assert row["volume_mm3"] == estimators.ml_estimate(case.grid, net)

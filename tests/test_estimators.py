@@ -185,6 +185,22 @@ class TestSlicewiseEstimate:
         v = ml_estimate_slicewise(grid, net, 0.5)
         assert v == pytest.approx(volume, rel=0.15)
 
+    def test_equals_stack_then_threshold(self):
+        # each slice is thresholded as it is predicted; the volume must equal
+        # the one from stacking every float prediction and thresholding once
+        from volumetrica.nn.inference import cnn_volume, extract_tumor_mask
+        from volumetrica.nn.network import build_segmenter_2d, predict
+
+        net = build_segmenter_2d(seed=3)
+        spec = PhantomSpec(kind="sphere", radius=6.0, noise_sigma=0.1, seed=4)
+        grid, _, _ = make_phantom(spec, (40, 32, 10), Spacing(0.7, 0.6, 2.0))
+        preds = np.stack([predict(net, sl[..., None]) for sl in grid.data])
+        for q in (0.1, 0.5, 0.9):
+            threshold = float(np.quantile(preds, q))
+            expected = cnn_volume(extract_tumor_mask(preds, threshold), grid.dims, grid.spacing)
+            assert expected > 0.0
+            assert ml_estimate_slicewise(grid, net, threshold) == expected
+
 
 class TestEstimateAll:
     def test_sphere_methods_agree(self, trained_net):

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from volumetrica.geometry import (
-    DegenerateSliceError,
     SliceAreaSeries,
     ctr,
-    ellipse_fit_area,
     max_equivalent_diameter,
-    max_feret_diameter,
     slice_areas,
     voxel_volume,
 )
@@ -18,12 +15,6 @@ from volumetrica.grid import BinaryMask, Spacing
 
 def _mask(data, spacing=(1.0, 1.0, 1.0)):
     return BinaryMask(np.asarray(data, dtype=bool), Spacing(*spacing))
-
-
-def _rasterize_ellipse(a_px, b_px, size=64):
-    ys, xs = np.mgrid[0:size, 0:size]
-    cy = cx = size / 2.0
-    return ((xs + 0.5 - cx) / a_px) ** 2 + ((ys + 0.5 - cy) / b_px) ** 2 <= 1.0
 
 
 class TestVoxelVolume:
@@ -95,32 +86,6 @@ class TestSliceAreas:
             SliceAreaSeries(np.array([0.0, 1.0, 2.5]), np.zeros(3), 1.0)
 
 
-class TestEllipseFitArea:
-    def test_rasterized_ellipse(self):
-        m = _rasterize_ellipse(10, 5)
-        assert ellipse_fit_area(m, 1.0, 1.0) == pytest.approx(math.pi * 50.0, rel=0.03)
-
-    def test_disc_is_an_ellipse(self):
-        m = _rasterize_ellipse(10, 10)
-        assert ellipse_fit_area(m, 1.0, 1.0) == pytest.approx(math.pi * 100.0, rel=0.03)
-
-    def test_two_pixels_degenerate(self):
-        m = np.zeros((8, 8), dtype=bool)
-        m[2, 2] = m[3, 3] = True
-        with pytest.raises(DegenerateSliceError):
-            ellipse_fit_area(m, 1.0, 1.0)
-
-    @pytest.mark.parametrize("a,b", [(10, 10), (14, 9), (20, 11), (25, 20)])
-    def test_matches_pixel_count_within_3pct(self, a, b):
-        m = _rasterize_ellipse(a, b)
-        pixel_area = float(m.sum())
-        assert ellipse_fit_area(m, 1.0, 1.0) == pytest.approx(pixel_area, rel=0.03)
-
-    def test_spacing_scales_area(self):
-        m = _rasterize_ellipse(10, 8)
-        assert ellipse_fit_area(m, 2.0, 0.5) == pytest.approx(ellipse_fit_area(m, 1.0, 1.0))
-
-
 class TestDiameters:
     def test_equivalent_diameter_from_area(self):
         series = SliceAreaSeries(np.array([0.0]), np.array([math.pi * 36.0]), 1.0)
@@ -140,12 +105,6 @@ class TestDiameters:
         )
         d = max_equivalent_diameter(slice_areas(mask))
         assert d == pytest.approx(12.0, rel=0.10)
-
-    def test_feret_on_box(self):
-        data = np.zeros((3, 10, 10), dtype=bool)
-        data[1, 2:6, 2:8] = True  # 4 x 6 block
-        d = max_feret_diameter(_mask(data))
-        assert d == pytest.approx(math.hypot(5.0, 3.0))
 
 
 class TestCtr:

@@ -14,7 +14,7 @@ from volumetrica.nn.layers import (
     conv_forward_cached,
     sigmoid,
 )
-from volumetrica.nn.losses import bce, bce_with_logits, loss, mse
+from volumetrica.nn.losses import bce, bce_with_logits, mse
 
 
 def _loop_conv3d(x, weights, bias):
@@ -136,12 +136,12 @@ class TestAvgPool:
 class TestLosses:
     def test_mse_zero_when_equal(self):
         x = np.random.default_rng(0).normal(size=(3, 3, 1))
-        assert loss(x, x, "mse") == 0.0
+        assert mse(x, x) == 0.0
 
     def test_bce_half_is_ln2(self):
         pred = np.full((4, 4, 1), 0.5)
         target = (np.random.default_rng(1).uniform(size=(4, 4, 1)) > 0.5).astype(float)
-        assert loss(pred, target, "bce") == pytest.approx(math.log(2.0), abs=1e-15)
+        assert bce(pred, target) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_against_high_precision_oracle(self):
         rng = np.random.default_rng(2)
@@ -174,7 +174,7 @@ class TestLosses:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            loss(np.zeros(3), np.zeros(4), "mse")
+            mse(np.zeros(3), np.zeros(4))
 
 
 class TestSigmoid:
