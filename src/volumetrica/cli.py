@@ -12,6 +12,7 @@ so a fixed seed reproduces identical bytes.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from pathlib import Path
@@ -50,6 +51,10 @@ from volumetrica.stats.report import build_stats_report
 from volumetrica.stats.resample import cv_volume_error, kfold
 
 EXIT_OK, EXIT_RUNTIME, EXIT_USAGE = 0, 1, 2
+
+# what a command decided on its own (skipped files, defaulted geometry,
+# an intensity-thresholded mask); never part of a report
+logger = logging.getLogger(__name__)
 
 
 def _seed(args) -> int:
@@ -231,7 +236,9 @@ def _load_single_case(src: Path, args) -> EstimateCase:
                 raise InputError(f"{manifest} lists {len(cases)} cases; use `compare` for cohorts")
             return cases[0]
         # a directory of DICOM slices
-        grid, _, _ = dicomlite.read_directory(src)
+        grid, geometry, skipped = dicomlite.read_directory(src)
+        for message in [*geometry.warnings, *(f"skipped {entry}" for entry in skipped)]:
+            logger.warning("%s: %s", src, message)
         mask = _mask_for(grid, args)
         return EstimateCase(src.name, grid, mask)
     if src.suffix.lower() == ".volv":
@@ -247,6 +254,8 @@ def _mask_for(grid: VoxelGrid, args) -> BinaryMask:
     if args.mask:
         return vio.read_volume(args.mask)
     # no segmentation supplied: binarize the intensities
+    logger.warning("%s: no --mask given; the mask is every voxel whose raw intensity "
+                   "exceeds 0.5", args.input)
     return BinaryMask(grid.data > 0.5, grid.spacing)
 
 

@@ -104,6 +104,9 @@ class DicomElement:
     tag: tuple[int, int]
     vr: str
     value: bytes
+    # where the value starts in the bytes it was parsed from; None for an
+    # element built in memory
+    offset: int | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -189,7 +192,7 @@ def _parse_element(data: bytes, pos: int, explicit: bool):
         raise TruncatedFileError(
             f"value of ({group:04X},{elem:04X}) declared {length} bytes but data ends", body
         )
-    return DicomElement((group, elem), vr, data[body : body + length]), body + length
+    return DicomElement((group, elem), vr, data[body : body + length], body), body + length
 
 
 def parse_file(data: bytes) -> DicomDataset:
@@ -359,31 +362,70 @@ class SeriesGeometry:
             raise ValueError("spacing components must be positive")
 
 
-def _stored_pixels(ds: DicomDataset) -> tuple[np.ndarray, float, float]:
-    """One slice's stored values as a flat view of its PixelData, with
-    its rescale slope and intercept. Raises DicomParseError when the
-    bytes hold fewer pixels than Rows x Columns declare, so a header
-    alone never sizes an allocation."""
+@dataclass(frozen=True)
+class _FileSpan:
+    """A PixelData value left in its file, read back when the slice is
+    decoded: it has the value's length, and ``read_into`` copies its
+    bytes into a buffer."""
+
+    path: Path
+    offset: int
+    size: int
+
+    def __len__(self) -> int:
+        return self.size
+
+    def read_into(self, buf: np.ndarray) -> int:
+        """Fill ``buf`` from the start of the value; returns how many
+        bytes the file still held."""
+        with open(self.path, "rb", buffering=0) as fh:
+            fh.seek(self.offset)
+            return fh.readinto(buf)
+
+
+def _check_pixel_bytes(size: int, need: int) -> None:
+    if size < need:
+        raise DicomParseError(f"pixel data has {size} bytes, expected {need}")
+
+
+def _pixel_format(ds: DicomDataset) -> tuple[np.dtype, float, float]:
+    """One slice's stored dtype, rescale slope and intercept. Raises
+    DicomParseError when its PixelData holds fewer pixels than Rows x
+    Columns declare, so a header alone never sizes an allocation."""
     rows = ds.ushort(TAG_ROWS)
     cols = ds.ushort(TAG_COLUMNS)
     bits = ds.ushort(TAG_BITS_ALLOCATED) or 16
     signed = (ds.ushort(TAG_PIXEL_REPRESENTATION) or 0) == 1
     if bits == 8:
-        dtype = np.int8 if signed else np.uint8
+        dtype = np.dtype(np.int8 if signed else np.uint8)
     elif bits == 16:
         dtype = np.dtype("<i2") if signed else np.dtype("<u2")
     else:
         raise DicomParseError(f"BitsAllocated {bits} not supported")
-    raw = ds.get(TAG_PIXEL_DATA).value
-    need = rows * cols * (bits // 8)
-    if len(raw) < need:
-        raise DicomParseError(f"pixel data has {len(raw)} bytes, expected {need}")
-    stored = np.frombuffer(raw, dtype=dtype, count=rows * cols)
+    _check_pixel_bytes(len(ds.get(TAG_PIXEL_DATA).value), rows * cols * dtype.itemsize)
     slope_vals = ds.numbers(TAG_RESCALE_SLOPE)
     inter_vals = ds.numbers(TAG_RESCALE_INTERCEPT)
     slope = slope_vals[0] if slope_vals else 1.0
     intercept = inter_vals[0] if inter_vals else 0.0
-    return stored, slope, intercept
+    return dtype, slope, intercept
+
+
+def _decode(data: np.ndarray, slices: list[DicomDataset], formats: list) -> None:
+    """Decode each slice checked by ``_pixel_format`` into its plane of
+    ``data``. A value left in its file is read back into one slice-sized
+    buffer, which the next slice overwrites."""
+    rows, cols = data.shape[1:]
+    count = rows * cols
+    scratch = np.empty(count * 2, np.uint8)
+    for plane, ds, (dtype, slope, intercept) in zip(data, slices, formats):
+        raw = ds.get(TAG_PIXEL_DATA).value
+        if isinstance(raw, _FileSpan):
+            span, raw = raw, scratch[: count * dtype.itemsize]
+            # the file may have shrunk since it was parsed
+            _check_pixel_bytes(span.read_into(raw), len(raw))
+        plane[...] = np.frombuffer(raw, dtype, count).reshape(rows, cols)  # exact int -> float64
+        plane *= slope
+        plane += intercept
 
 
 def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry]:
@@ -455,13 +497,11 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
             uniform_z = False
             warnings.append("non-uniform z gaps between slices; series flagged, not resampled")
 
-    # every slice is checked before the grid is allocated
-    pixels = [_stored_pixels(usable[j][1]) for j in order]
-    data = np.empty((len(pixels), rows, cols))
-    for plane, (stored, slope, intercept) in zip(data, pixels):
-        plane[...] = stored.reshape(rows, cols)  # exact int -> float64
-        plane *= slope
-        plane += intercept
+    # every slice is checked before the grid is allocated, then decoded
+    # into it one at a time
+    formats = [_pixel_format(usable[j][1]) for j in order]
+    data = np.empty((len(formats), rows, cols))
+    _decode(data, [usable[j][1] for j in order], formats)
     try:
         grid = VoxelGrid(data, Spacing(sx, sy, thickness))
         geometry = SeriesGeometry(
@@ -481,15 +521,25 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
 def read_directory(path) -> tuple[VoxelGrid, SeriesGeometry, list[str]]:
     """Parse every regular file in ``path`` (sorted by name) and assemble
     the series. Files that fail to parse are skipped and listed as
-    ``"<name>: <reason>"`` in the third return value."""
+    ``"<name>: <reason>"`` in the third return value.
+
+    No slice's pixel bytes are kept from its parse: each is read back
+    from its file when the slice is decoded into the grid, so next to
+    the grid at most one slice's bytes are held."""
     datasets = []
     skipped = []
     for p in sorted(Path(path).iterdir()):
         if not p.is_file():
             continue
         try:
-            datasets.append(parse_file(p.read_bytes()))
+            ds = parse_file(p.read_bytes())
         except DicomParseError as exc:
             skipped.append(f"{p.name}: {exc}")
+            continue
+        pixels = ds.get(TAG_PIXEL_DATA)
+        if pixels is not None:
+            span = _FileSpan(p, pixels.offset, len(pixels.value))
+            ds.elements[TAG_PIXEL_DATA] = DicomElement(pixels.tag, pixels.vr, span)
+        datasets.append(ds)
     grid, geometry = read_series(datasets)
     return grid, geometry, skipped

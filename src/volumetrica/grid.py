@@ -43,8 +43,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 # voxels per band of the finiteness check: its bool temporary stays near
-# 1 MiB instead of one byte per voxel of the whole grid
-_CHECK_VOXELS = 1 << 20
+# 128 KiB (or one slice, if larger) instead of one byte per voxel of the
+# whole grid
+_CHECK_VOXELS = 1 << 17
 
 
 def _all_finite(a: np.ndarray) -> bool:

@@ -22,6 +22,7 @@ from volumetrica.nn.layers import (
     conv_forward_cached,
 )
 from volumetrica.nn.losses import bce_with_logits, bce_with_logits_grad, mse, mse_grad
+from volumetrica.workers import run_in_order, spare_workers as _band_workers
 
 
 @dataclass
@@ -108,25 +109,41 @@ class Workspace:
         return buf
 
 
-# byte budget for the widest conv output of one row band in ``predict``;
-# it sets the band height: 32 rows of a 1024^2 slice for the 2-D
-# segmenter, one band for a 32^3 volume through the 3-D segmenter
+# byte budget for the widest conv outputs of the row bands in flight in
+# ``predict``; it sets the band height: 32 rows of a 1024^2 slice for the
+# 2-D segmenter on one worker, one band for a 32^3 volume through the
+# 3-D segmenter
 _BAND_BYTES = 8 << 20
 
 
-def _bands(net: Network, shape, shapes) -> tuple[int, int]:
-    """(height, scale) of the row bands along the first spatial axis:
-    the band height in input rows is a multiple of ``scale``, the
-    product of the axis-0 pool extents, so band edges fall on pool
-    windows and every band pools the windows of the whole input."""
+def _bands(net: Network, shape, shapes, budget: int | None = None) -> tuple[int, int]:
+    """(height, scale) of the row bands along the first spatial axis
+    whose widest conv output fits in ``budget`` bytes, by default
+    ``_BAND_BYTES``: the band height in input rows is a multiple of
+    ``scale``, the product of the axis-0 pool extents, so band edges
+    fall on pool windows and every band pools the windows of the whole
+    input."""
+    budget = _BAND_BYTES if budget is None else budget
     rows, scale = shape[0], 1
     for layer, out_shape in zip(net.layers, shapes):
         if isinstance(layer, ConvLayer):
             row_bytes = 8 * math.prod(out_shape[1:])
-            rows = min(rows, _BAND_BYTES * scale // max(row_bytes, 1))
+            rows = min(rows, budget * scale // max(row_bytes, 1))
         else:
             scale *= layer.pool[0]
     return max(1, rows // scale) * scale, scale
+
+
+def _band_plan(net: Network, shape, shapes) -> tuple[int, int, int]:
+    """(workers, height, scale) of ``predict``: one worker per CPU that
+    BLAS leaves spare, at most one per band of the full budget. Several
+    workers split the budget, so the bands in flight together stay
+    within ``_BAND_BYTES``."""
+    height, scale = _bands(net, shape, shapes)
+    workers = _band_workers(-(-shape[0] // height))
+    if workers > 1:
+        height, scale = _bands(net, shape, shapes, _BAND_BYTES // workers)
+    return workers, height, scale
 
 
 def _spans(net: Network, in_rows, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -151,17 +168,21 @@ def predict(net: Network, x: np.ndarray) -> np.ndarray:
     Runs in bands of rows along the first spatial axis, so peak memory
     is bounded by the band and not by the input. Each layer of a band
     computes only the rows that the next layer reads: a conv reads its
-    real neighbour rows and zero rows only at the image edges. The
-    result equals one pass over the whole input bit for bit.
+    real neighbour rows and zero rows only at the image edges. The bands
+    run on the workers of ``_band_plan`` and each writes only its own
+    rows of the output. The result equals one pass over the whole input
+    bit for bit, on any number of workers.
     """
     x = np.asarray(x, dtype=np.float64)
     # the whole input's shape is checked before it is cut into bands
     shapes = net.output_shapes(x.shape)
-    height, scale = _bands(net, x.shape, shapes)
+    workers, height, scale = _band_plan(net, x.shape, shapes)
     n = x.shape[0]
     in_rows = [n] + [s[0] for s in shapes[:-1]]
     out = np.empty(shapes[-1] if shapes else x.shape)
-    for start in range(0, n, height):
+
+    def band(index: int) -> None:
+        start = index * height
         spans = _spans(net, in_rows, start // scale, min(n, start + height) // scale)
         a = x[spans[0][0] : spans[0][1]]
         for layer, (a_lo, _), (lo, hi) in zip(net.layers, spans, spans[1:]):
@@ -175,6 +196,8 @@ def predict(net: Network, x: np.ndarray) -> np.ndarray:
             else:
                 a = avg_pool(a, layer.pool)
         out[spans[-1][0] : spans[-1][1]] = a
+
+    run_in_order(band, -(-n // height), workers, "predict-band")
     return out
 
 

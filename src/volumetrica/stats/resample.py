@@ -8,11 +8,11 @@ reproducible and independently addressable from the recorded seed.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from volumetrica.workers import run_in_order, spare_workers as _fold_workers
 
 CI_LEVEL = 0.95
 
@@ -95,72 +95,15 @@ class CVResult:
         return self.per_case_error[self.fold_of == fold]
 
 
-def _blas_threads(cpus: int) -> int:
-    """Threads one BLAS call runs on, by OpenBLAS's rule: the first
-    positive count among these variables, else every CPU."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return min(int(value), cpus)
-    return cpus
-
-
-def _fold_workers(k: int) -> int:
-    """Folds trained at once: one per CPU that BLAS leaves spare. Fold
-    threads on CPUs that BLAS threads already fill only contend (a
-    5-fold 30-epoch run on 2 CPUs took 54 s, not 40 s, with both), so a
-    multi-threaded BLAS keeps the folds sequential."""
-    cpus = len(os.sched_getaffinity(0))
-    return max(1, min(k, cpus // _blas_threads(cpus)))
-
-
 def _train_folds(cohort, trainer, plan: CVPlan) -> list:
-    """One model per fold, in fold order.
-
-    The calling thread trains folds alongside ``_fold_workers(k) - 1``
-    extra threads; each worker takes the next untrained fold. After a
-    trainer raises no further fold is started, and the exception of the
-    first failing fold in fold order is raised once every worker has
-    stopped: folds are taken in order, so every fold before a failure
-    has already been started and runs to its end.
-    """
-    models = [None] * plan.k
-    errors = [None] * plan.k
-    lock = threading.Lock()
-    pending = iter(range(plan.k))
-    stop = False
-
-    def work():
-        nonlocal stop
-        while True:
-            with lock:
-                fold = None if stop else next(pending, None)
-            if fold is None:
-                return
-            try:
-                models[fold] = trainer([cohort[i][0] for i in plan.train_indices(fold)])
-            except BaseException as exc:  # re-raised on the calling thread below
-                errors[fold] = exc
-                with lock:
-                    stop = True
-
-    extra = [threading.Thread(target=work, name=f"cv-fold-{n}")
-             for n in range(1, _fold_workers(plan.k))]
-    for thread in extra:
-        thread.start()
-    try:
-        work()
-    finally:
-        # an interrupt on the calling thread also ends the extra workers
-        # after their current fold
-        with lock:
-            stop = True
-        for thread in extra:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return models
+    """One model per fold, in fold order, trained on ``_fold_workers(k)``
+    threads through the ordered work queue of ``run_in_order``: after a
+    trainer raises no further fold is started, and the first failing
+    fold in fold order is raised."""
+    return run_in_order(
+        lambda fold: trainer([cohort[i][0] for i in plan.train_indices(fold)]),
+        plan.k, _fold_workers(plan.k), "cv-fold",
+    )
 
 
 def cv_volume_error(cohort, trainer, estimator, plan: CVPlan) -> CVResult:

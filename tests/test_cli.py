@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -273,6 +274,59 @@ class TestDicomCommands:
     def test_ingest_nondir_exits_2(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "missing"),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+class TestEstimateWarnings:
+    """What ``estimate`` decides on its own is logged, never reported."""
+
+    @pytest.fixture
+    def defaulted_dir(self, tmp_path):
+        # no PixelSpacing, one file that does not parse, and no --mask
+        d = tmp_path / "dicoms"
+        d.mkdir()
+        for k in range(3):
+            px = np.full((8, 8), 50 * (k + 1), dtype=np.uint16)
+            ds = dl.make_slice_dataset(px, pixel_spacing=None, slice_thickness=2.0,
+                                       position_z=2.0 * k)
+            (d / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
+        (d / "notes.txt").write_bytes(b"\x00" * 3)
+        return d
+
+    def _estimate(self, src, out):
+        assert main(["estimate", "--input", str(src), "--methods", "area_based",
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_dicom_decisions_are_logged(self, defaulted_dir, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="volumetrica.cli"):
+            self._estimate(defaulted_dir, tmp_path / "est.json")
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "volumetrica.cli" and r.levelno == logging.WARNING]
+        assert len(messages) == 3
+        assert all(m.startswith(f"{defaulted_dir}: ") for m in messages)
+        assert "PixelSpacing missing" in messages[0]
+        assert messages[1].startswith(f"{defaulted_dir}: skipped notes.txt: ")
+        assert "no --mask given" in messages[2]
+
+    def test_volv_without_mask_is_logged(self, sphere_spec, tmp_path, caplog):
+        assert main(["phantom", "--spec", str(sphere_spec), "--out", str(tmp_path / "ph")]) == 0
+        grid = tmp_path / "ph" / "case_000_grid.volv"
+        with caplog.at_level(logging.WARNING, logger="volumetrica.cli"):
+            self._estimate(grid, tmp_path / "est.json")
+        assert [r.getMessage() for r in caplog.records if r.name == "volumetrica.cli"] == [
+            f"{grid}: no --mask given; the mask is every voxel whose raw intensity exceeds 0.5"
+        ]
+
+    def test_report_bytes_do_not_depend_on_logging(self, defaulted_dir, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="volumetrica.cli"):
+            logged = self._estimate(defaulted_dir, tmp_path / "logged.json")
+        assert caplog.records
+        logging.disable(logging.CRITICAL)
+        try:
+            silent = self._estimate(defaulted_dir, tmp_path / "silent.json")
+        finally:
+            logging.disable(logging.NOTSET)
+        assert logged == silent
 
 
 class TestPipelineCommands:

@@ -286,6 +286,33 @@ class TestBoundedDecode:
         # check, and one file's bytes twice while it parses
         assert peak[0] <= grid.data.size * (8 + 2 + 1) + 2 * file_bytes + (256 << 10)
 
+    def test_read_holds_grid_and_about_two_files(self, tmp_path):
+        for k, ds in enumerate(_series(24, (256, 256))):
+            (tmp_path / f"slice{k:02d}.dcm").write_bytes(dl.write_file(ds))
+        paths = sorted(tmp_path.iterdir())
+        file_bytes = paths[0].stat().st_size
+        with _traced() as peak:
+            grid, _, _ = dl.read_directory(tmp_path)
+        # each slice's pixel bytes go once it is decoded: a file's bytes
+        # twice while it parses, then one slice's next to the grid
+        assert peak[0] <= grid.data.nbytes + 2 * file_bytes + (256 << 10)
+        in_memory, _ = dl.read_series([dl.parse_file(p.read_bytes()) for p in paths])
+        np.testing.assert_array_equal(grid.data, in_memory.data, strict=True)
+
+    def test_file_shrunk_after_its_parse_raises_parse_error(self, tmp_path, monkeypatch):
+        for k, ds in enumerate(_series(3, (16, 16))):
+            (tmp_path / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
+        read_series = dl.read_series
+
+        def shrink_then_read(datasets):
+            path = tmp_path / "slice1.dcm"
+            path.write_bytes(path.read_bytes()[:-2])
+            return read_series(datasets)
+
+        monkeypatch.setattr(dl, "read_series", shrink_then_read)
+        with pytest.raises(dl.DicomParseError, match="pixel data has 510 bytes, expected 512"):
+            dl.read_directory(tmp_path)
+
     def test_declared_shape_beyond_pixel_data_never_sizes_the_grid(self):
         datasets = _series(40, (16, 16))
         for ds in datasets:

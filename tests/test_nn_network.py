@@ -1,10 +1,14 @@
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from volumetrica import workers as vworkers
 from volumetrica.estimators import ml_estimate_slicewise
 from volumetrica.grid import Spacing
 from volumetrica.nn import network
@@ -23,6 +27,14 @@ from volumetrica.nn.network import (
     save_network,
 )
 from volumetrica.phantoms import PhantomSpec, make_phantom
+
+
+@pytest.fixture(autouse=True)
+def _one_band_worker(monkeypatch):
+    """predict's band count follows its worker count, which follows the
+    machine's CPUs and BLAS setting; the tests here that count bands
+    see one worker, and TestBandWorkers sets others."""
+    monkeypatch.setattr(network, "_band_workers", lambda bands: 1)
 
 
 def finite_difference_check(net, x, target, kind, h=1e-5):
@@ -530,3 +542,120 @@ class TestMemory:
         # and its pooled rows stay under twice the budget; the whole
         # conv output would be 268 MB
         assert peak < 2 * network._BAND_BYTES + out.nbytes
+
+
+class TestBandWorkers:
+    """predict's row bands on several threads: the same bits, the first
+    failing band in band order, no thread for a one-band input."""
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("first", [(3, 1, 5), (5, 3, 1)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("rows, height", [(3, 15), (6, 15), (6, 30), (12, 30), (12, 12)],
+                             ids=["one-window", "short-last", "even", "wide-short-last", "one-band"])
+    def test_banding_shapes_match_reference(self, monkeypatch, rank, first, channels, rows,
+                                            height):
+        net = _net(rank, "relu", channels, seed=rank * 10 + channels, first=first)
+        shape = (height,) + _SHAPES[rank][1:] + (channels,)
+        _band_rows(monkeypatch, net, shape, rows)
+        x = np.random.default_rng(height).normal(size=shape)
+        ref = _ref_predict(net, x)
+        for workers in (lambda bands: 1, lambda bands: 2, lambda bands: bands):
+            monkeypatch.setattr(network, "_band_workers", workers)
+            np.testing.assert_array_equal(predict(net, x), ref, strict=True)
+
+    def test_1024_slice_is_the_same_on_any_worker_count(self, monkeypatch):
+        net = build_segmenter_2d(seed=1)
+        x = np.random.default_rng(13).uniform(size=(1024, 1024, 1))
+        shapes = net.output_shapes(x.shape)
+        results = []
+        for workers in (1, 2, 32):
+            monkeypatch.setattr(network, "_band_workers", lambda bands: workers)
+            assert network._band_plan(net, x.shape, shapes)[0] == workers
+            results.append(predict(net, x))
+        for got in results[1:]:
+            np.testing.assert_array_equal(got, results[0], strict=True)
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_first_failing_band_in_band_order_is_raised(self, monkeypatch, workers):
+        net = build_segmenter_2d(seed=2)
+        shape = (40, 24, 1)
+        _band_rows(monkeypatch, net, shape, 4)
+        monkeypatch.setattr(network, "_band_workers", lambda bands: workers)
+        _, height, scale = network._band_plan(net, shape, net.output_shapes(shape))
+        spans = network._spans
+        started = []
+
+        def failing(net, in_rows, lo, hi):
+            band = lo // (height // scale)
+            started.append(band)
+            if band == 1:
+                time.sleep(0.2)  # band 3 fails first in time
+                raise ValueError("band 1")
+            if band == 3:
+                raise ValueError("band 3")
+            return spans(net, in_rows, lo, hi)
+
+        monkeypatch.setattr(network, "_spans", failing)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="band 1"):
+            predict(net, np.zeros(shape))
+        assert set(threading.enumerate()) == before
+        assert 1 in started and sorted(started) == list(range(len(started)))
+        if workers == 1:
+            assert started == [0, 1]  # no band starts after a failure
+
+    def test_more_workers_than_cores_compute_each_band_once(self, monkeypatch):
+        # a lost update in handing out bands would compute one twice or
+        # skip one, and leave rows of the output unwritten
+        net = build_segmenter_2d(seed=4)
+        shape = (40, 24, 1)
+        _band_rows(monkeypatch, net, shape, 2)
+        monkeypatch.setattr(network, "_band_workers", lambda bands: bands)
+        x = np.random.default_rng(16).uniform(size=shape)
+        ref = _ref_predict(net, x)
+        spans = network._spans
+        computed = []
+
+        def counting(net, in_rows, lo, hi):
+            computed.append(lo)
+            return spans(net, in_rows, lo, hi)
+
+        monkeypatch.setattr(network, "_spans", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                computed.clear()
+                np.testing.assert_array_equal(predict(net, x), ref, strict=True)
+                assert sorted(computed) == list(range(20))  # 20 bands of one pooled row
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_band_input_starts_no_thread(self, monkeypatch):
+        # four CPUs with BLAS on one thread: a 32^3 volume is one band and
+        # runs on the calling thread, a 256^2 slice is two and starts one
+        monkeypatch.setattr(network, "_band_workers", vworkers.spare_workers)
+        monkeypatch.setattr(vworkers.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        rng = np.random.default_rng(15)
+        predict(build_segmenter_3d(seed=0), rng.uniform(size=(32, 32, 32, 1)))
+        assert started == []
+        predict(build_segmenter_2d(seed=0), rng.uniform(size=(256, 256, 1)))
+        assert started == ["predict-band-1"]
+
+    def test_1024_peak_is_bounded_by_the_band_on_two_workers(self, monkeypatch):
+        # the two workers' bands share the one budget
+        monkeypatch.setattr(network, "_band_workers", lambda bands: 2)
+        net = build_segmenter_2d(seed=0)
+        shape = (1024, 1024, 1)
+        assert network._band_plan(net, shape, net.output_shapes(shape))[:2] == (2, 16)
+        TestMemory().test_2d_predict_1024_is_bounded_by_the_band()

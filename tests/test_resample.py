@@ -6,7 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from volumetrica.nn.network import build_segmenter_3d, input_cols, predict
+from volumetrica import workers as vworkers
+from volumetrica.nn import network
+from volumetrica.nn.network import build_segmenter_2d, build_segmenter_3d, input_cols, predict
 from volumetrica.nn.training import TrainConfig, train
 from volumetrica.stats import resample
 from volumetrica.stats.resample import cv_volume_error, kfold
@@ -142,13 +144,33 @@ class TestFoldWorkers:
          ({"GOTO_NUM_THREADS": "8"}, 1)],
     )
     def test_workers_fill_the_cpus_blas_leaves_spare(self, monkeypatch, env, workers):
-        monkeypatch.setattr(resample.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(vworkers.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         assert resample._fold_workers(5) == workers
         assert resample._fold_workers(3) == min(3, workers)
+
+    @pytest.mark.parametrize("blas, workers", [(None, 1), ("1", 4), ("2", 2)])
+    def test_band_workers_follow_the_same_rule(self, monkeypatch, blas, workers):
+        # predict's bands take their worker count from the rule above,
+        # capped at the bands of the full budget: 32 for a 1024^2 slice
+        # through the 2-D segmenter, one for a 32^3 volume through the 3-D
+        monkeypatch.setattr(vworkers.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        if blas is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        for net, shape, bands in [(build_segmenter_2d(seed=0), (1024, 1024, 1), 32),
+                                  (build_segmenter_2d(seed=0), (256, 256, 1), 2),
+                                  (build_segmenter_2d(seed=0), (128, 128, 1), 1),
+                                  (build_segmenter_3d(seed=0), (32, 32, 32, 1), 1)]:
+            shapes = net.output_shapes(shape)
+            height = network._bands(net, shape, shapes)[0]
+            assert -(-shape[0] // height) == bands
+            assert network._band_plan(net, shape, shapes)[0] == min(bands, workers)
+            assert resample._fold_workers(bands) == min(bands, workers)
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
     def test_first_failing_fold_in_fold_order_is_raised(self, monkeypatch, workers):
