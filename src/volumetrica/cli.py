@@ -49,6 +49,7 @@ from volumetrica.nn.training import TrainConfig, fit_target_to_output, train
 from volumetrica.phantoms import load_phantom_config, make_phantom
 from volumetrica.stats.report import build_stats_report
 from volumetrica.stats.resample import cv_volume_error, kfold
+from volumetrica.workers import run_in_order, spare_workers
 
 EXIT_OK, EXIT_RUNTIME, EXIT_USAGE = 0, 1, 2
 
@@ -104,7 +105,7 @@ def cmd_phantom(args) -> int:
 
     payload = {"cases": cases}
     envelope = vio.report_envelope(
-        "phantom_manifest", payload, seed, {"spec": entries}, inputs=[args.spec]
+        "phantom_manifest", payload, seed, {"spec": entries}, vio.input_checksums([args.spec])
     )
     vio.dump_json(out / "manifest.json", envelope)
     print(f"wrote {len(cases)} phantom(s) to {out}")
@@ -153,7 +154,7 @@ def cmd_parse(args) -> int:
         "elements": elements,
     }
     envelope = vio.report_envelope("dicom_parse", payload, _seed(args), {"input": str(args.input)},
-                                   inputs=[args.input])
+                                   vio.input_checksums([args.input]))
     _write_report(args.out, envelope)
     return EXIT_OK
 
@@ -175,7 +176,7 @@ def cmd_ingest(args) -> int:
         "warnings": list(geometry.warnings) + skipped,
     }
     envelope = vio.report_envelope("ingest", payload, _seed(args), {"input": str(src)},
-                                   inputs=[src])
+                                   vio.input_checksums([src]))
     vio.dump_json(out / "geometry.json", envelope)
     print(f"ingested {len(geometry.slice_order)} slice(s) into {out}")
     return EXIT_OK
@@ -196,18 +197,29 @@ def _methods(arg: str | None, network) -> tuple[str, ...]:
 
 def cmd_estimate(args) -> int:
     src = Path(args.input)
-    network = load_network(args.model) if args.model else None
-    methods = _methods(args.methods, network)
     inputs = [src] + [p for p in (args.mask, args.model) if p]
-    if src.suffix.lower() == ".csv":
-        series = vio.read_series_csv(src)
-        report = estimate_series(series, methods, manual_radius=args.radius)
-        report.metadata.update(thickness_mm=series.thickness, source="slice-area series")
-    else:
-        case = _load_single_case(src, args)
-        report = estimate_all(case, network=network, threshold=args.threshold,
-                              methods=methods, manual_radius=args.radius)
 
+    def estimate():
+        network = load_network(args.model) if args.model else None
+        methods = _methods(args.methods, network)
+        if src.suffix.lower() == ".csv":
+            series = vio.read_series_csv(src)
+            report = estimate_series(series, methods, manual_radius=args.radius)
+            report.metadata.update(thickness_mm=series.thickness, source="slice-area series")
+        else:
+            case = _load_single_case(src, args)
+            report = estimate_all(case, network=network, threshold=args.threshold,
+                                  methods=methods, manual_radius=args.radius)
+        return report, methods
+
+    # the inputs are hashed on a CPU that BLAS leaves spare, if there is
+    # one, while the calling thread estimates the case (task 0); a failed
+    # estimate still decides the exit code, since it comes first in task
+    # order
+    (report, methods), checksums = run_in_order(
+        lambda task: estimate() if task == 0 else vio.input_checksums(inputs),
+        2, spare_workers(2), "estimate",
+    )
     config = {
         "input": str(src),
         "methods": list(methods),
@@ -216,7 +228,7 @@ def cmd_estimate(args) -> int:
         "mask": str(args.mask) if args.mask else None,
         "model": str(args.model) if args.model else None,
     }
-    envelope = vio.report_envelope("estimate", report.to_dict(), _seed(args), config, inputs)
+    envelope = vio.report_envelope("estimate", report.to_dict(), _seed(args), config, checksums)
     if args.format == "csv":
         rows = [(m, report.volumes.get(m, ""), report.errors.get(m, "")) for m in methods]
         vio.write_csv(args.out, ("method", "volume_mm3", "error"), rows)
@@ -289,7 +301,7 @@ def cmd_train(args) -> int:
     envelope = vio.report_envelope(
         "train", payload, seed,
         {"epochs": args.epochs, "loss": args.loss, "optimizer": args.optimizer, "lr": args.lr},
-        inputs=[args.cohort],
+        vio.input_checksums([args.cohort]),
     )
     vio.dump_json(out / "train_report.json", envelope)
     print(f"trained {config.epochs} epochs; loss {log.losses[0]:.4f} -> {log.losses[-1]:.4f}")
@@ -323,7 +335,8 @@ def cmd_eval(args) -> int:
         "mean_dice": float(np.mean([r["dice"] for r in rows])),
     }
     envelope = vio.report_envelope(
-        "eval", payload, seed, {"threshold": args.threshold}, inputs=[args.cohort, args.model]
+        "eval", payload, seed, {"threshold": args.threshold},
+        vio.input_checksums([args.cohort, args.model]),
     )
     if args.format == "csv":
         columns = ("case_id", "volume_mm3", "analytic_volume_mm3", "rel_error", "dice")
@@ -353,7 +366,7 @@ def cmd_compare(args) -> int:
     }
     envelope = vio.report_envelope(
         "compare", payload, seed, {"threshold": args.threshold, "methods": list(methods)},
-        inputs=[args.cohort],
+        vio.input_checksums([args.cohort]),
     )
     _write_report(args.out, envelope)
     if args.emit_plot_csv:
@@ -426,7 +439,7 @@ def cmd_stats(args) -> int:
             "loss": args.loss,
             "lr": args.lr,
         },
-        inputs=[args.cohort],
+        vio.input_checksums([args.cohort]),
     )
     _write_report(args.out, envelope)
     return EXIT_OK

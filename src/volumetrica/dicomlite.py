@@ -47,6 +47,21 @@ TAG_RESCALE_INTERCEPT = (0x0028, 0x1052)
 TAG_RESCALE_SLOPE = (0x0028, 0x1053)
 TAG_PIXEL_DATA = (0x7FE0, 0x0010)
 
+# the tags read_series reads; read_directory keeps only these of a slice
+_SERIES_TAGS = (
+    TAG_ROWS,
+    TAG_COLUMNS,
+    TAG_BITS_ALLOCATED,
+    TAG_PIXEL_REPRESENTATION,
+    TAG_RESCALE_SLOPE,
+    TAG_RESCALE_INTERCEPT,
+    TAG_IMAGE_POSITION,
+    TAG_INSTANCE_NUMBER,
+    TAG_PIXEL_SPACING,
+    TAG_SLICE_THICKNESS,
+    TAG_PIXEL_DATA,
+)
+
 # VR dictionary for implicit-VR parsing of the tags above
 _TAG_VR = {
     TAG_META_GROUP_LENGTH: "UL",
@@ -423,8 +438,8 @@ def _decode(data: np.ndarray, slices: list[DicomDataset], formats: list) -> None
             span, raw = raw, scratch[: count * dtype.itemsize]
             # the file may have shrunk since it was parsed
             _check_pixel_bytes(span.read_into(raw), len(raw))
-        plane[...] = np.frombuffer(raw, dtype, count).reshape(rows, cols)  # exact int -> float64
-        plane *= slope
+        # the int -> float64 cast is exact, so this is the cast, then * slope
+        np.multiply(np.frombuffer(raw, dtype, count).reshape(rows, cols), slope, out=plane)
         plane += intercept
 
 
@@ -518,28 +533,34 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
     return grid, geometry
 
 
+def _series_header(ds: DicomDataset, path: Path) -> DicomDataset:
+    """The tags of ``ds`` that ``read_series`` reads, its PixelData left
+    in ``path`` as a ``_FileSpan``."""
+    kept = DicomDataset({t: ds.elements[t] for t in _SERIES_TAGS if t in ds.elements})
+    pixels = kept.get(TAG_PIXEL_DATA)
+    if pixels is not None:
+        span = _FileSpan(path, pixels.offset, len(pixels.value))
+        kept.elements[TAG_PIXEL_DATA] = DicomElement(pixels.tag, pixels.vr, span)
+    return kept
+
+
 def read_directory(path) -> tuple[VoxelGrid, SeriesGeometry, list[str]]:
     """Parse every regular file in ``path`` (sorted by name) and assemble
     the series. Files that fail to parse are skipped and listed as
     ``"<name>: <reason>"`` in the third return value.
 
-    No slice's pixel bytes are kept from its parse: each is read back
-    from its file when the slice is decoded into the grid, so next to
-    the grid at most one slice's bytes are held."""
+    Of each parsed slice only the tags ``read_series`` reads are kept,
+    and no pixel bytes: each slice's are read back from its file when it
+    is decoded into the grid, so next to the grid at most one slice's
+    bytes are held."""
     datasets = []
     skipped = []
     for p in sorted(Path(path).iterdir()):
         if not p.is_file():
             continue
         try:
-            ds = parse_file(p.read_bytes())
+            datasets.append(_series_header(parse_file(p.read_bytes()), p))
         except DicomParseError as exc:
             skipped.append(f"{p.name}: {exc}")
-            continue
-        pixels = ds.get(TAG_PIXEL_DATA)
-        if pixels is not None:
-            span = _FileSpan(p, pixels.offset, len(pixels.value))
-            ds.elements[TAG_PIXEL_DATA] = DicomElement(pixels.tag, pixels.vr, span)
-        datasets.append(ds)
     grid, geometry = read_series(datasets)
     return grid, geometry, skipped

@@ -39,14 +39,35 @@ def _lerp(a: np.ndarray, i0: np.ndarray, frac: np.ndarray, axis: int) -> np.ndar
     return lo
 
 
+def _lines(i0: np.ndarray, frac: np.ndarray):
+    """The source lines a blend at ``i0 + frac`` reads (a slice when they
+    run unbroken, else their sorted indices) and the blend remapped onto
+    them."""
+    lines = np.union1d(i0, i0 + 1)
+    first, last = int(lines[0]), int(lines[-1])
+    if last - first + 1 == lines.size:
+        return slice(first, last + 1), (i0 - first, frac)
+    # i0 and i0 + 1 are both kept, so i0 + 1 lands next to i0
+    return lines, (np.searchsorted(lines, i0), frac)
+
+
+def _source(data: np.ndarray, lines) -> np.ndarray:
+    """``data`` cut to ``lines`` (a slice or sorted indices per axis): a
+    view when every cut is a slice, else a copy in the input's dtype."""
+    if all(isinstance(cut, slice) for cut in lines):
+        return data[tuple(lines)]
+    return data[np.ix_(*(np.arange(n)[cut] for n, cut in zip(data.shape, lines)))]
+
+
 def resize_volume(grid, target: tuple[int, int, int] = (32, 32, 32)) -> np.ndarray:
     """Trilinear resample onto the target lattice (align-corners).
 
     Accepts a VoxelGrid or a raw (nz, ny, nx) array of real or bool
     values; returns a float64 array of the target shape with values
     inside the input range. The output is made in bands of z slices:
-    each band casts only the source planes it blends to float64, then
-    runs the z, y and x passes in turn, so the memory beside the input
+    each band cuts out only the source lines that its z, y and x passes
+    blend (a view where a pass reads every line) and runs the passes in
+    turn, the first casting to float64, so the memory beside the input
     and the output stays near ``_BAND_BYTES`` whatever the grid size.
     """
     data = grid.data if isinstance(grid, VoxelGrid) else np.asarray(grid)
@@ -61,17 +82,20 @@ def resize_volume(grid, target: tuple[int, int, int] = (32, 32, 32)) -> np.ndarr
         if n_tgt < 1:
             raise ValueError("target extents must be >= 1")
         weights.append(None if n_src == n_tgt else _axis_weights(n_src, n_tgt))
-    wz, wy, wx = weights
+    wz = weights[0]
+    (ys, wy), (xs, wx) = (
+        (slice(None), None) if w is None else _lines(*w) for w in weights[1:]
+    )
     out = np.empty(tuple(target))
-    planes = 1 if wz is None else 2  # source planes per output slice
-    band = max(1, _BAND_BYTES // (planes * data[0].size * 8))
+    plane = np.arange(data.shape[1])[ys].size * np.arange(data.shape[2])[xs].size
+    # a band's source planes, then the z pass's two blended copies
+    planes = 1 if wz is None else 4
+    band = max(1, _BAND_BYTES // (planes * plane * 8))
     for k0 in range(0, out.shape[0], band):
         rows = slice(k0, k0 + band)
-        if wz is None:
-            slab = np.asarray(data[rows], dtype=np.float64)  # the y or x pass copies it
-        else:
-            slab = _lerp(data, wz[0][rows], wz[1][rows], 0)
-        for axis, w in ((1, wy), (2, wx)):
+        zs, wb = (rows, None) if wz is None else _lines(wz[0][rows], wz[1][rows])
+        slab = _source(data, (zs, ys, xs))  # the first pass makes float64 copies
+        for axis, w in ((0, wb), (1, wy), (2, wx)):
             if w is not None:
                 slab = _lerp(slab, *w, axis)
         out[rows] = slab

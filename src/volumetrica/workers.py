@@ -1,8 +1,9 @@
 """Threads for loops of independent tasks: how many to start, and the
-ordered work queue they share. The CV folds of ``stats`` and the row
-bands of ``predict`` both run through it. Standard library only; numpy
-releases the GIL in the BLAS calls and ufuncs the tasks spend their
-time in.
+ordered work queue they share. The CV folds of ``stats``, the row
+bands of ``predict`` and the input hashing beside ``estimate`` all run
+through it. Standard library only; numpy releases the GIL in the BLAS
+calls and ufuncs the tasks spend their time in, hashlib and file reads
+in theirs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ def run_in_order(task, count: int, workers: int, name: str) -> list:
     """``[task(0), ..., task(count - 1)]``, computed by the calling
     thread and ``workers - 1`` extra threads named ``name-<n>``.
 
-    Each thread takes the next task index not yet started. After a task
+    The calling thread takes task 0 before any extra thread starts, so
+    the first task's allocations stay in that thread's heap; then each
+    thread takes the next task index not yet started. After a task
     raises no further task is started, and the exception of the first
     failing task in task order is raised once every thread has stopped:
     tasks start in order, so every task before a failure has already
@@ -47,25 +50,28 @@ def run_in_order(task, count: int, workers: int, name: str) -> list:
     pending = iter(range(count))
     stop = False
 
-    def work():
+    def claim():
+        with lock:
+            return None if stop else next(pending, None)
+
+    def work(index):
         nonlocal stop
-        while True:
-            with lock:
-                index = None if stop else next(pending, None)
-            if index is None:
-                return
+        while index is not None:
             try:
                 results[index] = task(index)
             except BaseException as exc:  # re-raised on the calling thread below
                 errors[index] = exc
                 with lock:
                     stop = True
+            index = claim()
 
-    extra = [threading.Thread(target=work, name=f"{name}-{n}") for n in range(1, workers)]
+    first = claim()
+    extra = [threading.Thread(target=lambda: work(claim()), name=f"{name}-{n}")
+             for n in range(1, workers)]
     for thread in extra:
         thread.start()
     try:
-        work()
+        work(first)
     finally:
         # an interrupt on the calling thread also ends the extra threads
         # after their current task

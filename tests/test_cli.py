@@ -1,10 +1,12 @@
 import csv
 import json
 import logging
+import threading
 
 import numpy as np
 import pytest
 
+from volumetrica import cli
 from volumetrica import dicomlite as dl
 from volumetrica.cli import main
 from volumetrica.stats import resample
@@ -441,6 +443,90 @@ class TestPipelineCommands:
         assert main(["phantom", "--spec", str(sphere_spec), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 17
+
+
+class TestEstimateWorkers:
+    """``estimate`` hashes its inputs beside the estimate when a CPU is
+    spare; the report and the failures do not depend on it."""
+
+    @pytest.fixture
+    def dicom_series(self, tmp_path):
+        d = tmp_path / "series"
+        d.mkdir()
+        for k in range(6):
+            px = np.zeros((24, 24), dtype=np.uint16)
+            px[6:18, 5:19] = 100 + 40 * k
+            ds = dl.make_slice_dataset(px, pixel_spacing=(0.5, 0.5), slice_thickness=1.5,
+                                       position_z=1.5 * k, rescale=(0.01, -0.2))
+            (d / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
+        return d
+
+    def _runs(self, monkeypatch, argv, tmp_path):
+        """Exit code and report bytes at one and two workers."""
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "spare_workers", lambda tasks: workers)
+            out = tmp_path / f"report{workers}.json"
+            before = threading.enumerate()
+            code = main(argv + ["--out", str(out), "--seed", "3"])
+            assert threading.enumerate() == before
+            results.append((code, out.read_bytes() if out.exists() else None))
+        return results
+
+    def test_csv_input(self, monkeypatch, tmp_path):
+        csv = tmp_path / "s.csv"
+        csv.write_text("position_mm,area_mm2\n0,3\n1,5\n2,4\n3,1\n")
+        first, second = self._runs(monkeypatch, ["estimate", "--input", str(csv)], tmp_path)
+        assert first == second and first[0] == 0
+
+    def test_estimate_runs_on_the_calling_thread(self, monkeypatch, tmp_path):
+        csv = tmp_path / "s.csv"
+        csv.write_text("position_mm,area_mm2\n0,3\n1,5\n2,4\n")
+        threads = []
+        estimate_series = cli.estimate_series
+
+        def recorded(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return estimate_series(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_series", recorded)
+        monkeypatch.setattr(cli, "spare_workers", lambda tasks: 2)
+        assert main(["estimate", "--input", str(csv), "--out", str(tmp_path / "r.json")]) == 0
+        assert threads == [threading.current_thread()]
+
+    def test_volv_input_with_mask_and_model(self, sphere_spec, monkeypatch, tmp_path):
+        from volumetrica.nn.network import build_segmenter_3d, save_network
+
+        ph = tmp_path / "ph"
+        assert main(["phantom", "--spec", str(sphere_spec), "--out", str(ph)]) == 0
+        model = tmp_path / "net.vnet"
+        save_network(build_segmenter_3d(seed=0), model)
+        argv = ["estimate", "--input", str(ph / "case_000_grid.volv"),
+                "--mask", str(ph / "case_000_mask.volv"), "--model", str(model)]
+        first, second = self._runs(monkeypatch, argv, tmp_path)
+        assert first == second and first[0] == 0
+        assert len(json.loads(first[1])["input_checksums"]) == 3
+
+    def test_dicom_input(self, dicom_series, monkeypatch, tmp_path):
+        argv = ["estimate", "--input", str(dicom_series), "--methods", "area_based,regression"]
+        first, second = self._runs(monkeypatch, argv, tmp_path)
+        assert first == second and first[0] == 0
+        assert len(json.loads(first[1])["input_checksums"]) == 6
+
+    def test_failed_estimate_decides_the_exit(self, dicom_series, monkeypatch, tmp_path, capsys):
+        ds = dl.make_slice_dataset(np.zeros((20, 24), dtype=np.uint16), position_z=30.0)
+        (dicom_series / "slice9.dcm").write_bytes(dl.write_file(ds))
+        argv = ["estimate", "--input", str(dicom_series)]
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "spare_workers", lambda tasks: workers)
+            before = threading.enumerate()
+            assert main(argv + ["--out", str(tmp_path / "r.json")]) == 2
+            assert threading.enumerate() == before
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "slice 6 is 20x24, series is 24x24" in errors[0]
+        assert not (tmp_path / "r.json").exists()
 
 
 BAD_NUMBERS = [

@@ -348,3 +348,52 @@ class TestBoundedDecode:
         with _traced() as peak, pytest.raises(dl.DicomParseError, match="expected 32768"):
             dl.read_series(datasets)
         assert peak[0] < 128 * 128 * 8  # less than one decoded plane
+
+
+class TestDecode:
+    @pytest.mark.parametrize("dtype", ["u1", "i1", "<u2", "<i2"])
+    def test_rounding_rescale_is_bit_exact(self, dtype):
+        dtype = np.dtype(dtype)
+        info = np.iinfo(dtype)
+        raw = np.random.default_rng(dtype.itemsize).integers(
+            info.min, info.max, size=(3, 7, 5), endpoint=True).astype(dtype)
+        slope, intercept = 0.001, -1.024
+        slices = []
+        for plane in raw:
+            ds = dl.DicomDataset()
+            ds.put(dl.TAG_PIXEL_DATA, "OW", plane.tobytes())
+            slices.append(ds)
+        data = np.empty(raw.shape)
+        dl._decode(data, slices, [(dtype, slope, intercept)] * len(slices))
+        np.testing.assert_array_equal(data, raw.astype(np.float64) * slope + intercept,
+                                      strict=True)
+
+
+class TestHeaderMemory:
+    def test_slices_keep_only_the_tags_the_series_reads(self, tmp_path, monkeypatch):
+        n, extra = 12, 200
+        for k, ds in enumerate(_series(n, (8, 8))):
+            for e in range(extra):  # private tags the series never reads
+                ds.put((0x0009, 0x1000 + e), "LO", b"private value %04d" % e)
+            (tmp_path / f"slice{k:02d}.dcm").write_bytes(dl.write_file(ds))
+        expected, _ = dl.read_series([dl.parse_file(p.read_bytes())
+                                      for p in sorted(tmp_path.iterdir())])
+        held = []
+        read_series = dl.read_series
+
+        def measured(datasets):
+            held.append(tracemalloc.get_traced_memory()[0] - start)
+            assert all(set(ds.elements) <= set(dl._SERIES_TAGS) for ds in datasets)
+            return read_series(datasets)
+
+        monkeypatch.setattr(dl, "read_series", measured)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            grid, _, _ = dl.read_directory(tmp_path)
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(grid.data, expected.data, strict=True)
+        # the 200 extra elements of a slice take about 70 KiB parsed; its
+        # kept tags about 3 KiB
+        assert held[0] < n * 8192

@@ -212,7 +212,8 @@ class TestEnvelope:
     def test_envelope_fields(self, tmp_path):
         f = tmp_path / "input.bin"
         f.write_bytes(b"payload")
-        env = vio.report_envelope("estimate", {"x": 1}, seed=7, config={"a": 2}, inputs=[f])
+        env = vio.report_envelope("estimate", {"x": 1}, seed=7, config={"a": 2},
+                                  checksums=vio.input_checksums([f]))
         assert env["tool"] == "volumetrica"
         assert env["seed"] == 7
         assert len(env["config_hash"]) == 64
@@ -231,7 +232,7 @@ class TestEnvelope:
         env = vio.report_envelope(
             "estimate",
             {"case_id": "c", "methods": {"area_based": {"volume_mm3": 5.0}}, "metadata": {}},
-            seed=0, config={}, inputs=[f],
+            seed=0, config={}, checksums=vio.input_checksums([f]),
         )
         schema_dir = resources.files("volumetrica") / "schemas"
         envelope_schema = json.loads((schema_dir / "envelope.schema.json").read_text())

@@ -93,6 +93,9 @@ RESIZE_PAIRS = [
     ((9, 9, 9), (9, 9, 1)),
     ((2, 2, 2), (5, 1, 3)),  # source extents 2
     ((3, 50, 2), (32, 32, 32)),
+    ((6, 300, 512), (32, 32, 32)),  # y and x blend a few of their lines
+    ((40, 32, 512), (32, 32, 32)),  # x blends a few lines, y keeps every one
+    ((40, 512, 20), (32, 32, 32)),  # y blends a few lines, x reads every one
 ]
 
 
@@ -127,6 +130,19 @@ class TestResizeVolume:
         # a whole-array pass would hold several copies of the 84 MB grid
         assert peak < 4 * grid[0].nbytes + out.nbytes
         assert out.min() >= grid.min() and out.max() <= grid.max()
+
+    def test_large_slices_cast_only_the_lines_they_blend(self):
+        grid = np.zeros((24, 1024, 1024), dtype=bool)
+        grid[8:16, 300:700, 200:800] = True
+        tracemalloc.start()
+        try:
+            out = resize_volume(grid, (32, 32, 32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # float64 copies of whole source planes would take 16 MiB a pair
+        assert peak < 8 << 20
+        assert out.min() == 0.0 and out.max() == 1.0
 
     def test_constant_stays_constant(self):
         out = resize_volume(np.full((20, 17, 25), 3.5), (32, 32, 32))
