@@ -84,25 +84,25 @@ def cmd_phantom(args) -> int:
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cases = []
-    for i, (entry, (spec, dims, spacing)) in enumerate(zip(entries, configs)):
+
+    def write_case(i):
+        entry, (spec, dims, spacing) = entries[i], configs[i]
         grid, mask, volume = make_phantom(spec, dims, spacing)
         case_id = entry.get("id", f"case_{i:03d}")
         grid_path = out / f"{case_id}_grid.volv"
         mask_path = out / f"{case_id}_mask.volv"
         vio.write_volume(grid_path, grid)
         vio.write_volume(mask_path, mask)
-        cases.append(
-            {
-                "id": case_id,
-                "grid": grid_path.name,
-                "mask": mask_path.name,
-                "analytic_volume_mm3": volume,
-                "shape": spec.kind,
-                "seed": entry.get("seed", seed + i),
-            }
-        )
+        return {
+            "id": case_id,
+            "grid": grid_path.name,
+            "mask": mask_path.name,
+            "analytic_volume_mm3": volume,
+            "shape": spec.kind,
+            "seed": entry.get("seed", seed + i),
+        }
 
+    cases = _each_case(write_case, range(len(configs)), "phantom")
     payload = {"cases": cases}
     envelope = vio.report_envelope(
         "phantom_manifest", payload, seed, {"spec": entries}, vio.input_checksums([args.spec])
@@ -212,27 +212,29 @@ def cmd_estimate(args) -> int:
                                   methods=methods, manual_radius=args.radius)
         return report, methods
 
-    # the inputs are hashed on a CPU that BLAS leaves spare, if there is
-    # one, while the calling thread estimates the case (task 0); a failed
-    # estimate still decides the exit code, since it comes first in task
-    # order
-    (report, methods), checksums = run_in_order(
-        lambda task: estimate() if task == 0 else vio.input_checksums(inputs),
-        2, spare_workers(2), "estimate",
-    )
-    config = {
-        "input": str(src),
-        "methods": list(methods),
-        "threshold": args.threshold,
-        "radius": args.radius,
-        "mask": str(args.mask) if args.mask else None,
-        "model": str(args.model) if args.model else None,
-    }
-    envelope = vio.report_envelope("estimate", report.to_dict(), _seed(args), config, checksums)
-    if args.format == "csv":
+    if args.format == "csv":  # a CSV carries no checksums, so nothing is hashed
+        report, methods = estimate()
         rows = [(m, report.volumes.get(m, ""), report.errors.get(m, "")) for m in methods]
         vio.write_csv(args.out, ("method", "volume_mm3", "error"), rows)
     else:
+        # the inputs are hashed on a CPU that BLAS leaves spare, if there
+        # is one, while the calling thread estimates the case (task 0); a
+        # failed estimate still decides the exit code, since it comes
+        # first in task order
+        (report, methods), checksums = run_in_order(
+            lambda task: estimate() if task == 0 else vio.input_checksums(inputs),
+            2, spare_workers(2), "estimate",
+        )
+        config = {
+            "input": str(src),
+            "methods": list(methods),
+            "threshold": args.threshold,
+            "radius": args.radius,
+            "mask": str(args.mask) if args.mask else None,
+            "model": str(args.model) if args.model else None,
+        }
+        envelope = vio.report_envelope("estimate", report.to_dict(), _seed(args), config,
+                                       checksums)
         _write_report(args.out, envelope)
     if not report.volumes:
         return _fail(EXIT_RUNTIME, "all methods failed: " + "; ".join(report.errors.values()))
@@ -277,11 +279,7 @@ def cmd_train(args) -> int:
     seed = _seed(args)
     cases, _ = _load_manifest_cases(args.cohort)
     net = build_segmenter_3d(seed=seed)
-    target_shape = net.input_shape[:-1]
-    training_cases = [
-        (prepare_input(c.grid, target_shape), mask_training_target(c.mask, target_shape))
-        for c in cases
-    ]
+    training_cases = _each_case(lambda c: _training_case(net, c), cases, "train")
     config = TrainConfig(
         epochs=args.epochs, loss=args.loss, optimizer=args.optimizer, learning_rate=args.lr
     )
@@ -310,25 +308,30 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     seed = _seed(args)
-    cases, truths = _load_manifest_cases(args.cohort)
+    cases, _ = _load_manifest_cases(args.cohort)
     network = load_network(args.model)
-    rows = []
     target_shape = network.input_shape[:-1]
-    for case, truth in zip(cases, truths):
+
+    def row(case):
+        truth = case.analytic_volume
         pred = predict(network, prepare_input(case.grid, target_shape))
         pred_mask = extract_tumor_mask(pred, args.threshold)
         volume = cnn_volume(pred_mask, case.grid.dims, case.grid.spacing)
         ref = fit_target_to_output(network, mask_training_target(case.mask, target_shape))
         ref_mask = extract_tumor_mask(ref, 0.5)
-        rows.append(
-            {
-                "case_id": case.case_id,
-                "volume_mm3": volume,
-                "analytic_volume_mm3": truth,
-                "rel_error": abs(volume - truth) / truth,
-                "dice": dice(pred_mask, ref_mask),
-            }
-        )
+        return {
+            "case_id": case.case_id,
+            "volume_mm3": volume,
+            "analytic_volume_mm3": truth,
+            "rel_error": abs(volume - truth) / truth,
+            "dice": dice(pred_mask, ref_mask),
+        }
+
+    rows = _each_case(row, cases, "eval")
+    if args.format == "csv":
+        columns = ("case_id", "volume_mm3", "analytic_volume_mm3", "rel_error", "dice")
+        vio.write_csv(args.out, columns, ([r[c] for c in columns] for r in rows))
+        return EXIT_OK
     payload = {
         "cases": rows,
         "mean_rel_error": float(np.mean([r["rel_error"] for r in rows])),
@@ -338,11 +341,7 @@ def cmd_eval(args) -> int:
         "eval", payload, seed, {"threshold": args.threshold},
         vio.input_checksums([args.cohort, args.model]),
     )
-    if args.format == "csv":
-        columns = ("case_id", "volume_mm3", "analytic_volume_mm3", "rel_error", "dice")
-        vio.write_csv(args.out, columns, ([r[c] for c in columns] for r in rows))
-    else:
-        _write_report(args.out, envelope)
+    _write_report(args.out, envelope)
     return EXIT_OK
 
 
@@ -353,10 +352,10 @@ def cmd_compare(args) -> int:
     cases, _ = _load_manifest_cases(args.cohort)
     network = load_network(args.model) if args.model else None
     methods = _methods(None, network)
-    reports = [
-        estimate_all(c, network=network, threshold=args.threshold, methods=methods)
-        for c in cases
-    ]
+    reports = _each_case(
+        lambda c: estimate_all(c, network=network, threshold=args.threshold, methods=methods),
+        cases, "compare",
+    )
     matrix = discrepancy(reports, methods=methods)
     payload = {
         "matrix": matrix.to_dict(),
@@ -386,27 +385,23 @@ def cmd_stats(args) -> int:
     if args.folds > n:
         return _fail(EXIT_USAGE, f"k = {args.folds} folds exceed {n} cases")
 
-    manual = {m: [] for m in ("spherical", "area_based", "regression")}
-    for case in cases:
-        report = estimate_all(case, methods=("spherical", "area_based", "regression"))
-        for m in manual:
-            if m not in report.volumes:
-                return _fail(
-                    EXIT_RUNTIME, f"{case.case_id}: {m} failed: {report.errors.get(m)}"
-                )
-            manual[m].append(report.volumes[m])
-
+    manual_methods = ("spherical", "area_based", "regression")
     net_template = build_segmenter_3d(seed=seed)
-    target_shape = net_template.input_shape[:-1]
+
+    def prepare(case):
+        report = estimate_all(case, methods=manual_methods)
+        for m in manual_methods:
+            if m not in report.volumes:
+                raise _CaseFailed(f"{case.case_id}: {m} failed: {report.errors.get(m)}")
+        return report.volumes, _training_case(net_template, case)
+
+    try:
+        per_case = _each_case(prepare, cases, "stats")
+    except _CaseFailed as exc:
+        return _fail(EXIT_RUNTIME, str(exc))
     # every fold trains on these arrays at once: each case's first-layer
     # im2col is built once, and all of them are read-only
-    prepared = []
-    for c in cases:
-        x = prepare_input(c.grid, target_shape)
-        case = (x, mask_training_target(c.mask, target_shape), input_cols(net_template, x))
-        for a in case:
-            a.flags.writeable = False
-        prepared.append(case)
+    prepared = [case for _, case in per_case]
     train_config = TrainConfig(
         epochs=args.epochs, loss=args.loss, optimizer="adam", learning_rate=args.lr
     )
@@ -425,7 +420,7 @@ def cmd_stats(args) -> int:
     indexed = [(i, truths[i]) for i in range(n)]
     cv = cv_volume_error(indexed, trainer, estimator, plan)
 
-    volumes = {m: np.asarray(v) for m, v in manual.items()}
+    volumes = {m: np.asarray([v[m] for v, _ in per_case]) for m in manual_methods}
     volumes["ml"] = cv.per_case_volume
     payload = build_stats_report(truths, volumes, cv, k=args.folds, seed=seed)
     envelope = vio.report_envelope(
@@ -446,6 +441,31 @@ def cmd_stats(args) -> int:
 
 
 # ------------------------------------------------------------------ shared
+
+class _CaseFailed(Exception):
+    """A case a command cannot go on without; its message is the error."""
+
+
+def _each_case(fn, items, name: str) -> list:
+    """``[fn(item) for item in items]``, split over the CPUs that BLAS
+    leaves spare (``run_in_order``, threads named ``name-<n>``): results
+    come back in item order, and the first failing item in that order
+    raises. With one worker it is that loop, on the calling thread."""
+    items = list(items)
+    return run_in_order(lambda i: fn(items[i]), len(items), spare_workers(len(items)), name)
+
+
+def _training_case(net, case: EstimateCase) -> tuple:
+    """``(x, target, cols)`` of one case for ``train``: the network input,
+    its mask target and the first layer's im2col of the input, all
+    read-only so several trainings may share them across threads."""
+    target_shape = net.input_shape[:-1]
+    x = prepare_input(case.grid, target_shape)
+    triple = (x, mask_training_target(case.mask, target_shape), input_cols(net, x))
+    for a in triple:
+        a.flags.writeable = False
+    return triple
+
 
 def _write_report(out, envelope: dict) -> None:
     if out:

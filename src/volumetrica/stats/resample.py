@@ -8,6 +8,7 @@ reproducible and independently addressable from the recorded seed.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,15 +96,8 @@ class CVResult:
         return self.per_case_error[self.fold_of == fold]
 
 
-def _train_folds(cohort, trainer, plan: CVPlan) -> list:
-    """One model per fold, in fold order, trained on ``_fold_workers(k)``
-    threads through the ordered work queue of ``run_in_order``: after a
-    trainer raises no further fold is started, and the first failing
-    fold in fold order is raised."""
-    return run_in_order(
-        lambda fold: trainer([cohort[i][0] for i in plan.train_indices(fold)]),
-        plan.k, _fold_workers(plan.k), "cv-fold",
-    )
+# a fold whose trainer raised; a trainer may return None as its model
+_UNTRAINED = object()
 
 
 def cv_volume_error(cohort, trainer, estimator, plan: CVPlan) -> CVResult:
@@ -112,22 +106,44 @@ def cv_volume_error(cohort, trainer, estimator, plan: CVPlan) -> CVResult:
 
     ``cohort`` is a sequence of (case, true_volume); ``trainer`` maps a
     list of cases to a model; ``estimator`` maps (model, case) to mm^3.
-    The k models are trained concurrently (see ``_train_folds``), so
-    ``trainer`` must be safe to call from several threads at once;
-    scoring then runs on the calling thread, fold by fold.
+    The work is 2k tasks of one ordered work queue (``run_in_order``) on
+    ``_fold_workers(k)`` threads: task f trains fold f and task k + f
+    scores fold f's held-out cases once that model is ready, so a spare
+    thread scores the early folds while the last ones train. ``trainer``
+    and ``estimator`` must therefore be safe to call from several
+    threads at once. After a task raises no further task is started, and
+    the first failure in task order is raised: every training failure
+    before any scoring one. The errors and fold means are assembled in
+    fold order on the calling thread.
     """
     cohort = list(cohort)
     if len(cohort) != len(plan.fold_of):
         raise ValueError("plan does not match cohort size")
-    models = _train_folds(cohort, trainer, plan)
+    k = plan.k
+    models = [_UNTRAINED] * k
+    trained = [threading.Event() for _ in range(k)]
+
+    def task(index):
+        fold = index % k
+        if index < k:
+            try:
+                models[fold] = trainer([cohort[i][0] for i in plan.train_indices(fold)])
+            finally:  # a failed fold still releases its scorer
+                trained[fold].set()
+            return None
+        trained[fold].wait()
+        if models[fold] is _UNTRAINED:  # the trainer's error is raised instead
+            return None
+        return [float(estimator(models[fold], cohort[i][0])) for i in plan.test_indices(fold)]
+
+    scored = run_in_order(task, 2 * k, _fold_workers(k), "cv-fold")[k:]
     per_case_error = np.full(len(cohort), np.nan)
     per_case_volume = np.full(len(cohort), np.nan)
     fold_means = []
-    for fold, model in enumerate(models):
+    for fold, volumes in enumerate(scored):
         errors = []
-        for i in plan.test_indices(fold):
-            case, truth = cohort[i]
-            volume = float(estimator(model, case))
+        for i, volume in zip(plan.test_indices(fold), volumes):
+            truth = cohort[i][1]
             err = abs(volume - truth) / truth
             per_case_error[i] = err
             per_case_volume[i] = volume

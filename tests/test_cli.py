@@ -1,14 +1,19 @@
 import csv
+import hashlib
 import json
 import logging
+import shutil
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from volumetrica import cli
 from volumetrica import dicomlite as dl
+from volumetrica import io as vio
 from volumetrica.cli import main
+from volumetrica.grid import BinaryMask
 from volumetrica.stats import resample
 
 
@@ -527,6 +532,128 @@ class TestEstimateWorkers:
         assert errors[0] == errors[1]
         assert "slice 6 is 20x24, series is 24x24" in errors[0]
         assert not (tmp_path / "r.json").exists()
+
+
+class TestCohortWorkers:
+    """The cohort commands split their cases (and ``stats`` its CV folds
+    and their scoring) over the CPUs that BLAS leaves spare; the output
+    bytes and the failures do not depend on how many there are."""
+
+    @pytest.fixture
+    def spec(self, tmp_path):
+        entries = [{"dims": [24, 24, 24], "spacing_mm": [1.0, 1.0, 1.0], "noise_sigma": 0.05,
+                    "shape": "sphere", "radius_mm": 4.0 + i} for i in range(6)]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"cohort": entries}))
+        return path
+
+    @staticmethod
+    def _set_workers(monkeypatch, workers):
+        monkeypatch.setattr(cli, "spare_workers", lambda tasks: min(tasks, workers))
+        monkeypatch.setattr(resample, "_fold_workers", lambda k: min(k, workers))
+
+    def test_outputs_identical_at_one_and_two_workers(self, spec, tmp_path, monkeypatch):
+        run = tmp_path / "run"  # reports embed their input paths
+        manifest, model = str(run / "ph" / "manifest.json"), str(run / "model" / "net.vnet")
+        argvs = [
+            ["phantom", "--spec", str(spec), "--out", str(run / "ph")],
+            ["train", "--cohort", manifest, "--out", str(run / "model"), "--epochs", "2"],
+            ["eval", "--cohort", manifest, "--model", model, "--out", str(run / "eval.json")],
+            ["eval", "--cohort", manifest, "--model", model, "--format", "csv",
+             "--out", str(run / "eval.csv")],
+            ["compare", "--cohort", manifest, "--model", model, "--out",
+             str(run / "compare.json"), "--emit-plot-csv", str(run / "plot.csv")],
+            ["stats", "--cohort", manifest, "--folds", "3", "--epochs", "2",
+             "--out", str(run / "stats.json")],
+        ]
+        outputs = []
+        for workers in (1, 2):
+            self._set_workers(monkeypatch, workers)
+            shutil.rmtree(run, ignore_errors=True)
+            before = threading.enumerate()
+            for argv in argvs:
+                assert main(argv + ["--seed", "5"]) == 0, argv[0]
+            assert threading.enumerate() == before
+            outputs.append({str(p.relative_to(run)): p.read_bytes()
+                            for p in sorted(run.rglob("*")) if p.is_file()})
+        # 6 phantoms and their manifest, the model directory, 5 reports
+        assert len(outputs[0]) == 6 * 2 + 1 + 3 + 5
+        assert outputs[0] == outputs[1]
+
+    def test_first_failing_case_decides_at_one_and_two_workers(self, spec, tmp_path,
+                                                               monkeypatch, capsys):
+        ph = tmp_path / "ph"
+        assert main(["phantom", "--spec", str(spec), "--out", str(ph), "--seed", "5"]) == 0
+        for i in (1, 3):  # empty masks: the manual methods have no slice area to use
+            path = ph / f"case_{i:03d}_mask.volv"
+            mask = vio.read_volume(path)
+            vio.write_volume(path, BinaryMask(np.zeros_like(mask.data), mask.spacing))
+        out = tmp_path / "stats.json"
+        results = []
+        for workers in (1, 2):
+            self._set_workers(monkeypatch, workers)
+            before = threading.enumerate()
+            code = main(["stats", "--cohort", str(ph / "manifest.json"), "--folds", "3",
+                         "--epochs", "2", "--out", str(out)])
+            assert threading.enumerate() == before
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 1
+        assert results[0][1].startswith("error: case_001: spherical failed: ")
+        assert not out.exists()
+
+
+class TestCsvHashesNothing:
+    """A CSV output carries no checksums, so no input is hashed for it."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        calls = []
+        sha256_file = vio.sha256_file
+
+        def counting(path):
+            calls.append(Path(path))
+            return sha256_file(path)
+
+        monkeypatch.setattr(vio, "sha256_file", counting)
+        return calls
+
+    def test_estimate(self, tmp_path, hashed):
+        series = tmp_path / "s.csv"
+        series.write_text("position_mm,area_mm2\n0,3\n1,5\n2,4\n3,1\n")
+        out = tmp_path / "r.csv"
+        assert main(["estimate", "--input", str(series), "--format", "csv",
+                     "--out", str(out)]) == 0
+        assert hashed == []
+        assert out.read_text() == ("method,volume_mm3,error\n"
+                                   "spherical,8.410441740067203,\n"
+                                   "area_based,13.0,\n"
+                                   "regression,11.624999999999993,\n")
+        report = tmp_path / "r.json"
+        assert main(["estimate", "--input", str(series), "--out", str(report)]) == 0
+        assert hashed == [series]
+        doc = json.loads(report.read_text())
+        assert doc["input_checksums"] == {str(series): hashlib.sha256(series.read_bytes()).hexdigest()}
+        assert {m: v["volume_mm3"] for m, v in doc["payload"]["methods"].items()} == {
+            "spherical": 8.410441740067203, "area_based": 13.0, "regression": 11.624999999999993}
+
+    def test_eval(self, small_cohort, tmp_path, hashed):
+        from volumetrica.nn.network import build_segmenter_3d, save_network
+
+        model = tmp_path / "net.vnet"
+        save_network(build_segmenter_3d(seed=3), model)
+        argv = ["eval", "--cohort", str(small_cohort), "--model", str(model)]
+        out = tmp_path / "eval.csv"
+        assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
+        assert hashed == []
+        report = tmp_path / "eval.json"
+        assert main(argv + ["--out", str(report)]) == 0
+        assert hashed == [small_cohort, model]
+        doc = json.loads(report.read_text())
+        assert doc["input_checksums"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (small_cohort, model)}
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [{k: str(v) for k, v in r.items()} for r in doc["payload"]["cases"]] == rows
 
 
 BAD_NUMBERS = [

@@ -235,6 +235,86 @@ class TestFoldWorkers:
             sys.setswitchinterval(interval)
 
 
+class TestScoringOverlapsTraining:
+    """Task k + f scores fold f as soon as its model is ready, so a spare
+    thread scores the early folds while the last ones train."""
+
+    @staticmethod
+    def _folds(plan):
+        """the fold each trainer input belongs to"""
+        return {tuple(int(i) for i in plan.train_indices(f)): f for f in range(plan.k)}
+
+    def test_first_fold_is_scored_before_the_last_one_trains(self, monkeypatch):
+        plan = kfold(6, 3, seed=1)
+        cohort = [(i, 1.0) for i in range(6)]
+        fold_of_train = self._folds(plan)
+        scored_fold_0 = threading.Event()
+        seen_while_training = []
+
+        def trainer(cases):
+            fold = fold_of_train[tuple(cases)]
+            if fold == 2:  # returns only once fold 0 has been scored, or after the timeout
+                seen_while_training.append(scored_fold_0.wait(timeout=10))
+            return fold
+
+        def estimator(model, case):
+            if model == 0:
+                scored_fold_0.set()
+            return 1.0
+
+        monkeypatch.setattr(resample, "_fold_workers", lambda k: 2)
+        before = set(threading.enumerate())
+        cv = cv_volume_error(cohort, trainer, estimator, plan)
+        assert set(threading.enumerate()) == before
+        assert seen_while_training == [True]
+        np.testing.assert_array_equal(cv.per_case_error, 0.0)
+
+    def test_failed_fold_releases_its_waiting_scorer(self, monkeypatch):
+        plan = kfold(6, 3, seed=1)
+        cohort = [(i, 1.0) for i in range(6)]
+        fold_of_train = self._folds(plan)
+        scored_fold_0 = threading.Event()
+        scored = []
+
+        def trainer(cases):
+            fold = fold_of_train[tuple(cases)]
+            if fold == 1:
+                # by now the other thread has scored fold 0 and waits for fold 1
+                assert scored_fold_0.wait(timeout=10)
+                time.sleep(0.2)
+                raise ValueError("fold 1")
+            return fold
+
+        def estimator(model, case):
+            scored.append(model)
+            if model == 0:
+                scored_fold_0.set()
+            return 1.0
+
+        monkeypatch.setattr(resample, "_fold_workers", lambda k: 2)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="fold 1"):
+            cv_volume_error(cohort, trainer, estimator, plan)
+        assert set(threading.enumerate()) == before
+        assert 1 not in scored and 0 in scored
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_model_none_is_scored(self, monkeypatch, workers):
+        plan = kfold(9, 3, seed=2)
+        cohort = [(i, float(i + 1)) for i in range(9)]
+        models = []
+
+        def estimator(model, case):
+            models.append(model)
+            return case + 1.0
+
+        monkeypatch.setattr(resample, "_fold_workers", lambda k: workers)
+        cv = cv_volume_error(cohort, lambda cases: None, estimator, plan)
+        assert models == [None] * 9
+        np.testing.assert_array_equal(cv.per_case_volume, np.arange(1.0, 10.0))
+        np.testing.assert_array_equal(cv.per_case_error, 0.0)
+
+
 class TestCVPlan:
     def test_indices_consistency(self):
         plan = kfold(14, 4, seed=7)
