@@ -270,7 +270,11 @@ def _mask_for(grid: VoxelGrid, args) -> BinaryMask:
     # no segmentation supplied: binarize the intensities
     logger.warning("%s: no --mask given; the mask is every voxel whose raw intensity "
                    "exceeds 0.5", args.input)
-    return BinaryMask(grid.data > 0.5, grid.spacing)
+    # plane by plane, so a DICOM series is never decoded whole
+    mask = np.empty(grid.dims[::-1], dtype=bool)
+    for plane, out in zip(grid.planes(), mask):
+        np.greater(plane, 0.5, out=out)
+    return BinaryMask(mask, grid.spacing)
 
 
 # ------------------------------------------------------------- train/eval

@@ -11,13 +11,14 @@ from __future__ import annotations
 import logging
 import math
 import struct
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from volumetrica.errors import InputError
-from volumetrica.grid import Spacing, VoxelGrid
+from volumetrica.grid import Spacing, VoxelGrid, cut_lines
 
 logger = logging.getLogger(__name__)
 
@@ -425,22 +426,103 @@ def _pixel_format(ds: DicomDataset) -> tuple[np.dtype, float, float]:
     return dtype, slope, intercept
 
 
-def _decode(data: np.ndarray, slices: list[DicomDataset], formats: list) -> None:
-    """Decode each slice checked by ``_pixel_format`` into its plane of
-    ``data``. A value left in its file is read back into one slice-sized
-    buffer, which the next slice overwrites."""
-    rows, cols = data.shape[1:]
-    count = rows * cols
+def _read_stored(slices: list[DicomDataset], formats: list, shape) -> np.ndarray:
+    """The stored integers of each slice checked by ``_pixel_format``, one
+    plane a slice, in the slices' dtype (widened to a common one only if
+    they differ). A value left in its file is read straight into its
+    plane, or through one slice-sized buffer when it must be widened."""
+    stored = np.empty(shape, np.result_type(*(dtype for dtype, _, _ in formats)))
+    count = shape[1] * shape[2]
     scratch = np.empty(count * 2, np.uint8)
-    for plane, ds, (dtype, slope, intercept) in zip(data, slices, formats):
+    for plane, ds, (dtype, _, _) in zip(stored, slices, formats):
         raw = ds.get(TAG_PIXEL_DATA).value
         if isinstance(raw, _FileSpan):
-            span, raw = raw, scratch[: count * dtype.itemsize]
+            span, direct = raw, dtype == stored.dtype
+            raw = plane.reshape(-1).view(np.uint8) if direct else scratch[: count * dtype.itemsize]
             # the file may have shrunk since it was parsed
             _check_pixel_bytes(span.read_into(raw), len(raw))
-        # the int -> float64 cast is exact, so this is the cast, then * slope
-        np.multiply(np.frombuffer(raw, dtype, count).reshape(rows, cols), slope, out=plane)
-        plane += intercept
+            if direct:
+                continue
+        plane[...] = np.frombuffer(raw, dtype, count).reshape(plane.shape)
+    return stored
+
+
+def _decode(stored: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray) -> np.ndarray:
+    """``stored * slope + intercept`` as float64, each first-axis plane by
+    its own slope and intercept: the exact int -> float64 cast, one
+    rounded multiply and one rounded add. The only decode: a whole grid,
+    the lines a resize reads and each slice's extremes all go through it,
+    so they agree to the bit."""
+    shape = (-1,) + (1,) * (stored.ndim - 1)
+    data = np.multiply(stored, slopes.reshape(shape), dtype=np.float64)
+    data += intercepts.reshape(shape)
+    return data
+
+
+def _decodes_finite(stored: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray) -> bool:
+    """Whether every value ``_decode`` makes of ``stored`` is finite,
+    decided from each plane's stored minimum and maximum alone.
+
+    Exact, because both directions hold. The extremes are stored values,
+    so a non-finite extreme is a non-finite value. Conversely, if both
+    extremes decode finite, slope and intercept are finite: an infinite
+    or NaN slope makes ``v * slope`` infinite or NaN for every ``v`` (NaN
+    for ``0 * inf``), and an infinite or NaN intercept makes every sum
+    infinite or NaN. With both finite, ``v -> v * slope`` is monotone in
+    ``v`` (increasing for a positive slope, decreasing for a negative one,
+    constant for zero) and round-to-nearest is monotone, overflow included
+    (it goes to the infinity of the same sign), so ``fl(v * slope)`` is
+    monotone; adding a finite intercept and rounding keeps it so. Every
+    decoded value then lies between the two decoded extremes, which are
+    finite."""
+    if stored.size == 0:
+        return True
+    flat = stored.reshape(len(stored), -1)
+    extremes = np.stack([flat.min(axis=1), flat.max(axis=1)], axis=1)
+    return bool(np.isfinite(_decode(extremes, slopes, intercepts)).all())
+
+
+class _SeriesGrid(VoxelGrid):
+    """The VoxelGrid of a DICOM series, kept as each slice's stored
+    integers (two bytes a voxel or less) with its slope and intercept.
+
+    ``lines`` decodes only the lines it is asked for. ``data`` decodes
+    the whole grid on its first read, once even when threads race for
+    it, and then lets the stored integers go. Both run ``_decode``, so a
+    line reads the same bits either way. ``dims`` and ``spacing`` need no
+    decode."""
+
+    def __init__(self, stored: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray,
+                 spacing: Spacing):
+        if not _decodes_finite(stored, slopes, intercepts):
+            raise ValueError("grid data contains non-finite values")
+        fields = {"spacing": spacing, "_stored": stored, "_rescale": (slopes, intercepts),
+                  "_shape": stored.shape, "_decoded": None, "_lock": threading.Lock()}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._decoded is None:
+            with self._lock:
+                if self._decoded is None:
+                    data = _decode(self._stored, *self._rescale)
+                    data.flags.writeable = False
+                    object.__setattr__(self, "_decoded", data)
+                    object.__setattr__(self, "_stored", None)
+        return self._decoded
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        nz, ny, nx = self._shape
+        return (nx, ny, nz)
+
+    def lines(self, cuts) -> np.ndarray:
+        stored = self._stored  # None once data has been decoded
+        if stored is None:
+            return super().lines(cuts)
+        slopes, intercepts = self._rescale
+        return _decode(cut_lines(stored, cuts), slopes[cuts[0]], intercepts[cuts[0]])
 
 
 def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry]:
@@ -451,6 +533,15 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
     keys keep input order. Missing PixelSpacing/SliceThickness default
     to 1.0 mm with a recorded warning; a PixelSpacing with fewer than
     two values raises GeometryMismatchError.
+
+    The grid holds each slice's stored integers (``u1``/``i1``/``<u2``/
+    ``<i2``, at most two bytes a voxel unless slices of both signs must
+    share one dtype) with its slope and intercept, not float64 values:
+    every slice's pixel bytes are read here, and a grid whose decode
+    would hold a non-finite value raises GeometryMismatchError here,
+    decided from each slice's stored extremes. Its ``data`` decodes the
+    whole grid on first read; ``VoxelGrid.lines`` decodes only the lines
+    asked for.
     """
     usable: list[tuple[int, DicomDataset]] = []
     warnings: list[str] = []
@@ -512,13 +603,14 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
             uniform_z = False
             warnings.append("non-uniform z gaps between slices; series flagged, not resampled")
 
-    # every slice is checked before the grid is allocated, then decoded
-    # into it one at a time
+    # every slice is checked before the stored pixels are allocated,
+    # then read into them one at a time
     formats = [_pixel_format(usable[j][1]) for j in order]
-    data = np.empty((len(formats), rows, cols))
-    _decode(data, [usable[j][1] for j in order], formats)
+    stored = _read_stored([usable[j][1] for j in order], formats, (len(formats), rows, cols))
+    slopes = np.array([slope for _, slope, _ in formats], dtype=np.float64)
+    intercepts = np.array([intercept for _, _, intercept in formats], dtype=np.float64)
     try:
-        grid = VoxelGrid(data, Spacing(sx, sy, thickness))
+        grid = _SeriesGrid(stored, slopes, intercepts, Spacing(sx, sy, thickness))
         geometry = SeriesGeometry(
             rows=rows,
             cols=cols,
@@ -528,7 +620,7 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
             warnings=tuple(warnings),
             uniform_z=uniform_z,
         )
-    except ValueError as exc:  # empty slices, non-finite spacing or rescale values
+    except ValueError as exc:  # empty slices, non-finite spacing or decoded values
         raise GeometryMismatchError(str(exc)) from exc
     return grid, geometry
 
@@ -550,9 +642,10 @@ def read_directory(path) -> tuple[VoxelGrid, SeriesGeometry, list[str]]:
     ``"<name>: <reason>"`` in the third return value.
 
     Of each parsed slice only the tags ``read_series`` reads are kept,
-    and no pixel bytes: each slice's are read back from its file when it
-    is decoded into the grid, so next to the grid at most one slice's
-    bytes are held."""
+    and no pixel bytes: each slice's are read back from its file straight
+    into the grid's stored integers. So the read holds those integers
+    (two bytes a voxel for 16-bit slices) and one file's bytes while it
+    parses, never a float64 grid; that comes only when ``data`` is read."""
     datasets = []
     skipped = []
     for p in sorted(Path(path).iterdir()):

@@ -54,6 +54,14 @@ def _all_finite(a: np.ndarray) -> bool:
     return all(np.isfinite(a[k : k + step]).all() for k in range(0, a.shape[0], step))
 
 
+def cut_lines(a: np.ndarray, lines) -> np.ndarray:
+    """``a`` cut to ``lines`` (a slice or sorted indices per axis): a
+    view when every cut is a slice, else a copy in ``a``'s dtype."""
+    if all(isinstance(cut, slice) for cut in lines):
+        return a[tuple(lines)]
+    return a[np.ix_(*(np.arange(n)[cut] for n, cut in zip(a.shape, lines)))]
+
+
 @dataclass(frozen=True)
 class VoxelGrid:
     """Scalar intensity volume with physical spacing.
@@ -76,6 +84,20 @@ class VoxelGrid:
     def dims(self) -> tuple[int, int, int]:
         nz, ny, nx = self.data.shape
         return (nx, ny, nz)
+
+    def lines(self, cuts) -> np.ndarray:
+        """The grid's values on ``cuts`` (a slice or sorted indices per
+        axis, ``[z, y, x]``) as float64: here ``cut_lines`` of ``data``.
+        A grid that keeps its values in another form (a DICOM series'
+        stored integers) computes only these."""
+        return cut_lines(self.data, cuts)
+
+    def planes(self):
+        """Each ``[y, x]`` plane in z order, one at a time, through
+        ``lines``: a DICOM series decodes a plane, never the whole grid."""
+        every = slice(None)
+        for z in range(self.dims[2]):
+            yield self.lines((slice(z, z + 1), every, every))[0]
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,11 @@ _HEADER_BYTES = 45  # magic, u32 version, u8 code, 3 x u32 dims, 3 x f8 spacing
 
 def write_volume(path, volume: VoxelGrid | BinaryMask) -> None:
     if isinstance(volume, VoxelGrid):
-        code, payload = _DTYPE_GRID, np.ascontiguousarray(volume.data, dtype="<f8")
+        # plane by plane, so a DICOM series is never decoded whole
+        code = _DTYPE_GRID
+        payload = (np.ascontiguousarray(plane, dtype="<f8") for plane in volume.planes())
     elif isinstance(volume, BinaryMask):
-        code, payload = _DTYPE_MASK, np.ascontiguousarray(volume.data, dtype=np.uint8)
+        code, payload = _DTYPE_MASK, [np.ascontiguousarray(volume.data, dtype=np.uint8)]
     else:
         raise TypeError(f"cannot serialize {type(volume)!r}")
     nx, ny, nz = volume.dims
@@ -46,7 +48,8 @@ def write_volume(path, volume: VoxelGrid | BinaryMask) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)  # the array's own buffer, not a bytes copy of it
+        for chunk in payload:
+            fh.write(chunk)  # the array's own buffer, not a bytes copy of it
 
 
 def read_volume(path) -> VoxelGrid | BinaryMask:

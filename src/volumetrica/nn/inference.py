@@ -3,9 +3,11 @@ segmentation network."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
+from volumetrica.grid import BinaryMask, Spacing, VoxelGrid, cut_lines
 
 
 # Bytes of float64 source planes that one band of output z slices may
@@ -51,14 +53,6 @@ def _lines(i0: np.ndarray, frac: np.ndarray):
     return lines, (np.searchsorted(lines, i0), frac)
 
 
-def _source(data: np.ndarray, lines) -> np.ndarray:
-    """``data`` cut to ``lines`` (a slice or sorted indices per axis): a
-    view when every cut is a slice, else a copy in the input's dtype."""
-    if all(isinstance(cut, slice) for cut in lines):
-        return data[tuple(lines)]
-    return data[np.ix_(*(np.arange(n)[cut] for n, cut in zip(data.shape, lines)))]
-
-
 def resize_volume(grid, target: tuple[int, int, int] = (32, 32, 32)) -> np.ndarray:
     """Trilinear resample onto the target lattice (align-corners).
 
@@ -66,17 +60,23 @@ def resize_volume(grid, target: tuple[int, int, int] = (32, 32, 32)) -> np.ndarr
     values; returns a float64 array of the target shape with values
     inside the input range. The output is made in bands of z slices:
     each band cuts out only the source lines that its z, y and x passes
-    blend (a view where a pass reads every line) and runs the passes in
-    turn, the first casting to float64, so the memory beside the input
-    and the output stays near ``_BAND_BYTES`` whatever the grid size.
+    blend and runs the passes in turn, the first casting to float64, so
+    the memory beside the input and the output stays near
+    ``_BAND_BYTES`` whatever the grid size. A grid's lines come from
+    ``VoxelGrid.lines`` (a view where a pass reads every line; a DICOM
+    series decodes only them), an array's from ``cut_lines``.
     """
-    data = grid.data if isinstance(grid, VoxelGrid) else np.asarray(grid)
-    if data.ndim != 3:
-        raise ValueError("volume must be 3-D")
-    if tuple(data.shape) == tuple(target):
-        return data.astype(np.float64, copy=True)
+    if isinstance(grid, VoxelGrid):
+        shape, cut = grid.dims[::-1], grid.lines
+    else:
+        data = np.asarray(grid)
+        if data.ndim != 3:
+            raise ValueError("volume must be 3-D")
+        shape, cut = data.shape, partial(cut_lines, data)
+    if tuple(shape) == tuple(target):
+        return cut((slice(None),) * 3).astype(np.float64, copy=True)
     weights = []
-    for axis, (n_src, n_tgt) in enumerate(zip(data.shape, target)):
+    for axis, (n_src, n_tgt) in enumerate(zip(shape, target)):
         if n_src < 2:
             raise ValueError(f"axis {axis} has extent {n_src}; need >= 2 to interpolate")
         if n_tgt < 1:
@@ -87,14 +87,14 @@ def resize_volume(grid, target: tuple[int, int, int] = (32, 32, 32)) -> np.ndarr
         (slice(None), None) if w is None else _lines(*w) for w in weights[1:]
     )
     out = np.empty(tuple(target))
-    plane = np.arange(data.shape[1])[ys].size * np.arange(data.shape[2])[xs].size
+    plane = np.arange(shape[1])[ys].size * np.arange(shape[2])[xs].size
     # a band's source planes, then the z pass's two blended copies
     planes = 1 if wz is None else 4
     band = max(1, _BAND_BYTES // (planes * plane * 8))
     for k0 in range(0, out.shape[0], band):
         rows = slice(k0, k0 + band)
         zs, wb = (rows, None) if wz is None else _lines(wz[0][rows], wz[1][rows])
-        slab = _source(data, (zs, ys, xs))  # the first pass makes float64 copies
+        slab = cut((zs, ys, xs))  # the first pass makes float64 copies
         for axis, w in ((0, wb), (1, wy), (2, wx)):
             if w is not None:
                 slab = _lerp(slab, *w, axis)

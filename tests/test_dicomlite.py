@@ -1,13 +1,21 @@
+import argparse
 import contextlib
 import logging
+import math
 import struct
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from volumetrica import dicomlite as dl
-from volumetrica.cli import main
+from volumetrica import io as vio
+from volumetrica.cli import _mask_for, main
+from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
+from volumetrica.nn.inference import prepare_input
 
 
 def _implicit_bytes(elements):
@@ -363,8 +371,8 @@ class TestDecode:
             ds = dl.DicomDataset()
             ds.put(dl.TAG_PIXEL_DATA, "OW", plane.tobytes())
             slices.append(ds)
-        data = np.empty(raw.shape)
-        dl._decode(data, slices, [(dtype, slope, intercept)] * len(slices))
+        stored = dl._read_stored(slices, [(dtype, slope, intercept)] * len(slices), raw.shape)
+        data = dl._decode(stored, np.full(len(slices), slope), np.full(len(slices), intercept))
         np.testing.assert_array_equal(data, raw.astype(np.float64) * slope + intercept,
                                       strict=True)
 
@@ -397,3 +405,235 @@ class TestHeaderMemory:
         # the 200 extra elements of a slice take about 70 KiB parsed; its
         # kept tags about 3 KiB
         assert held[0] < n * 8192
+
+
+def _typed_slices(formats, shape, seed=0):
+    """One slice per ``(dtype, slope, intercept)`` in shuffled z order,
+    with its stored values spanning the dtype's range; returns the
+    datasets and the reference grid ``stored.astype(f8) * slope +
+    intercept`` in z order."""
+    rng = np.random.default_rng(seed)
+    n = len(formats)
+    datasets, planes = [None] * n, [None] * n
+    for k, (dtype, slope, intercept) in enumerate(formats):
+        dtype = np.dtype(dtype)
+        info = np.iinfo(dtype)
+        stored = rng.integers(info.min, info.max, size=shape, endpoint=True).astype(dtype)
+        ds = dl.make_slice_dataset(np.zeros(shape, np.uint16), pixel_spacing=(0.7, 0.6),
+                                   slice_thickness=2.0, position_z=2.0 * k,
+                                   rescale=(slope, intercept))
+        ds.put(dl.TAG_BITS_ALLOCATED, "US", struct.pack("<H", 8 * dtype.itemsize))
+        ds.put(dl.TAG_PIXEL_REPRESENTATION, "US", struct.pack("<H", int(info.min < 0)))
+        ds.put(dl.TAG_PIXEL_DATA, "OW", stored.tobytes())
+        slot = (7 * k) % n  # a shuffled input order; n is never a multiple of 7
+        datasets[slot] = ds
+        planes[k] = stored.astype(np.float64) * slope + intercept
+    return datasets, np.stack(planes)
+
+
+_DTYPES = ["u1", "i1", "<u2", "<i2"]
+_TARGETS = {
+    # every pass reads unbroken runs of lines (slices)
+    "unbroken": (32, 32, 32),
+    # the z, y and x passes skip lines (index arrays)
+    "gapped": (4, 6, 5),
+}
+
+
+class TestLazyDecode:
+    """A series grid keeps stored integers and decodes on demand; every
+    route to its values gives the bits of a full float64 decode."""
+
+    def _check(self, grid, reference, target):
+        plain = VoxelGrid(reference, grid.spacing)
+        np.testing.assert_array_equal(prepare_input(grid, target), prepare_input(plain, target),
+                                      strict=True)
+
+    @pytest.mark.parametrize("target", _TARGETS.values(), ids=_TARGETS.keys())
+    @pytest.mark.parametrize("slope", [1.25, -0.75])
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    def test_resize_matches_full_decode(self, dtype, slope, target):
+        datasets, reference = _typed_slices([(dtype, slope, -1024.0)] * 9, (40, 36))
+        grid, _ = dl.read_series(datasets)
+        assert isinstance(grid, VoxelGrid) and grid.dims == (36, 40, 9)
+        self._check(grid, reference, target)
+        # nothing above decoded the whole grid
+        assert grid._decoded is None and grid._stored.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(grid.data, reference, strict=True)
+        assert grid._stored is None  # let go once decoded
+        self._check(grid, reference, target)
+
+    @pytest.mark.parametrize("target", _TARGETS.values(), ids=_TARGETS.keys())
+    def test_slices_of_differing_dtype_and_rescale(self, target, tmp_path):
+        formats = [(_DTYPES[k % 4], 0.5 + 0.25 * k, -10.0 * k) for k in range(11)]
+        formats[3] = ("<u2", -1.5, 3.0)
+        datasets, reference = _typed_slices(formats, (40, 36), seed=1)
+        grid, _ = dl.read_series(datasets)
+        assert grid._stored.dtype == np.dtype("i4")  # u2 and i2 both fit
+        self._check(grid, reference, target)
+        # the same slices read back from files, widened through one buffer
+        for k, ds in enumerate(datasets):
+            (tmp_path / f"s{k:02d}.dcm").write_bytes(dl.write_file(ds))
+        from_files, _, _ = dl.read_directory(tmp_path)
+        self._check(from_files, reference, target)
+        np.testing.assert_array_equal(from_files.data, reference, strict=True)
+
+    def test_series_already_on_the_target_lattice(self):
+        datasets, reference = _typed_slices([("<i2", -0.5, 7.0)] * 32, (32, 32), seed=2)
+        grid, _ = dl.read_series(datasets)
+        self._check(grid, reference, (32, 32, 32))
+        assert grid._decoded is None
+
+    def test_threads_share_one_decode(self):
+        datasets, reference = _typed_slices([("<u2", 1.25, -1024.0)] * 9, (256, 256), seed=3)
+        grid, _ = dl.read_series(datasets)
+        start = threading.Barrier(8)
+
+        def read(_):
+            start.wait(timeout=60)  # all eight ask for data at once
+            return grid.data
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                results = list(pool.map(read, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        # a second decode would hand some thread another array
+        assert len(results) == 8 and all(r is results[0] for r in results)
+        assert not results[0].flags.writeable
+        np.testing.assert_array_equal(results[0], reference, strict=True)
+
+    def test_planes_decode_one_at_a_time(self):
+        datasets, reference = _typed_slices([("i1", 3.0, 0.5)] * 5, (6, 7), seed=4)
+        grid, _ = dl.read_series(datasets)
+        for plane, expected in zip(grid.planes(), reference, strict=True):
+            np.testing.assert_array_equal(plane, expected, strict=True)
+        assert grid._decoded is None
+
+
+_RESCALE_VALUES = [math.inf, -math.inf, math.nan, 1e305, -1e305, -2.5, 0.0, 1.0]
+_STORED_RANGES = {
+    "zero": ("<u2", 0, 0),
+    "u2": ("<u2", 0, 4095),
+    "i2-spans-0": ("<i2", -2000, 2000),
+    # only one extreme overflows at slope ±1e305
+    "mostly-negative": ("<i2", -2000, 5),
+    "mostly-positive": ("<i2", -5, 2000),
+    "positive": ("<i2", 3, 9),
+    "negative": ("<i2", -9, -3),
+    "u1": ("u1", 0, 255),
+    "i1": ("i1", -128, 127),
+}
+
+
+class TestFiniteVerdict:
+    """``read_series`` raises GeometryMismatchError exactly when the full
+    decode holds a non-finite value, deciding from stored extremes."""
+
+    @pytest.mark.parametrize("stored_range", _STORED_RANGES.values(), ids=_STORED_RANGES.keys())
+    def test_raises_iff_full_decode_is_not_finite(self, stored_range, monkeypatch):
+        dtype, low, high = stored_range
+        hostile = np.linspace(low, high, 16).round().astype(dtype).reshape(4, 4)
+        tame = np.arange(16, dtype=dtype).reshape(4, 4)
+        datasets = []
+        for z, stored in enumerate([tame, hostile]):
+            ds = dl.make_slice_dataset(np.zeros((4, 4), np.uint16), position_z=float(z))
+            ds.put(dl.TAG_BITS_ALLOCATED, "US", struct.pack("<H", 8 * stored.itemsize))
+            ds.put(dl.TAG_PIXEL_REPRESENTATION, "US", struct.pack("<H", int(dtype[-2] == "i")))
+            ds.put(dl.TAG_PIXEL_DATA, "OW", stored.tobytes())
+            datasets.append(ds)
+        # a DS value cannot carry inf or NaN, so the parsed rescale of the
+        # hostile slice is replaced after its parse
+        rescale = {}
+        pixel_format = dl._pixel_format
+
+        def injected(ds):
+            dtype, slope, intercept = pixel_format(ds)
+            return (dtype, *rescale.get(id(ds), (slope, intercept)))
+
+        monkeypatch.setattr(dl, "_pixel_format", injected)
+        for slope in _RESCALE_VALUES:
+            for intercept in _RESCALE_VALUES:
+                rescale[id(datasets[1])] = (slope, intercept)
+                with np.errstate(all="ignore"):
+                    full = np.stack([tame.astype(np.float64),
+                                     hostile.astype(np.float64) * slope + intercept])
+                    if np.isfinite(full).all():
+                        grid, _ = dl.read_series(datasets)
+                        np.testing.assert_array_equal(grid.data, full, strict=True)
+                    else:
+                        with pytest.raises(dl.GeometryMismatchError,
+                                           match="grid data contains non-finite values"):
+                            dl.read_series(datasets)
+
+    def test_inf_slope_over_a_range_spanning_zero(self):
+        stored = np.array([[[-3, 0, 5]]], dtype="<i2")
+        with np.errstate(all="ignore"):
+            for slope in (math.inf, -math.inf):
+                assert not dl._decodes_finite(stored, np.array([slope]), np.array([0.0]))
+            # inf * 0 alone is NaN
+            assert not dl._decodes_finite(np.zeros((1, 1, 3), "<i2"), np.array([math.inf]),
+                                          np.array([0.0]))
+
+    @pytest.mark.parametrize("rows, cols", [(0, 4), (4, 0)])
+    def test_empty_planes_reach_the_geometry_check(self, rows, cols):
+        # no extremes to decode: the shape check decides, as for any grid
+        ds = _series(1, (4, 4))[0]
+        ds.put(dl.TAG_ROWS, "US", struct.pack("<H", rows))
+        ds.put(dl.TAG_COLUMNS, "US", struct.pack("<H", cols))
+        with pytest.raises(dl.GeometryMismatchError, match="rows and cols must be positive"):
+            dl.read_series([ds, ds])
+
+    def test_huge_rescale_through_the_cli_exits_2(self, tmp_path, capsys):
+        for k, ds in enumerate(_series(3, (8, 8), rescale=(1e305, 0.0))):
+            (tmp_path / f"s{k}.dcm").write_bytes(dl.write_file(ds))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["ingest", "--input", str(tmp_path), "--out", str(out)]) == 2
+        assert "grid data contains non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEstimateMemory:
+    """No ``estimate`` path on a DICOM series holds its float64 grid."""
+
+    @pytest.fixture
+    def series_dir(self, tmp_path):
+        d = tmp_path / "series"
+        d.mkdir()
+        for k, ds in enumerate(_series(24, (256, 256))):
+            (d / f"slice{k:02d}.dcm").write_bytes(dl.write_file(ds))
+        return d
+
+    @pytest.mark.parametrize("with_mask", [True, False], ids=["mask", "no-mask"])
+    def test_estimate_peaks_below_the_float_grid(self, series_dir, tmp_path, with_mask):
+        extra = []
+        if with_mask:
+            mask = np.zeros((24, 256, 256), dtype=bool)
+            mask[6:18, 80:170, 90:160] = True
+            vio.write_volume(tmp_path / "mask.volv", BinaryMask(mask, Spacing(0.7, 0.7, 2.5)))
+            extra = ["--mask", str(tmp_path / "mask.volv")]
+        argv = ["estimate", "--input", str(series_dir), "--methods", "all",
+                "--out", str(tmp_path / "est.json"), *extra]
+        with _traced() as peak:
+            assert main(argv) == 0
+        assert peak[0] < 24 * 256 * 256 * 8
+
+    def test_fallback_mask_matches_the_decoded_threshold(self, series_dir):
+        grid, _, _ = dl.read_directory(series_dir)
+        mask = _mask_for(grid, argparse.Namespace(mask=None, input=str(series_dir)))
+        assert grid._decoded is None
+        np.testing.assert_array_equal(mask.data, grid.data > 0.5, strict=True)
+
+    def test_ingest_stays_within_the_read_bound(self, series_dir, tmp_path):
+        file_bytes = (series_dir / "slice00.dcm").stat().st_size
+        out = tmp_path / "out"
+        with _traced() as peak:
+            assert main(["ingest", "--input", str(series_dir), "--out", str(out)]) == 0
+        voxels = 24 * 256 * 256
+        assert peak[0] <= voxels * (8 + 2 + 1) + 2 * file_bytes + (256 << 10)
+        grid, _, _ = dl.read_directory(series_dir)
+        np.testing.assert_array_equal(vio.read_volume(out / "grid.volv").data, grid.data,
+                                      strict=True)
