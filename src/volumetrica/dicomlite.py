@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from volumetrica.errors import InputError
-from volumetrica.grid import Spacing, VoxelGrid, cut_lines
+from volumetrica.grid import Spacing, VoxelGrid
 
 logger = logging.getLogger(__name__)
 
@@ -120,9 +120,6 @@ class DicomElement:
     tag: tuple[int, int]
     vr: str
     value: bytes
-    # where the value starts in the bytes it was parsed from; None for an
-    # element built in memory
-    offset: int | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -208,7 +205,7 @@ def _parse_element(data: bytes, pos: int, explicit: bool):
         raise TruncatedFileError(
             f"value of ({group:04X},{elem:04X}) declared {length} bytes but data ends", body
         )
-    return DicomElement((group, elem), vr, data[body : body + length], body), body + length
+    return DicomElement((group, elem), vr, data[body : body + length]), body + length
 
 
 def parse_file(data: bytes) -> DicomDataset:
@@ -378,47 +375,26 @@ class SeriesGeometry:
             raise ValueError("spacing components must be positive")
 
 
-@dataclass(frozen=True)
-class _FileSpan:
-    """A PixelData value left in its file, read back when the slice is
-    decoded: it has the value's length, and ``read_into`` copies its
-    bytes into a buffer."""
-
-    path: Path
-    offset: int
-    size: int
-
-    def __len__(self) -> int:
-        return self.size
-
-    def read_into(self, buf: np.ndarray) -> int:
-        """Fill ``buf`` from the start of the value; returns how many
-        bytes the file still held."""
-        with open(self.path, "rb", buffering=0) as fh:
-            fh.seek(self.offset)
-            return fh.readinto(buf)
-
-
-def _check_pixel_bytes(size: int, need: int) -> None:
-    if size < need:
-        raise DicomParseError(f"pixel data has {size} bytes, expected {need}")
-
-
 def _pixel_format(ds: DicomDataset) -> tuple[np.dtype, float, float]:
     """One slice's stored dtype, rescale slope and intercept. Raises
-    DicomParseError when its PixelData holds fewer pixels than Rows x
-    Columns declare, so a header alone never sizes an allocation."""
+    DicomParseError on a BitsAllocated or PixelRepresentation it cannot
+    decode (a missing one defaults to 16 bits, unsigned), and when its
+    PixelData holds fewer pixels than Rows x Columns declare, so a header
+    alone never sizes an allocation."""
     rows = ds.ushort(TAG_ROWS)
     cols = ds.ushort(TAG_COLUMNS)
-    bits = ds.ushort(TAG_BITS_ALLOCATED) or 16
-    signed = (ds.ushort(TAG_PIXEL_REPRESENTATION) or 0) == 1
-    if bits == 8:
-        dtype = np.dtype(np.int8 if signed else np.uint8)
-    elif bits == 16:
-        dtype = np.dtype("<i2") if signed else np.dtype("<u2")
-    else:
+    bits = ds.ushort(TAG_BITS_ALLOCATED)
+    bits = 16 if bits is None else bits
+    representation = ds.ushort(TAG_PIXEL_REPRESENTATION)
+    if representation not in (None, 0, 1):
+        raise DicomParseError(f"PixelRepresentation {representation} not supported")
+    dtypes = {8: ("u1", "i1"), 16: ("<u2", "<i2")}
+    if bits not in dtypes:
         raise DicomParseError(f"BitsAllocated {bits} not supported")
-    _check_pixel_bytes(len(ds.get(TAG_PIXEL_DATA).value), rows * cols * dtype.itemsize)
+    dtype = np.dtype(dtypes[bits][representation == 1])
+    size, need = len(ds.get(TAG_PIXEL_DATA).value), rows * cols * dtype.itemsize
+    if size < need:
+        raise DicomParseError(f"pixel data has {size} bytes, expected {need}")
     slope_vals = ds.numbers(TAG_RESCALE_SLOPE)
     inter_vals = ds.numbers(TAG_RESCALE_INTERCEPT)
     slope = slope_vals[0] if slope_vals else 1.0
@@ -426,42 +402,22 @@ def _pixel_format(ds: DicomDataset) -> tuple[np.dtype, float, float]:
     return dtype, slope, intercept
 
 
-def _read_stored(slices: list[DicomDataset], formats: list, shape) -> np.ndarray:
-    """The stored integers of each slice checked by ``_pixel_format``, one
-    plane a slice, in the slices' dtype (widened to a common one only if
-    they differ). A value left in its file is read straight into its
-    plane, or through one slice-sized buffer when it must be widened."""
-    stored = np.empty(shape, np.result_type(*(dtype for dtype, _, _ in formats)))
-    count = shape[1] * shape[2]
-    scratch = np.empty(count * 2, np.uint8)
-    for plane, ds, (dtype, _, _) in zip(stored, slices, formats):
-        raw = ds.get(TAG_PIXEL_DATA).value
-        if isinstance(raw, _FileSpan):
-            span, direct = raw, dtype == stored.dtype
-            raw = plane.reshape(-1).view(np.uint8) if direct else scratch[: count * dtype.itemsize]
-            # the file may have shrunk since it was parsed
-            _check_pixel_bytes(span.read_into(raw), len(raw))
-            if direct:
-                continue
-        plane[...] = np.frombuffer(raw, dtype, count).reshape(plane.shape)
-    return stored
+def _decode(stored: np.ndarray, slope: float, intercept: float,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """``stored * slope + intercept`` as float64, written into ``out`` when
+    given: the exact int -> float64 cast, one rounded multiply and one
+    rounded add. The only decode: a whole grid, the lines a resize reads
+    and each slice's extremes all go through it, so they agree to the
+    bit."""
+    out = np.multiply(stored, slope, out=out, dtype=np.float64)
+    out += intercept
+    return out
 
 
-def _decode(stored: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray) -> np.ndarray:
-    """``stored * slope + intercept`` as float64, each first-axis plane by
-    its own slope and intercept: the exact int -> float64 cast, one
-    rounded multiply and one rounded add. The only decode: a whole grid,
-    the lines a resize reads and each slice's extremes all go through it,
-    so they agree to the bit."""
-    shape = (-1,) + (1,) * (stored.ndim - 1)
-    data = np.multiply(stored, slopes.reshape(shape), dtype=np.float64)
-    data += intercepts.reshape(shape)
-    return data
-
-
-def _decodes_finite(stored: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray) -> bool:
-    """Whether every value ``_decode`` makes of ``stored`` is finite,
-    decided from each plane's stored minimum and maximum alone.
+def _decodes_finite(planes, slopes, intercepts) -> bool:
+    """Whether every value ``_decode`` makes of each of ``planes`` with its
+    slope and intercept is finite, decided from each plane's stored
+    minimum and maximum alone.
 
     Exact, because both directions hold. The extremes are stored values,
     so a non-finite extreme is a non-finite value. Conversely, if both
@@ -475,29 +431,31 @@ def _decodes_finite(stored: np.ndarray, slopes: np.ndarray, intercepts: np.ndarr
     monotone; adding a finite intercept and rounding keeps it so. Every
     decoded value then lies between the two decoded extremes, which are
     finite."""
-    if stored.size == 0:
-        return True
-    flat = stored.reshape(len(stored), -1)
-    extremes = np.stack([flat.min(axis=1), flat.max(axis=1)], axis=1)
-    return bool(np.isfinite(_decode(extremes, slopes, intercepts)).all())
+    return all(
+        np.isfinite(_decode(np.array([plane.min(), plane.max()]), slope, intercept)).all()
+        for plane, slope, intercept in zip(planes, slopes, intercepts)
+        if plane.size
+    )
 
 
 class _SeriesGrid(VoxelGrid):
-    """The VoxelGrid of a DICOM series, kept as each slice's stored
-    integers (two bytes a voxel or less) with its slope and intercept.
+    """The VoxelGrid of a DICOM series, kept as one 2-D plane a slice: a
+    view of the slice's PixelData bytes in its own stored dtype (two
+    bytes a voxel or less), with its own slope and intercept.
 
-    ``lines`` decodes only the lines it is asked for. ``data`` decodes
-    the whole grid on its first read, once even when threads race for
-    it, and then lets the stored integers go. Both run ``_decode``, so a
-    line reads the same bits either way. ``dims`` and ``spacing`` need no
-    decode."""
+    ``lines`` decodes only the lines it is asked for, plane by plane.
+    ``data`` decodes the whole grid through ``lines`` on its first read,
+    once even when threads race for it, and then lets the planes go. A
+    line so reads the same bits either way. ``dims`` and ``spacing`` need
+    no decode."""
 
-    def __init__(self, stored: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray,
+    def __init__(self, planes: list[np.ndarray], slopes: list[float], intercepts: list[float],
                  spacing: Spacing):
-        if not _decodes_finite(stored, slopes, intercepts):
+        if not _decodes_finite(planes, slopes, intercepts):
             raise ValueError("grid data contains non-finite values")
-        fields = {"spacing": spacing, "_stored": stored, "_rescale": (slopes, intercepts),
-                  "_shape": stored.shape, "_decoded": None, "_lock": threading.Lock()}
+        fields = {"spacing": spacing, "_planes": planes, "_rescale": (slopes, intercepts),
+                  "_shape": (len(planes), *planes[0].shape), "_decoded": None,
+                  "_lock": threading.Lock()}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -506,10 +464,10 @@ class _SeriesGrid(VoxelGrid):
         if self._decoded is None:
             with self._lock:
                 if self._decoded is None:
-                    data = _decode(self._stored, *self._rescale)
+                    data = self.lines((slice(None),) * 3)
                     data.flags.writeable = False
                     object.__setattr__(self, "_decoded", data)
-                    object.__setattr__(self, "_stored", None)
+                    object.__setattr__(self, "_planes", None)
         return self._decoded
 
     @property
@@ -518,11 +476,17 @@ class _SeriesGrid(VoxelGrid):
         return (nx, ny, nz)
 
     def lines(self, cuts) -> np.ndarray:
-        stored = self._stored  # None once data has been decoded
-        if stored is None:
+        planes = self._planes  # None once data has been decoded
+        if planes is None:
             return super().lines(cuts)
         slopes, intercepts = self._rescale
-        return _decode(cut_lines(stored, cuts), slopes[cuts[0]], intercepts[cuts[0]])
+        zs, ys, xs = cuts
+        picked = np.arange(len(planes))[zs]
+        out = np.empty([np.arange(n)[cut].size for n, cut in zip(self._shape, cuts)])
+        for plane, k in zip(out, picked):
+            # rows, then columns: two small gathers, faster than one np.ix_
+            _decode(planes[k][ys][:, xs], slopes[k], intercepts[k], out=plane)
+        return out
 
 
 def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry]:
@@ -534,14 +498,13 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
     to 1.0 mm with a recorded warning; a PixelSpacing with fewer than
     two values raises GeometryMismatchError.
 
-    The grid holds each slice's stored integers (``u1``/``i1``/``<u2``/
-    ``<i2``, at most two bytes a voxel unless slices of both signs must
-    share one dtype) with its slope and intercept, not float64 values:
-    every slice's pixel bytes are read here, and a grid whose decode
-    would hold a non-finite value raises GeometryMismatchError here,
-    decided from each slice's stored extremes. Its ``data`` decodes the
-    whole grid on first read; ``VoxelGrid.lines`` decodes only the lines
-    asked for.
+    The grid holds one plane a slice, not float64 values: a view of the
+    slice's PixelData bytes, without a copy, in its stored dtype (``u1``/
+    ``i1``/``<u2``/``<i2``), with its slope and intercept. A grid whose
+    decode would hold a non-finite value raises GeometryMismatchError
+    here, decided from each plane's stored extremes. Its ``data`` decodes
+    the whole grid on first read; ``VoxelGrid.lines`` decodes only the
+    lines asked for.
     """
     usable: list[tuple[int, DicomDataset]] = []
     warnings: list[str] = []
@@ -603,14 +566,16 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
             uniform_z = False
             warnings.append("non-uniform z gaps between slices; series flagged, not resampled")
 
-    # every slice is checked before the stored pixels are allocated,
-    # then read into them one at a time
-    formats = [_pixel_format(usable[j][1]) for j in order]
-    stored = _read_stored([usable[j][1] for j in order], formats, (len(formats), rows, cols))
-    slopes = np.array([slope for _, slope, _ in formats], dtype=np.float64)
-    intercepts = np.array([intercept for _, _, intercept in formats], dtype=np.float64)
+    planes, slopes, intercepts = [], [], []
+    for j in order:
+        ds = usable[j][1]
+        dtype, slope, intercept = _pixel_format(ds)
+        pixels = np.frombuffer(ds.get(TAG_PIXEL_DATA).value, dtype, rows * cols)
+        planes.append(pixels.reshape(rows, cols))
+        slopes.append(slope)
+        intercepts.append(intercept)
     try:
-        grid = _SeriesGrid(stored, slopes, intercepts, Spacing(sx, sy, thickness))
+        grid = _SeriesGrid(planes, slopes, intercepts, Spacing(sx, sy, thickness))
         geometry = SeriesGeometry(
             rows=rows,
             cols=cols,
@@ -625,35 +590,27 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
     return grid, geometry
 
 
-def _series_header(ds: DicomDataset, path: Path) -> DicomDataset:
-    """The tags of ``ds`` that ``read_series`` reads, its PixelData left
-    in ``path`` as a ``_FileSpan``."""
-    kept = DicomDataset({t: ds.elements[t] for t in _SERIES_TAGS if t in ds.elements})
-    pixels = kept.get(TAG_PIXEL_DATA)
-    if pixels is not None:
-        span = _FileSpan(path, pixels.offset, len(pixels.value))
-        kept.elements[TAG_PIXEL_DATA] = DicomElement(pixels.tag, pixels.vr, span)
-    return kept
-
-
 def read_directory(path) -> tuple[VoxelGrid, SeriesGeometry, list[str]]:
     """Parse every regular file in ``path`` (sorted by name) and assemble
-    the series. Files that fail to parse are skipped and listed as
-    ``"<name>: <reason>"`` in the third return value.
+    the series with ``read_series``. Files that fail to parse are skipped
+    and listed as ``"<name>: <reason>"`` in the third return value.
 
-    Of each parsed slice only the tags ``read_series`` reads are kept,
-    and no pixel bytes: each slice's are read back from its file straight
-    into the grid's stored integers. So the read holds those integers
-    (two bytes a voxel for 16-bit slices) and one file's bytes while it
-    parses, never a float64 grid; that comes only when ``data`` is read."""
+    Each file is read once. Of each parsed slice only the tags
+    ``read_series`` reads are kept, its PixelData the copy ``parse_file``
+    made, which the grid's plane then views. So the read holds each
+    slice's pixel bytes (two bytes a voxel for 16-bit slices) and one
+    file's bytes while it parses, never a float64 grid; that comes only
+    when ``data`` is read."""
     datasets = []
     skipped = []
     for p in sorted(Path(path).iterdir()):
         if not p.is_file():
             continue
         try:
-            datasets.append(_series_header(parse_file(p.read_bytes()), p))
+            ds = parse_file(p.read_bytes())
         except DicomParseError as exc:
             skipped.append(f"{p.name}: {exc}")
+            continue
+        datasets.append(DicomDataset({t: ds.elements[t] for t in _SERIES_TAGS if t in ds}))
     grid, geometry = read_series(datasets)
     return grid, geometry, skipped

@@ -71,10 +71,12 @@ def ml_estimate(grid: VoxelGrid, network: Network, threshold: float = 0.5) -> fl
 
 def ml_estimate_slicewise(grid: VoxelGrid, network: Network, threshold: float = 0.5) -> float:
     """2-D inference path: segment every axial slice at native
-    resolution, then sum the rescaled slice areas."""
+    resolution, then sum the rescaled slice areas. Slices come from
+    ``grid.planes()``, so a DICOM series is never decoded whole."""
     if network.rank != 2:
         raise ValueError("slicewise estimation needs a 2-D network")
-    masks = [extract_tumor_mask(predict(network, sl[..., None]), threshold) for sl in grid.data]
+    masks = [extract_tumor_mask(predict(network, sl[..., None]), threshold)
+             for sl in grid.planes()]
     return cnn_volume(np.stack(masks), grid.dims, grid.spacing)
 
 

@@ -16,7 +16,7 @@ from volumetrica.estimators import (
     spherical_estimate,
 )
 from volumetrica.geometry import SliceAreaSeries
-from volumetrica.grid import Spacing
+from volumetrica.grid import Spacing, VoxelGrid
 from volumetrica.nn.inference import mask_training_target, prepare_input
 from volumetrica.nn.network import build_segmenter_3d
 from volumetrica.nn.training import TrainConfig, train
@@ -200,6 +200,29 @@ class TestSlicewiseEstimate:
             expected = cnn_volume(extract_tumor_mask(preds, threshold), grid.dims, grid.spacing)
             assert expected > 0.0
             assert ml_estimate_slicewise(grid, net, threshold) == expected
+
+    def test_series_grid_matches_its_decoded_grid(self):
+        # a DICOM series gives the volume of the plain grid of its decoded
+        # values, one plane at a time, without decoding the whole series
+        from volumetrica import dicomlite as dl
+        from volumetrica.nn.network import build_segmenter_2d, predict
+
+        net = build_segmenter_2d(seed=3)
+        spec = PhantomSpec(kind="sphere", radius=6.0, noise_sigma=0.1, seed=4)
+        phantom, _, _ = make_phantom(spec, (40, 32, 10), Spacing(0.7, 0.6, 2.0))
+        stored = np.round(np.clip(phantom.data + 1.0, 0.0, 4.0) * 1000).astype(np.uint16)
+        series, _ = dl.read_series([
+            dl.make_slice_dataset(plane, pixel_spacing=(0.6, 0.7), slice_thickness=2.0,
+                                  position_z=2.0 * z, rescale=(0.001, -1.0))
+            for z, plane in enumerate(stored)
+        ])
+        plain = VoxelGrid(stored * 0.001 - 1.0, series.spacing)
+        preds = np.stack([predict(net, sl[..., None]) for sl in plain.data])
+        threshold = float(np.quantile(preds, 0.5))
+        expected = ml_estimate_slicewise(plain, net, threshold)
+        assert expected > 0.0
+        assert ml_estimate_slicewise(series, net, threshold) == expected
+        assert series._decoded is None
 
 
 class TestEstimateAll:

@@ -5,6 +5,7 @@ command reads the file."""
 import json
 import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -273,6 +274,28 @@ class TestDicom:
         out = tmp_path / "o"
         assert main(["ingest", "--input", str(src), "--out", str(out)]) == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tag, value, message", [
+        (dl.TAG_BITS_ALLOCATED, 0, "BitsAllocated 0 not supported"),
+        (dl.TAG_PIXEL_REPRESENTATION, 2, "PixelRepresentation 2 not supported"),
+        (dl.TAG_PIXEL_REPRESENTATION, 0xFFFF, "PixelRepresentation 65535 not supported"),
+    ], ids=["bits-0", "representation-2", "representation-max"])
+    def test_undecodable_pixel_format_exits_2(self, tmp_path, capsys, tag, value, message):
+        # a present value that names no supported format is an error, not
+        # a missing tag that takes its default
+        src = self._series(tmp_path / "d")
+        datasets = []
+        for path in sorted(src.iterdir()):
+            ds = dl.parse_file(path.read_bytes())
+            ds.put(tag, "US", struct.pack("<H", value))
+            path.write_bytes(dl.write_file(ds))
+            datasets.append(ds)
+        with pytest.raises(dl.DicomParseError, match=message):
+            dl.read_series(datasets)
+        out = tmp_path / "o"
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_rescale_exits_2(self, tmp_path):
