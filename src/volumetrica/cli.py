@@ -15,6 +15,7 @@ import argparse
 import logging
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +26,13 @@ from volumetrica.errors import InputError
 from volumetrica.estimators import (
     METHODS,
     EstimateCase,
+    EstimateReport,
     discrepancy,
     estimate_all,
     estimate_series,
     ml_estimate,
 )
+from volumetrica.geometry import slice_areas
 from volumetrica.grid import BinaryMask, VoxelGrid
 from volumetrica.nn.inference import (
     cnn_volume,
@@ -196,35 +199,34 @@ def _methods(arg: str | None, network) -> tuple[str, ...]:
 
 
 def cmd_estimate(args) -> int:
+    """One case through one ordered queue (``run_in_order``): task 0, on
+    the calling thread, reads ``--input`` and runs ``estimate_all`` with
+    the ml method alone; task 1 runs the manual methods on the mask's
+    slice areas; each further task hashes one input file, largest first.
+    The input and the mask are loaded once, by whichever task asks first.
+    A slice-area CSV has no grid, so its whole estimate is task 0. A
+    failure decides the exit code and the message in task order, so the
+    input's error comes before the mask's, the mask's before a
+    disagreement of the two, and any of them before a hash's."""
     src = Path(args.input)
-    inputs = [src] + [p for p in (args.mask, args.model) if p]
-
-    def estimate():
-        network = load_network(args.model) if args.model else None
-        methods = _methods(args.methods, network)
-        if src.suffix.lower() == ".csv":
-            series = vio.read_series_csv(src)
-            report = estimate_series(series, methods, manual_radius=args.radius)
-            report.metadata.update(thickness_mm=series.thickness, source="slice-area series")
-        else:
-            case = _load_single_case(src, args)
-            report = estimate_all(case, network=network, threshold=args.threshold,
-                                  methods=methods, manual_radius=args.radius)
-        return report, methods
-
-    if args.format == "csv":  # a CSV carries no checksums, so nothing is hashed
-        report, methods = estimate()
+    network = load_network(args.model) if args.model else None
+    methods = _methods(args.methods, network)
+    if src.suffix.lower() == ".csv":
+        parts = [lambda: _estimate_csv(src, methods, args)]
+    else:
+        parts = _estimate_parts(src, args, network, methods)
+    # a CSV output carries no checksums, so nothing is hashed for it
+    hashed = [] if args.format == "csv" else sorted(
+        vio.input_files([src] + [p for p in (args.mask, args.model) if p]),
+        key=lambda file: -file[1])
+    tasks = parts + [lambda path=path: (str(path), vio.sha256_file(path)) for path, _ in hashed]
+    results = run_in_order(lambda i: tasks[i](), len(tasks), spare_workers(len(tasks)),
+                           "estimate")
+    report = results[0] if len(parts) == 1 else _merged(*results[:2], methods)
+    if args.format == "csv":
         rows = [(m, report.volumes.get(m, ""), report.errors.get(m, "")) for m in methods]
         vio.write_csv(args.out, ("method", "volume_mm3", "error"), rows)
     else:
-        # the inputs are hashed on a CPU that BLAS leaves spare, if there
-        # is one, while the calling thread estimates the case (task 0); a
-        # failed estimate still decides the exit code, since it comes
-        # first in task order
-        (report, methods), checksums = run_in_order(
-            lambda task: estimate() if task == 0 else vio.input_checksums(inputs),
-            2, spare_workers(2), "estimate",
-        )
         config = {
             "input": str(src),
             "methods": list(methods),
@@ -234,34 +236,112 @@ def cmd_estimate(args) -> int:
             "model": str(args.model) if args.model else None,
         }
         envelope = vio.report_envelope("estimate", report.to_dict(), _seed(args), config,
-                                       checksums)
+                                       dict(results[len(parts):]))
         _write_report(args.out, envelope)
     if not report.volumes:
         return _fail(EXIT_RUNTIME, "all methods failed: " + "; ".join(report.errors.values()))
     return EXIT_OK
 
 
-def _load_single_case(src: Path, args) -> EstimateCase:
+def _estimate_csv(src: Path, methods, args) -> EstimateReport:
+    series = vio.read_series_csv(src)
+    report = estimate_series(series, methods, manual_radius=args.radius)
+    report.metadata.update(thickness_mm=series.thickness, source="slice-area series")
+    return report
+
+
+class _Shared:
+    """The value of ``make()``, made once by the first thread that asks for
+    it, under a lock; later askers wait for it and get the same value, or
+    the same exception. No task waits on a task that has not started, so
+    the queue cannot deadlock, even on one worker."""
+
+    def __init__(self, make):
+        self._make, self._lock, self._result = make, threading.Lock(), None
+
+    def get(self):
+        with self._lock:
+            if self._result is None:
+                try:
+                    self._result = (self._make(), None)
+                except Exception as exc:
+                    self._result = (None, exc)
+        value, error = self._result
+        if error is not None:
+            raise error
+        return value
+
+
+def _estimate_parts(src: Path, args, network, methods) -> list:
+    """Tasks 0 and 1 of ``cmd_estimate`` on a grid input (see there)."""
+    volume = _Shared(lambda: _read_input(src))
+    if args.mask and src.is_dir() and not (src / "manifest.json").exists():
+        # a DICOM series' --mask does not wait for the series
+        mask = _Shared(lambda: vio.read_volume(args.mask))
+    else:
+        mask = _Shared(lambda: _case_mask(volume.get()[1], args))
+
+    def ml():
+        case = _single_case(*volume.get(), mask.get())
+        return estimate_all(case, network=network, threshold=args.threshold,
+                            methods=[m for m in methods if m == "ml"])
+
+    def manual():
+        return estimate_series(slice_areas(mask.get()), [m for m in methods if m != "ml"],
+                               manual_radius=args.radius)
+
+    return [ml, manual]
+
+
+def _merged(ml: EstimateReport, manual: EstimateReport, methods) -> EstimateReport:
+    """The report of ``estimate_all`` over ``methods``, from its ml part
+    (with the case's metadata) and its manual part, in method order."""
+    report = EstimateReport(ml.case_id, metadata=manual.metadata | ml.metadata)
+    for m in methods:
+        part = ml if m == "ml" else manual
+        if m in part.volumes:
+            report.volumes[m] = part.volumes[m]
+        else:
+            report.errors[m] = part.errors[m]
+    return report
+
+
+def _read_input(src: Path) -> tuple[str, EstimateCase | VoxelGrid | BinaryMask]:
+    """The case id and what ``--input`` holds: the one case of a manifest
+    directory, the grid of a DICOM directory, or a VOLV's grid or mask."""
     if src.is_dir():
         manifest = src / "manifest.json"
         if manifest.exists():
             cases, _ = _load_manifest_cases(manifest)
             if len(cases) != 1:
                 raise InputError(f"{manifest} lists {len(cases)} cases; use `compare` for cohorts")
-            return cases[0]
+            return cases[0].case_id, cases[0]
         # a directory of DICOM slices
         grid, geometry, skipped = dicomlite.read_directory(src)
         for message in [*geometry.warnings, *(f"skipped {entry}" for entry in skipped)]:
             logger.warning("%s: %s", src, message)
-        mask = _mask_for(grid, args)
-        return EstimateCase(src.name, grid, mask)
+        return src.name, grid
     if src.suffix.lower() == ".volv":
-        volume = vio.read_volume(src)
-        if isinstance(volume, BinaryMask):
-            grid = VoxelGrid(volume.data.astype(np.float64), volume.spacing)
-            return EstimateCase(src.stem, grid, volume)
-        return EstimateCase(src.stem, volume, _mask_for(volume, args))
+        return src.stem, vio.read_volume(src)
     raise InputError(f"cannot interpret input {src}")
+
+
+def _case_mask(volume, args):
+    """The mask of the case ``volume`` (from ``_read_input``) belongs to."""
+    if isinstance(volume, EstimateCase):
+        return volume.mask
+    if isinstance(volume, BinaryMask):
+        return volume
+    return _mask_for(volume, args)
+
+
+def _single_case(case_id: str, volume, mask) -> EstimateCase:
+    if isinstance(volume, EstimateCase):
+        return volume
+    if isinstance(volume, BinaryMask):
+        grid = VoxelGrid(volume.data.astype(np.float64), volume.spacing)
+        return EstimateCase(case_id, grid, volume)
+    return EstimateCase(case_id, volume, mask)
 
 
 def _mask_for(grid: VoxelGrid, args) -> BinaryMask:

@@ -19,6 +19,7 @@ import numpy as np
 
 from volumetrica.errors import InputError
 from volumetrica.grid import Spacing, VoxelGrid
+from volumetrica.io import directory_files
 
 logger = logging.getLogger(__name__)
 
@@ -156,7 +157,7 @@ class DicomDataset:
         el = self.get(tag)
         if el is None:
             return None
-        return el.value.decode("ascii", errors="replace").rstrip("\x00 ")
+        return str(el.value, "ascii", "replace").rstrip("\x00 ")
 
     def numbers(self, tag) -> list[float] | None:
         """DS/IS multi-valued numeric content, backslash separated; a
@@ -180,7 +181,7 @@ def _parse_element(data: bytes, pos: int, explicit: bool):
         raise TruncatedFileError("element header runs past end of data", pos)
     group, elem = struct.unpack_from("<HH", data, pos)
     if explicit:
-        vr = data[pos + 4 : pos + 6].decode("ascii", errors="replace")
+        vr = str(data[pos + 4 : pos + 6], "ascii", "replace")
         if not vr.isalpha() or not vr.isupper():
             raise DicomParseError(
                 f"invalid VR {vr!r} for tag ({group:04X},{elem:04X}) at offset {pos}"
@@ -208,15 +209,18 @@ def _parse_element(data: bytes, pos: int, explicit: bool):
     return DicomElement((group, elem), vr, data[body : body + length]), body + length
 
 
-def parse_file(data: bytes) -> DicomDataset:
+def parse_file(data: bytes | memoryview) -> DicomDataset:
     """Parse one DICOM file.
 
     Conformant files (128-byte preamble + "DICM" + explicit-VR meta
     group) may declare explicit or implicit VR little endian for the
     dataset. Without the magic the whole stream is retried as a raw
     implicit-VR dataset ("forced" mode) and flagged non-conformant.
+
+    A memoryview is parsed in place: each element's value is a view of
+    its bytes there, not a copy. Anything else is parsed as ``bytes``.
     """
-    data = bytes(data)
+    data = data.cast("B") if isinstance(data, memoryview) else bytes(data)
     ds = DicomDataset()
     if len(data) >= 132 and data[128:132] == b"DICM":
         pos = 132
@@ -590,27 +594,65 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
     return grid, geometry
 
 
+def _read_slice(path: Path, view: memoryview) -> tuple[DicomDataset, str | None, int]:
+    """Read the file ``path`` into ``view``, which its listed size fills,
+    and parse it there. Returns the tags ``read_series`` reads but
+    PixelData, as bytes, and PixelData's VR (None without one) and size.
+    Its bytes are moved to the start of ``view``, over the header: the
+    overlapping assignment is a memmove, without a temporary. A file that
+    is not its listed size raises DicomParseError, so no prefix of it is
+    parsed."""
+    with open(path, "rb") as fh:
+        if fh.readinto(view) != len(view) or fh.read(1):
+            raise DicomParseError(f"file size changed from the listed {len(view)} bytes")
+    ds = parse_file(view)
+    header = DicomDataset({t: DicomElement(t, ds.elements[t].vr, bytes(ds.elements[t].value))
+                           for t in _SERIES_TAGS if t in ds and t != TAG_PIXEL_DATA})
+    pixels = ds.get(TAG_PIXEL_DATA)
+    if pixels is None:
+        return header, None, 0
+    size = len(pixels.value)
+    view[:size] = pixels.value
+    return header, pixels.vr, size
+
+
 def read_directory(path) -> tuple[VoxelGrid, SeriesGeometry, list[str]]:
     """Parse every regular file in ``path`` (sorted by name) and assemble
-    the series with ``read_series``. Files that fail to parse are skipped
-    and listed as ``"<name>: <reason>"`` in the third return value.
+    the series with ``read_series``. Files that fail to parse, or whose
+    size changed after the listing, are skipped and listed as
+    ``"<name>: <reason>"`` in the third return value.
 
-    Each file is read once. Of each parsed slice only the tags
-    ``read_series`` reads are kept, its PixelData the copy ``parse_file``
-    made, which the grid's plane then views. So the read holds each
-    slice's pixel bytes (two bytes a voxel for 16-bit slices) and one
-    file's bytes while it parses, never a float64 grid; that comes only
-    when ``data`` is read."""
-    datasets = []
+    The series is read into one numpy buffer, sized by the listed file
+    sizes. Each file is read once, at a write head, and parsed in place;
+    its PixelData bytes move down over its header, and the head advances
+    by them alone. So the buffer ends as every slice's pixel bytes back to
+    back, and it is shrunk to them (``ndarray.resize``, without a copy)
+    and made read-only. Of each slice the tags ``read_series`` reads are
+    kept, as bytes, and PixelData as a view into the buffer, which the
+    grid's plane then views. So the read holds the series' pixel bytes
+    (two bytes a voxel for 16-bit slices) in one allocation, never a
+    float64 grid; that comes only when ``data`` is read."""
+    files = directory_files(path)
+    buffer = np.empty(sum(size for _, size in files), np.uint8)
+    kept = []  # (header, PixelData VR, PixelData offset in the buffer, its size)
     skipped = []
-    for p in sorted(Path(path).iterdir()):
-        if not p.is_file():
-            continue
-        try:
-            ds = parse_file(p.read_bytes())
-        except DicomParseError as exc:
-            skipped.append(f"{p.name}: {exc}")
-            continue
-        datasets.append(DicomDataset({t: ds.elements[t] for t in _SERIES_TAGS if t in ds}))
-    grid, geometry = read_series(datasets)
+    head = 0
+    with memoryview(buffer) as whole:
+        for p, size in files:
+            try:
+                header, vr, pixel_bytes = _read_slice(p, whole[head : head + size])
+            except DicomParseError as exc:
+                skipped.append(f"{p.name}: {exc}")
+                continue
+            kept.append((header, vr, head, pixel_bytes))
+            head += pixel_bytes
+    # no view of the buffer is left, so the resize may shrink it in place
+    buffer.resize(head)
+    buffer.flags.writeable = False
+    pixels = memoryview(buffer)
+    for header, vr, start, size in kept:
+        if vr is not None:
+            header.elements[TAG_PIXEL_DATA] = DicomElement(TAG_PIXEL_DATA, vr,
+                                                           pixels[start : start + size])
+    grid, geometry = read_series([header for header, *_ in kept])
     return grid, geometry, skipped

@@ -69,7 +69,10 @@ def slice_areas(mask: BinaryMask) -> SliceAreaSeries:
     Position of slice k is ``k * sz``. Empty mask gives an empty series.
     """
     sp = mask.spacing
-    counts = mask.data.sum(axis=(1, 2))
+    # a plane at a time: count_nonzero without an axis is a fast
+    # byte count, with one it is a bool -> int64 sum
+    counts = np.fromiter((np.count_nonzero(plane) for plane in mask.data), np.intp,
+                         len(mask.data))
     nonzero = np.nonzero(counts)[0]
     if len(nonzero) == 0:
         return SliceAreaSeries(np.empty(0), np.empty(0), sp.sz)

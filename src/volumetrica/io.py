@@ -206,17 +206,32 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
 
 
-def input_checksums(inputs) -> dict:
-    """SHA-256 of each input file by path; a directory contributes its
-    files, and a path that is neither is left out."""
-    files: list[Path] = []
+def directory_files(path) -> list[tuple[Path, int]]:
+    """Each regular file directly inside the directory ``path``, sorted by
+    name, with its size in bytes."""
+    path = Path(path)
+    with os.scandir(path) as entries:
+        files = sorted((e.name, e.stat().st_size) for e in entries if e.is_file())
+    return [(path / name, size) for name, size in files]
+
+
+def input_files(inputs) -> list[tuple[Path, int]]:
+    """The files ``input_checksums`` hashes, with their sizes: each input
+    file, and the files of each input directory; a path that is neither
+    is left out."""
+    files: list[tuple[Path, int]] = []
     for p in inputs:
         p = Path(p)
         if p.is_dir():
-            files.extend(sorted(q for q in p.iterdir() if q.is_file()))
+            files.extend(directory_files(p))
         elif p.is_file():
-            files.append(p)
-    return {str(p): sha256_file(p) for p in files}
+            files.append((p, p.stat().st_size))
+    return files
+
+
+def input_checksums(inputs) -> dict:
+    """SHA-256 of each of ``input_files(inputs)`` by path."""
+    return {str(p): sha256_file(p) for p, _ in input_files(inputs)}
 
 
 def report_envelope(

@@ -2,8 +2,8 @@
 ordered work queue they share. The per-case loops of the cohort
 commands (``phantom``, ``train``, ``eval``, ``compare``, ``stats``),
 the CV folds of ``stats`` and the scoring of their held-out cases, the
-row bands of ``predict`` and the input hashing beside ``estimate`` all
-run through it. Standard library only; numpy releases the GIL in the
+row bands of ``predict`` and the estimators and input hashes of
+``estimate`` all run through it. Standard library only; numpy releases the GIL in the
 BLAS calls and ufuncs the tasks spend their time in, hashlib and file
 reads in theirs.
 """

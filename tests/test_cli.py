@@ -3,7 +3,9 @@ import hashlib
 import json
 import logging
 import shutil
+import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,8 @@ from volumetrica import cli
 from volumetrica import dicomlite as dl
 from volumetrica import io as vio
 from volumetrica.cli import main
-from volumetrica.grid import BinaryMask
+from volumetrica.errors import InputError
+from volumetrica.grid import BinaryMask, Spacing
 from volumetrica.stats import resample
 
 
@@ -532,6 +535,138 @@ class TestEstimateWorkers:
         assert errors[0] == errors[1]
         assert "slice 6 is 20x24, series is 24x24" in errors[0]
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.fixture
+    def inputs(self, dicom_series, sphere_spec, tmp_path):
+        """Paths of every input kind: the DICOM series and a mask for it,
+        a phantom directory (with a manifest) with its grid and mask
+        VOLVs, a model, a series with a slice of other dims and a
+        truncated VOLV."""
+        from volumetrica.nn.network import build_segmenter_3d, save_network
+
+        mask = np.zeros((6, 24, 24), dtype=bool)
+        mask[1:5, 7:17, 6:18] = True
+        vio.write_volume(tmp_path / "series_mask.volv", BinaryMask(mask, Spacing(0.5, 0.5, 1.5)))
+        ph = tmp_path / "ph"
+        assert main(["phantom", "--spec", str(sphere_spec), "--out", str(ph)]) == 0
+        save_network(build_segmenter_3d(seed=0), tmp_path / "net.vnet")
+        bad_series = tmp_path / "bad_series"
+        shutil.copytree(dicom_series, bad_series)
+        ds = dl.make_slice_dataset(np.zeros((20, 24), dtype=np.uint16), position_z=30.0)
+        (bad_series / "slice9.dcm").write_bytes(dl.write_file(ds))
+        (tmp_path / "bad.volv").write_bytes(b"VOLV\x01")
+        paths = {"series": dicom_series, "series_mask": tmp_path / "series_mask.volv",
+                 "ph": ph, "grid": ph / "case_000_grid.volv", "mask": ph / "case_000_mask.volv",
+                 "model": tmp_path / "net.vnet", "bad_series": bad_series,
+                 "bad": tmp_path / "bad.volv"}
+        return {k: str(v) for k, v in paths.items()}
+
+    @pytest.mark.parametrize("argv", [
+        ["--input", "{series}", "--mask", "{series_mask}", "--model", "{model}"],
+        ["--input", "{series}", "--model", "{model}"],
+        ["--input", "{ph}", "--model", "{model}", "--mask", "{series_mask}"],
+        ["--input", "{mask}", "--model", "{model}", "--mask", "{bad}"],
+        ["--input", "{grid}", "--model", "{model}", "--radius", "4"],
+        ["--input", "{series}", "--mask", "{series_mask}", "--model", "{model}",
+         "--format", "csv"],
+        ["--input", "{series}", "--mask", "{series_mask}", "--methods", "regression,spherical"],
+    ], ids=["dicom-mask", "dicom-no-mask", "manifest-dir", "mask-volv", "grid-volv-no-mask",
+            "csv-format", "methods-without-ml"])
+    def test_reports_identical_at_one_and_two_workers(self, inputs, argv, monkeypatch,
+                                                      tmp_path):
+        argv = ["estimate", *(a.format(**inputs) for a in argv)]
+        first, second = self._runs(monkeypatch, argv, tmp_path)
+        assert first == second and first[0] == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--input", "{bad_series}", "--mask", "{bad}"], "slice 6 is 20x24, series is 24x24"),
+        (["--input", "{series}", "--mask", "{mask}"],
+         "mask dims (40, 40, 40) differ from grid dims (24, 24, 6)"),
+        (["--input", "{series}", "--mask", "{grid}"], "needs a grid and a mask container"),
+        (["--input", "{series}", "--mask", "{bad}"], "VOLV header truncated"),
+    ], ids=["bad-input-and-bad-mask", "mismatched-dims", "grid-volv-as-mask", "bad-mask"])
+    def test_failures_identical_at_one_and_two_workers(self, inputs, argv, message,
+                                                       monkeypatch, tmp_path, capsys):
+        argv = ["estimate", *(a.format(**inputs) for a in argv)]
+        results = self._failed_runs(monkeypatch, argv, tmp_path, capsys)
+        assert results[0] == results[1]
+        assert results[0][0] == 2 and message in results[0][1]
+
+    def test_hash_failure_identical_at_one_and_two_workers(self, inputs, monkeypatch, tmp_path,
+                                                           capsys):
+        def unreadable(path):
+            raise OSError(f"cannot read {Path(path).name}")
+
+        monkeypatch.setattr(vio, "sha256_file", unreadable)
+        argv = ["estimate", "--input", inputs["series"], "--mask", inputs["series_mask"]]
+        results = self._failed_runs(monkeypatch, argv, tmp_path, capsys)
+        # the largest file is hashed first, so it fails first at either count
+        assert results[0] == results[1] == (2, "error: cannot read series_mask.volv\n")
+
+    def _failed_runs(self, monkeypatch, argv, tmp_path, capsys):
+        """Exit code and stderr at one and two workers; no report is written."""
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "spare_workers", lambda tasks: workers)
+            before = threading.enumerate()
+            code = main(argv + ["--out", str(tmp_path / "r.json")])
+            assert threading.enumerate() == before
+            results.append((code, capsys.readouterr().err))
+        assert not (tmp_path / "r.json").exists()
+        return results
+
+    def test_many_workers_with_a_short_switch_interval(self, inputs, monkeypatch, tmp_path):
+        argv = ["estimate", "--input", inputs["series"], "--model", inputs["model"]]
+        expected = self._runs(monkeypatch, argv, tmp_path)[0]
+        monkeypatch.setattr(cli, "spare_workers", lambda tasks: min(tasks, 8))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                before = threading.enumerate()
+                assert main(argv + ["--out", str(tmp_path / "r.json"), "--seed", "3"]) == 0
+                assert threading.enumerate() == before
+                assert (0, (tmp_path / "r.json").read_bytes()) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_shared_value_is_made_once(self):
+        made = []
+
+        def make():
+            made.append(threading.current_thread())
+            time.sleep(0.01)
+            raise InputError("unreadable")
+
+        shared = cli._Shared(make)
+        errors = []
+
+        def ask():
+            try:
+                shared.get()
+            except InputError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=ask) for _ in range(12)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(made) == 1 and len(errors) == 12 and len({id(e) for e in errors}) == 1
+
+    @pytest.mark.parametrize("mask", [True, False], ids=["mask", "no-mask"])
+    def test_one_worker_finishes(self, inputs, mask, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "spare_workers", lambda tasks: 1)
+        argv = ["estimate", "--input", inputs["series"], "--model", inputs["model"],
+                "--out", str(tmp_path / "r.json")]
+        if mask:
+            argv += ["--mask", inputs["series_mask"]]
+        codes = []
+        run = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+        run.start()
+        run.join(timeout=60)
+        assert not run.is_alive() and codes == [0]
 
 
 class TestCohortWorkers:

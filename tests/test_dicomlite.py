@@ -267,6 +267,67 @@ class TestReadDirectory:
         _ = grid.data  # decoding reads no file either
         assert opened == {f"slice{k}.dcm": 1 for k in range(4)}
 
+    @pytest.mark.parametrize("change", [b"\x00\x00", None], ids=["grown", "shrunk"])
+    def test_file_whose_size_changed_after_the_listing_is_skipped(self, tmp_path, monkeypatch,
+                                                                  change):
+        for k, ds in enumerate(_series(4, (8, 8))):
+            (tmp_path / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
+        changed = tmp_path / "slice2.dcm"
+        listing = dl.directory_files
+
+        def listed_then_changed(path):
+            files = listing(path)
+            blob = changed.read_bytes()
+            changed.write_bytes(blob + change if change else blob[:-2])
+            return files
+
+        parsed = []
+        parse_file = dl.parse_file
+        monkeypatch.setattr(dl, "directory_files", listed_then_changed)
+        monkeypatch.setattr(dl, "parse_file", lambda data: parsed.append(len(data))
+                            or parse_file(data))
+        grid, geometry, skipped = dl.read_directory(tmp_path)
+        assert skipped == [f"slice2.dcm: file size changed from the listed "
+                           f"{len(dl.write_file(_series(4, (8, 8))[2]))} bytes"]
+        assert len(parsed) == 3  # no prefix of the changed file was parsed
+        assert sorted(i for i, _ in geometry.slice_order) == [0, 1, 2]
+        assert grid.dims == (8, 8, 3)
+
+    def test_large_non_dicom_file_is_not_held(self, tmp_path):
+        for k, ds in enumerate(_series(4, (16, 16))):
+            (tmp_path / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
+        (tmp_path / "archive.bin").write_bytes(b"\xff" * (4 << 20))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            grid, _, skipped = dl.read_directory(tmp_path)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert [entry.split(":")[0] for entry in skipped] == ["archive.bin"]
+        # the 2 KiB of pixel bytes and the kept headers, not the 4 MiB file
+        assert held < 64 << 10
+
+    def test_planes_are_read_only_views_of_one_buffer(self, tmp_path):
+        for k, ds in enumerate(_series(5, (12, 10))):
+            (tmp_path / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
+        (tmp_path / "notes.txt").write_bytes(b"\x00" * 3)
+        grid, _, _ = dl.read_directory(tmp_path)
+
+        def owner(a):
+            while (base := a.base if isinstance(a, np.ndarray) else a.obj) is not None:
+                a = base
+            return a
+
+        planes = grid._planes
+        buffers = {id(owner(plane)) for plane in planes}
+        assert len(buffers) == 1
+        assert owner(planes[0]).nbytes == sum(plane.nbytes for plane in planes)
+        for plane in planes:
+            assert not plane.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                plane[0, 0] = 1
+
 
 @contextlib.contextmanager
 def _traced():

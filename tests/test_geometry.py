@@ -85,6 +85,40 @@ class TestSliceAreas:
         with pytest.raises(ValueError, match="thickness"):
             SliceAreaSeries(np.array([0.0, 1.0, 2.5]), np.zeros(3), 1.0)
 
+    @staticmethod
+    def _summed(mask):
+        """The bool -> int64 sum that ``slice_areas`` counted with before
+        it counted plane by plane."""
+        sp = mask.spacing
+        counts = mask.data.sum(axis=(1, 2))
+        nonzero = np.nonzero(counts)[0]
+        if len(nonzero) == 0:
+            return SliceAreaSeries(np.empty(0), np.empty(0), sp.sz)
+        k0, k1 = int(nonzero[0]), int(nonzero[-1])
+        ks = np.arange(k0, k1 + 1)
+        return SliceAreaSeries(ks * sp.sz, counts[k0 : k1 + 1] * (sp.sx * sp.sy), sp.sz)
+
+    @pytest.mark.parametrize("shape", [(1, 7, 5), (9, 16, 16), (24, 33, 17)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_per_plane_counts_equal_the_summed_counts(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.uniform(size=shape) < rng.uniform(0.0, 0.3)
+        if shape[0] > 1:  # an empty, a full and another empty plane inside
+            data[rng.integers(shape[0], size=2)] = False
+            data[rng.integers(shape[0])] = True
+        mask = _mask(data, (0.7, 0.6, 2.5))
+        got, expected = slice_areas(mask), self._summed(mask)
+        np.testing.assert_array_equal(got.positions, expected.positions, strict=True)
+        np.testing.assert_array_equal(got.areas, expected.areas, strict=True)
+        assert got.thickness == expected.thickness
+
+    @pytest.mark.parametrize("fill", [False, True], ids=["empty", "full"])
+    def test_empty_and_full_masks_equal_the_summed_counts(self, fill):
+        mask = _mask(np.full((5, 6, 4), fill), (0.5, 0.5, 1.5))
+        got, expected = slice_areas(mask), self._summed(mask)
+        np.testing.assert_array_equal(got.areas, expected.areas, strict=True)
+        np.testing.assert_array_equal(got.positions, expected.positions, strict=True)
+
 
 class TestDiameters:
     def test_equivalent_diameter_from_area(self):
