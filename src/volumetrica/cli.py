@@ -30,24 +30,17 @@ from volumetrica.estimators import (
     discrepancy,
     estimate_all,
     estimate_series,
-    ml_estimate,
+    ml_volume,
 )
 from volumetrica.geometry import slice_areas
 from volumetrica.grid import BinaryMask, VoxelGrid
 from volumetrica.nn.inference import (
-    cnn_volume,
     dice,
     extract_tumor_mask,
     mask_training_target,
     prepare_input,
 )
-from volumetrica.nn.network import (
-    build_segmenter_3d,
-    input_cols,
-    load_network,
-    predict,
-    save_network,
-)
+from volumetrica.nn.network import build_segmenter_3d, input_cols, load_network, save_network
 from volumetrica.nn.training import TrainConfig, fit_target_to_output, train
 from volumetrica.phantoms import load_phantom_config, make_phantom
 from volumetrica.stats.report import build_stats_report
@@ -85,13 +78,13 @@ def cmd_phantom(args) -> int:
         load_phantom_config({"seed": seed + i, **entry} if isinstance(entry, dict) else entry)
         for i, entry in enumerate(entries)
     ]
+    case_ids = _case_ids(entries, args.spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     def write_case(i):
-        entry, (spec, dims, spacing) = entries[i], configs[i]
+        entry, (spec, dims, spacing), case_id = entries[i], configs[i], case_ids[i]
         grid, mask, volume = make_phantom(spec, dims, spacing)
-        case_id = entry.get("id", f"case_{i:03d}")
         grid_path = out / f"{case_id}_grid.volv"
         mask_path = out / f"{case_id}_mask.volv"
         vio.write_volume(grid_path, grid)
@@ -113,6 +106,23 @@ def cmd_phantom(args) -> int:
     vio.dump_json(out / "manifest.json", envelope)
     print(f"wrote {len(cases)} phantom(s) to {out}")
     return EXIT_OK
+
+
+def _case_ids(entries: list[dict], spec_path) -> list[str]:
+    """Each entry's ``id`` (default ``case_000``, ``case_001``, ...).
+    The ids must be distinct names that stay inside the output
+    directory, so that no case's files overwrite another's or land
+    beside ``--out``."""
+    ids = [entry.get("id", f"case_{i:03d}") for i, entry in enumerate(entries)]
+    for i, case_id in enumerate(ids):
+        if (not isinstance(case_id, str) or case_id in ("", ".", "..")
+                or any(c in case_id for c in "/\\\0")):
+            raise InputError(f"{spec_path}: case {i}: id {case_id!r} must be a non-empty "
+                             "file-name stem without '/', '\\' or NUL, and not '.' or '..'")
+        first = ids.index(case_id)
+        if first < i:
+            raise InputError(f"{spec_path}: case {i}: id {case_id!r} repeats the id of case {first}")
+    return ids
 
 
 def _load_manifest_cases(manifest_path) -> tuple[list[EstimateCase], list[float]]:
@@ -364,6 +374,7 @@ def cmd_train(args) -> int:
     cases, _ = _load_manifest_cases(args.cohort)
     net = build_segmenter_3d(seed=seed)
     training_cases = _each_case(lambda c: _training_case(net, c), cases, "train")
+    del cases  # training reads only the prepared arrays
     config = TrainConfig(
         epochs=args.epochs, loss=args.loss, optimizer=args.optimizer, learning_rate=args.lr
     )
@@ -374,7 +385,7 @@ def cmd_train(args) -> int:
     log.to_csv(out / "loss.csv")
     payload = {
         "epochs": config.epochs,
-        "cases": len(cases),
+        "cases": len(training_cases),
         "final_loss": log.losses[-1],
         "first_loss": log.losses[0],
         "parameters": net.param_count(),
@@ -394,13 +405,14 @@ def cmd_eval(args) -> int:
     seed = _seed(args)
     cases, _ = _load_manifest_cases(args.cohort)
     network = load_network(args.model)
+    if network.rank != 3:
+        raise InputError(f"{args.model}: eval needs a 3-D model, got a {network.rank}-D one")
     target_shape = network.input_shape[:-1]
 
     def row(case):
         truth = case.analytic_volume
-        pred = predict(network, prepare_input(case.grid, target_shape))
-        pred_mask = extract_tumor_mask(pred, args.threshold)
-        volume = cnn_volume(pred_mask, case.grid.dims, case.grid.spacing)
+        volume, pred_mask = ml_volume(prepare_input(case.grid, target_shape), case.grid.dims,
+                                      case.grid.spacing, network, args.threshold)
         ref = fit_target_to_output(network, mask_training_target(case.mask, target_shape))
         ref_mask = extract_tumor_mask(ref, 0.5)
         return {
@@ -477,34 +489,36 @@ def cmd_stats(args) -> int:
         for m in manual_methods:
             if m not in report.volumes:
                 raise _CaseFailed(f"{case.case_id}: {m} failed: {report.errors.get(m)}")
-        return report.volumes, _training_case(net_template, case)
+        geometry = (case.grid.dims, case.grid.spacing)
+        return report.volumes, _training_case(net_template, case), geometry
 
     try:
         per_case = _each_case(prepare, cases, "stats")
     except _CaseFailed as exc:
         return _fail(EXIT_RUNTIME, str(exc))
+    del cases  # from here on only the prepared arrays are read
     # every fold trains on these arrays at once: each case's first-layer
     # im2col is built once, and all of them are read-only
-    prepared = [case for _, case in per_case]
+    manual_volumes, prepared, geometry = zip(*per_case)
     train_config = TrainConfig(
         epochs=args.epochs, loss=args.loss, optimizer="adam", learning_rate=args.lr
     )
 
-    # the cohort is indexed so the trainer sees tensors while the
-    # estimator reads the original grids
+    # the cohort is indexed: the trainer reads the training triples, and
+    # the estimator scores a triple's input with its grid's geometry
     def trainer(indices):
         net = build_segmenter_3d(seed=seed)
         train(net, [prepared[i] for i in indices], train_config)
         return net
 
     def estimator(net, i):
-        return ml_estimate(cases[i].grid, net, args.threshold)
+        return ml_volume(prepared[i][0], *geometry[i], net, args.threshold)[0]
 
     plan = kfold(n, args.folds, seed)
     indexed = [(i, truths[i]) for i in range(n)]
     cv = cv_volume_error(indexed, trainer, estimator, plan)
 
-    volumes = {m: np.asarray([v[m] for v, _ in per_case]) for m in manual_methods}
+    volumes = {m: np.asarray([v[m] for v in manual_volumes]) for m in manual_methods}
     volumes["ml"] = cv.per_case_volume
     payload = build_stats_report(truths, volumes, cv, k=args.folds, seed=seed)
     envelope = vio.report_envelope(

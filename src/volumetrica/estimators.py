@@ -10,7 +10,7 @@ import numpy as np
 
 from volumetrica.errors import InputError
 from volumetrica.geometry import SliceAreaSeries, max_equivalent_diameter, slice_areas
-from volumetrica.grid import BinaryMask, VoxelGrid
+from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
 from volumetrica.nn.inference import cnn_volume, extract_tumor_mask, prepare_input
 from volumetrica.nn.network import Network, predict
 from volumetrica.numopt import FitResult, poly_integral, select_degree
@@ -60,13 +60,21 @@ def regression_estimate(series: SliceAreaSeries) -> tuple[float, FitResult]:
     return volume, fit
 
 
+def ml_volume(x: np.ndarray, dims, spacing: Spacing, network: Network,
+              threshold: float = 0.5) -> tuple[float, np.ndarray]:
+    """The mm^3 of a case and the mask predicted for it, from its 3-D
+    network input ``x`` (``prepare_input`` of its grid) and the grid's
+    ``dims`` and ``spacing``."""
+    mask = extract_tumor_mask(predict(network, x), threshold)
+    return cnn_volume(mask, dims, spacing), mask
+
+
 def ml_estimate(grid: VoxelGrid, network: Network, threshold: float = 0.5) -> float:
     """Predict a segmentation mask and convert it to mm^3 (3-D path)."""
     if network.rank != 3:
         raise ValueError("ml_estimate needs a 3-D network; use ml_estimate_slicewise for 2-D")
-    pred = predict(network, prepare_input(grid, network.input_shape[:-1]))
-    mask = extract_tumor_mask(pred, threshold)
-    return cnn_volume(mask, grid.dims, grid.spacing)
+    x = prepare_input(grid, network.input_shape[:-1])
+    return ml_volume(x, grid.dims, grid.spacing, network, threshold)[0]
 
 
 def ml_estimate_slicewise(grid: VoxelGrid, network: Network, threshold: float = 0.5) -> float:

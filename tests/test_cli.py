@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import logging
@@ -6,6 +7,7 @@ import shutil
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -405,8 +407,7 @@ class TestPipelineCommands:
             calls.append(x.shape)
             return predict(net, x)
 
-        # ml_estimate predicts through the estimators module's binding
-        monkeypatch.setattr(cli, "predict", counting_predict)
+        # eval predicts through the estimators module's binding
         monkeypatch.setattr(estimators, "predict", counting_predict)
         out = tmp_path / "eval.json"
         assert main(["eval", "--cohort", str(small_cohort), "--model", str(model),
@@ -417,6 +418,44 @@ class TestPipelineCommands:
         net = load_network(model)
         for case, row in zip(cases, rows):
             assert row["volume_mm3"] == estimators.ml_estimate(case.grid, net)
+
+    def test_training_holds_only_prepared_arrays(self, small_cohort, tmp_path, monkeypatch):
+        """``train`` and ``stats`` train on the prepared arrays alone: no
+        grid or mask the manifest gave is alive once ``train()`` starts,
+        and the CV scorer reads each case's prepared input, so ``stats``
+        resizes every grid and every mask once."""
+        from volumetrica.nn import inference
+
+        loaded, alive = [], []
+        load, fit, resize = cli._load_manifest_cases, cli.train, inference.resize_volume
+
+        def tracked_load(path):
+            cases, truths = load(path)
+            loaded.extend(weakref.ref(v) for c in cases for v in (c.grid, c.mask))
+            return cases, truths
+
+        def checked_train(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in loaded))
+            return fit(*args, **kwargs)
+
+        resized = []
+
+        def counted_resize(*args, **kwargs):
+            resized.append(1)
+            return resize(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_load_manifest_cases", tracked_load)
+        monkeypatch.setattr(cli, "train", checked_train)
+        monkeypatch.setattr(inference, "resize_volume", counted_resize)
+        assert main(["train", "--cohort", str(small_cohort), "--out", str(tmp_path / "m"),
+                     "--epochs", "1"]) == 0
+        assert len(loaded) == 10 and alive == [0]
+        resized.clear()
+        assert main(["stats", "--cohort", str(small_cohort), "--folds", "2", "--epochs", "1",
+                     "--out", str(tmp_path / "s.json")]) == 0
+        assert len(loaded) == 20 and alive == [0, 0, 0]
+        assert len(resized) == 2 * 5
 
     def test_stats_k_exceeding_n_exits_2(self, small_cohort, tmp_path):
         assert main(["stats", "--cohort", str(small_cohort), "--folds", "6",

@@ -17,7 +17,13 @@ from volumetrica import io as vio
 from volumetrica.cli import main
 from volumetrica.errors import InputError
 from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
-from volumetrica.nn.network import ConvLayer, build_segmenter_3d, load_network, save_network
+from volumetrica.nn.network import (
+    ConvLayer,
+    build_segmenter_2d,
+    build_segmenter_3d,
+    load_network,
+    save_network,
+)
 from volumetrica.phantoms import ShapeOutOfBoundsError, load_phantom_config
 
 # tier-1 runs must be reproducible: no example database, a fixed seed
@@ -172,9 +178,14 @@ class TestPhantomSpec:
             json.dumps(dict(SPHERE, center_mm=[8])),
             json.dumps(dict(SPHERE, radius_mm=30.0)),
             "5",
+            # the first entry's default id
+            json.dumps(dict(SPHERE, id="case_000")),
+            json.dumps(dict(SPHERE, id="../escaped")),
+            *(json.dumps(dict(SPHERE, id=v)) for v in (5, "", ".", "..", "a\\b", "a\0b")),
         ],
         ids=["nan-literal", "overflow-literal", "nan-string", "negative", "huge", "nan-center",
-             "short-center", "out-of-bounds", "not-an-object"],
+             "short-center", "out-of-bounds", "not-an-object", "duplicate-id", "path-escape-id",
+             "id-not-a-string", "empty-id", "dot-id", "dot-dot-id", "backslash-id", "nul-id"],
     )
     def test_bad_second_entry_writes_nothing(self, tmp_path, capsys, entry_text):
         spec = tmp_path / "spec.json"
@@ -183,6 +194,17 @@ class TestPhantomSpec:
         assert main(["phantom", "--spec", str(spec), "--out", str(out)]) == 2
         assert "unreadable input" in capsys.readouterr().err
         assert not list(out.glob("*.volv"))
+        assert {p.name for p in tmp_path.iterdir()} <= {"spec.json", "out"}
+
+    def test_id_messages(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"cohort": [dict(SPHERE, id="a"), dict(SPHERE, id="b"),
+                                               dict(SPHERE, id="a", radius_mm=4.0)]}))
+        assert main(["phantom", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "case 2: id 'a' repeats the id of case 0" in capsys.readouterr().err
+        spec.write_text(json.dumps(dict(SPHERE, id="a/b")))
+        assert main(["phantom", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "id 'a/b' must be a non-empty file-name stem" in capsys.readouterr().err
 
     def test_missing_key_message(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -227,6 +249,14 @@ class TestNetwork:
         assert main(["eval", "--cohort", str(cohort / "ph" / "manifest.json"),
                      "--model", str(nan_bias_model)]) == 2
         assert capsys.readouterr().err.count("cannot load model") == 2
+
+    def test_eval_with_2d_model_exits_2(self, cohort, tmp_path, capsys):
+        model = tmp_path / "net2d.vnet"
+        save_network(build_segmenter_2d(seed=0), model)
+        assert main(["eval", "--cohort", str(cohort / "ph" / "manifest.json"),
+                     "--model", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert f"{model}: eval needs a 3-D model, got a 2-D one" in err
 
 
 class TestDicom:

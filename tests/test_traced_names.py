@@ -32,11 +32,37 @@ def test_every_traced_function_exists():
     assert missing == []
 
 
+def _count_wrapped(workload, monkeypatch) -> tuple[list, list]:
+    """The ``layer.fn`` names layers.json wraps for ``workload``, and a
+    list that records one name per call: a counting wrapper goes at every
+    module attribute bound to each function, as the tracer binds its
+    wrappers."""
+    layers = json.loads(LAYERS.read_text())["layers"]
+    wrapped = [f"{layer}.{fn}" for layer, spec in layers.items()
+               for fn, workloads in spec["wrap"].items() if workload in workloads]
+    calls = []
+    lock = threading.Lock()
+    modules = [m for n, m in sys.modules.items() if n == "volumetrica" or n.startswith("volumetrica.")]
+    for name in wrapped:
+        layer, _, fn = name.rpartition(".")
+        original = getattr(importlib.import_module(f"volumetrica.{layer}"), fn)
+
+        def counting(*args, _name=name, _fn=original, **kwargs):
+            with lock:
+                calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return wrapped, calls
+
+
 def test_every_function_wrapped_for_dicom_estimate_runs(tmp_path, monkeypatch):
     """The benchmark self-test asserts that each function layers.json
     wraps for ``dicom-estimate`` records a span there. One DICOM
-    ``estimate`` with a counting wrapper at every module attribute bound
-    to each of them (as the tracer binds its wrappers) checks the same."""
+    ``estimate`` with every one of them counted checks the same."""
     series = tmp_path / "series"
     series.mkdir()
     mask = np.zeros((8, 24, 24), dtype=bool)
@@ -50,28 +76,35 @@ def test_every_function_wrapped_for_dicom_estimate_runs(tmp_path, monkeypatch):
     vio.write_volume(tmp_path / "mask.volv", BinaryMask(mask, Spacing(0.5, 0.5, 1.5)))
     save_network(build_segmenter_3d(seed=0), tmp_path / "net.vnet")
 
-    layers = json.loads(LAYERS.read_text())["layers"]
-    wrapped = [(layer, fn) for layer, spec in layers.items()
-               for fn, workloads in spec["wrap"].items() if "dicom-estimate" in workloads]
-    calls = []
-    lock = threading.Lock()
-    modules = [m for n, m in sys.modules.items() if n == "volumetrica" or n.startswith("volumetrica.")]
-    for layer, fn in wrapped:
-        original = getattr(importlib.import_module(f"volumetrica.{layer}"), fn)
-
-        def counting(*args, _name=f"{layer}.{fn}", _fn=original, **kwargs):
-            with lock:
-                calls.append(_name)
-            return _fn(*args, **kwargs)
-
-        for mod in modules:
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counting)
-
+    wrapped, calls = _count_wrapped("dicom-estimate", monkeypatch)
     assert main(["estimate", "--input", str(series), "--mask", str(tmp_path / "mask.volv"),
                  "--model", str(tmp_path / "net.vnet"), "--methods", "all",
                  "--out", str(tmp_path / "estimate.json")]) == 0
-    assert [f"{layer}.{fn}" for layer, fn in wrapped if f"{layer}.{fn}" not in calls] == []
+    assert [name for name in wrapped if name not in calls] == []
     # the per-case metrics of the benchmark count estimate_all once a call
     assert calls.count("estimators.estimate_all") == 1
+
+
+def test_every_function_wrapped_for_cohort_runs(tmp_path, monkeypatch):
+    """The same for ``cohort``: a small cohort through phantom, train,
+    eval, compare and stats, with the commands and flags of the
+    benchmark's pipeline, calls every function layers.json wraps for it
+    (``ml_estimate`` only through ``compare``)."""
+    entries = [{"shape": "sphere", "radius_mm": 6.0 + 2 * i, "dims": [44, 44, 44],
+                "spacing_mm": [1.0, 1.0, 1.0], "noise_sigma": 0.05} for i in range(5)]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"cohort": entries}))
+    manifest, model = str(tmp_path / "ph" / "manifest.json"), str(tmp_path / "m" / "net.vnet")
+
+    wrapped, calls = _count_wrapped("cohort", monkeypatch)
+    for argv in (
+        ["phantom", "--spec", str(spec), "--out", str(tmp_path / "ph")],
+        ["train", "--cohort", manifest, "--out", str(tmp_path / "m"), "--epochs", "1"],
+        ["eval", "--cohort", manifest, "--model", model, "--out", str(tmp_path / "eval.json")],
+        ["compare", "--cohort", manifest, "--model", model,
+         "--out", str(tmp_path / "compare.json")],
+        ["stats", "--cohort", manifest, "--folds", "2", "--epochs", "1",
+         "--out", str(tmp_path / "stats.json")],
+    ):
+        assert main(argv + ["--seed", "1"]) == 0, argv[0]
+    assert [name for name in wrapped if name not in calls] == []
