@@ -49,6 +49,10 @@ from volumetrica.workers import run_in_order, spare_workers
 
 EXIT_OK, EXIT_RUNTIME, EXIT_USAGE = 0, 1, 2
 
+# the dtype of the networks that train and stats build and train; the
+# other commands predict in the dtype of the model they load
+TRAIN_DTYPE = np.float32
+
 # what a command decided on its own (skipped files, defaulted geometry,
 # an intensity-thresholded mask); never part of a report
 logger = logging.getLogger(__name__)
@@ -74,10 +78,7 @@ def cmd_phantom(args) -> int:
     if not isinstance(entries, list):
         raise InputError(f"{args.spec}: 'cohort' must be a list of phantom configs")
     # every entry is validated before the first file is written
-    configs = [
-        load_phantom_config({"seed": seed + i, **entry} if isinstance(entry, dict) else entry)
-        for i, entry in enumerate(entries)
-    ]
+    configs = [_phantom_config(entry, seed + i, i, args.spec) for i, entry in enumerate(entries)]
     case_ids = _case_ids(entries, args.spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -106,6 +107,15 @@ def cmd_phantom(args) -> int:
     vio.dump_json(out / "manifest.json", envelope)
     print(f"wrote {len(cases)} phantom(s) to {out}")
     return EXIT_OK
+
+
+def _phantom_config(entry, seed: int, index: int, spec_path):
+    """``load_phantom_config`` of one spec entry, seeded with ``seed``
+    unless it names its own; an invalid entry's error names the entry."""
+    try:
+        return load_phantom_config({"seed": seed, **entry} if isinstance(entry, dict) else entry)
+    except InputError as exc:
+        raise InputError(f"{spec_path}: case {index}: {exc}") from exc
 
 
 def _case_ids(entries: list[dict], spec_path) -> list[str]:
@@ -174,7 +184,9 @@ def cmd_parse(args) -> int:
 
 def cmd_ingest(args) -> int:
     src = Path(args.input)
-    grid, geometry, skipped = dicomlite.read_directory(src)
+    # one listing serves the read and the checksums
+    files = vio.directory_files(src)
+    grid, geometry, skipped = dicomlite.read_directory(src, files)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vio.write_volume(out / "grid.volv", grid)
@@ -189,7 +201,7 @@ def cmd_ingest(args) -> int:
         "warnings": list(geometry.warnings) + skipped,
     }
     envelope = vio.report_envelope("ingest", payload, _seed(args), {"input": str(src)},
-                                   vio.input_checksums([src]))
+                                   {str(p): vio.sha256_file(p) for p, _ in files})
     vio.dump_json(out / "geometry.json", envelope)
     print(f"ingested {len(geometry.slice_order)} slice(s) into {out}")
     return EXIT_OK
@@ -217,17 +229,20 @@ def cmd_estimate(args) -> int:
     A slice-area CSV has no grid, so its whole estimate is task 0. A
     failure decides the exit code and the message in task order, so the
     input's error comes before the mask's, the mask's before a
-    disagreement of the two, and any of them before a hash's."""
+    disagreement of the two, and any of them before a hash's. ``--input``
+    is listed once: a DICOM directory is read from the listing that is
+    hashed."""
     src = Path(args.input)
-    network = load_network(args.model) if args.model else None
+    network = load_network(args.model, rank=3) if args.model else None
     methods = _methods(args.methods, network)
+    listing = vio.input_files([src])
     if src.suffix.lower() == ".csv":
         parts = [lambda: _estimate_csv(src, methods, args)]
     else:
-        parts = _estimate_parts(src, args, network, methods)
+        parts = _estimate_parts(src, listing, args, network, methods)
     # a CSV output carries no checksums, so nothing is hashed for it
     hashed = [] if args.format == "csv" else sorted(
-        vio.input_files([src] + [p for p in (args.mask, args.model) if p]),
+        listing + vio.input_files([p for p in (args.mask, args.model) if p]),
         key=lambda file: -file[1])
     tasks = parts + [lambda path=path: (str(path), vio.sha256_file(path)) for path, _ in hashed]
     results = run_in_order(lambda i: tasks[i](), len(tasks), spare_workers(len(tasks)),
@@ -282,9 +297,10 @@ class _Shared:
         return value
 
 
-def _estimate_parts(src: Path, args, network, methods) -> list:
-    """Tasks 0 and 1 of ``cmd_estimate`` on a grid input (see there)."""
-    volume = _Shared(lambda: _read_input(src))
+def _estimate_parts(src: Path, listing, args, network, methods) -> list:
+    """Tasks 0 and 1 of ``cmd_estimate`` on a grid input (see there);
+    ``listing`` is ``io.input_files([src])``."""
+    volume = _Shared(lambda: _read_input(src, listing))
     if args.mask and src.is_dir() and not (src / "manifest.json").exists():
         # a DICOM series' --mask does not wait for the series
         mask = _Shared(lambda: vio.read_volume(args.mask))
@@ -316,9 +332,10 @@ def _merged(ml: EstimateReport, manual: EstimateReport, methods) -> EstimateRepo
     return report
 
 
-def _read_input(src: Path) -> tuple[str, EstimateCase | VoxelGrid | BinaryMask]:
+def _read_input(src: Path, listing) -> tuple[str, EstimateCase | VoxelGrid | BinaryMask]:
     """The case id and what ``--input`` holds: the one case of a manifest
-    directory, the grid of a DICOM directory, or a VOLV's grid or mask."""
+    directory, the grid of a DICOM directory (read from ``listing``, its
+    ``io.directory_files``), or a VOLV's grid or mask."""
     if src.is_dir():
         manifest = src / "manifest.json"
         if manifest.exists():
@@ -327,7 +344,7 @@ def _read_input(src: Path) -> tuple[str, EstimateCase | VoxelGrid | BinaryMask]:
                 raise InputError(f"{manifest} lists {len(cases)} cases; use `compare` for cohorts")
             return cases[0].case_id, cases[0]
         # a directory of DICOM slices
-        grid, geometry, skipped = dicomlite.read_directory(src)
+        grid, geometry, skipped = dicomlite.read_directory(src, listing)
         for message in [*geometry.warnings, *(f"skipped {entry}" for entry in skipped)]:
             logger.warning("%s: %s", src, message)
         return src.name, grid
@@ -372,7 +389,11 @@ def _mask_for(grid: VoxelGrid, args) -> BinaryMask:
 def cmd_train(args) -> int:
     seed = _seed(args)
     cases, _ = _load_manifest_cases(args.cohort)
-    net = build_segmenter_3d(seed=seed)
+    net = build_segmenter_3d(seed=seed, dtype=TRAIN_DTYPE)
+    # the model records its cohort's extent; cases that differ in extent
+    # leave it unknown
+    extents = {_extent_mm(c.grid) for c in cases}
+    net.extent_mm = extents.pop() if len(extents) == 1 else None
     training_cases = _each_case(lambda c: _training_case(net, c), cases, "train")
     del cases  # training reads only the prepared arrays
     config = TrainConfig(
@@ -404,9 +425,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     seed = _seed(args)
     cases, _ = _load_manifest_cases(args.cohort)
-    network = load_network(args.model)
-    if network.rank != 3:
-        raise InputError(f"{args.model}: eval needs a 3-D model, got a {network.rank}-D one")
+    network = load_network(args.model, rank=3)
     target_shape = network.input_shape[:-1]
 
     def row(case):
@@ -446,7 +465,7 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     seed = _seed(args)
     cases, _ = _load_manifest_cases(args.cohort)
-    network = load_network(args.model) if args.model else None
+    network = load_network(args.model, rank=3) if args.model else None
     methods = _methods(None, network)
     reports = _each_case(
         lambda c: estimate_all(c, network=network, threshold=args.threshold, methods=methods),
@@ -482,7 +501,7 @@ def cmd_stats(args) -> int:
         return _fail(EXIT_USAGE, f"k = {args.folds} folds exceed {n} cases")
 
     manual_methods = ("spherical", "area_based", "regression")
-    net_template = build_segmenter_3d(seed=seed)
+    net_template = build_segmenter_3d(seed=seed, dtype=TRAIN_DTYPE)
 
     def prepare(case):
         report = estimate_all(case, methods=manual_methods)
@@ -507,7 +526,7 @@ def cmd_stats(args) -> int:
     # the cohort is indexed: the trainer reads the training triples, and
     # the estimator scores a triple's input with its grid's geometry
     def trainer(indices):
-        net = build_segmenter_3d(seed=seed)
+        net = build_segmenter_3d(seed=seed, dtype=TRAIN_DTYPE)
         train(net, [prepared[i] for i in indices], train_config)
         return net
 
@@ -555,14 +574,22 @@ def _each_case(fn, items, name: str) -> list:
 
 def _training_case(net, case: EstimateCase) -> tuple:
     """``(x, target, cols)`` of one case for ``train``: the network input,
-    its mask target and the first layer's im2col of the input, all
-    read-only so several trainings may share them across threads."""
+    its mask target and the first layer's im2col of the input, in the
+    network's dtype and all read-only so several trainings may share
+    them across threads."""
     target_shape = net.input_shape[:-1]
-    x = prepare_input(case.grid, target_shape)
-    triple = (x, mask_training_target(case.mask, target_shape), input_cols(net, x))
+    x = prepare_input(case.grid, target_shape).astype(net.dtype, copy=False)
+    target = mask_training_target(case.mask, target_shape).astype(net.dtype, copy=False)
+    triple = (x, target, input_cols(net, x))
     for a in triple:
         a.flags.writeable = False
     return triple
+
+
+def _extent_mm(grid: VoxelGrid) -> tuple[float, float, float]:
+    """The physical extent of ``grid`` in the network's axis order (z, y, x)."""
+    (nx, ny, nz), spacing = grid.dims, grid.spacing
+    return (nz * spacing.sz, ny * spacing.sy, nx * spacing.sx)
 
 
 def _write_report(out, envelope: dict) -> None:

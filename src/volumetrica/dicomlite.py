@@ -616,10 +616,12 @@ def _read_slice(path: Path, view: memoryview) -> tuple[DicomDataset, str | None,
     return header, pixels.vr, size
 
 
-def read_directory(path) -> tuple[VoxelGrid, SeriesGeometry, list[str]]:
+def read_directory(path, files=None) -> tuple[VoxelGrid, SeriesGeometry, list[str]]:
     """Parse every regular file in ``path`` (sorted by name) and assemble
-    the series with ``read_series``. Files that fail to parse, or whose
-    size changed after the listing, are skipped and listed as
+    the series with ``read_series``. ``files`` is the listing
+    ``io.directory_files(path)`` where the caller has made it already;
+    without it the directory is listed here. Files that fail to parse,
+    or whose size changed after the listing, are skipped and listed as
     ``"<name>: <reason>"`` in the third return value.
 
     The series is read into one numpy buffer, sized by the listed file
@@ -632,7 +634,7 @@ def read_directory(path) -> tuple[VoxelGrid, SeriesGeometry, list[str]]:
     grid's plane then views. So the read holds the series' pixel bytes
     (two bytes a voxel for 16-bit slices) in one allocation, never a
     float64 grid; that comes only when ``data`` is read."""
-    files = directory_files(path)
+    files = directory_files(path) if files is None else files
     buffer = np.empty(sum(size for _, size in files), np.uint8)
     kept = []  # (header, PixelData VR, PixelData offset in the buffer, its size)
     skipped = []

@@ -1,34 +1,53 @@
 """Convolution and pooling layers for 2-D and 3-D channels-last tensors.
 
-Tensors are float64 numpy arrays shaped (*spatial, channels); 3-D
-spatial order is (z, y, x). Convolution is cross-correlation (no kernel
-flip) with 'same' zero padding and stride 1.
+Tensors are numpy arrays shaped (*spatial, channels); 3-D spatial order
+is (z, y, x). A layer computes in the dtype of its parameters, float32
+or float64 (``FLOAT_DTYPES``), and casts its input to it. Convolution
+is cross-correlation (no kernel flip) with 'same' zero padding and
+stride 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 ACTIVATIONS = ("none", "relu", "sigmoid")
+# the dtypes a layer's parameters, and so its arithmetic, may have
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-# keep sigmoid outputs strictly inside (0, 1) even for saturating logits
-_SIGMOID_MAX = float(np.nextafter(1.0, 0.0))
-_SIGMOID_MIN = float(np.nextafter(0.0, 1.0))
+
+def as_float(x, dtype=None) -> np.ndarray:
+    """``x`` as an array of ``dtype``; without one, ``x`` keeps a float32
+    or float64 dtype and anything else becomes float64."""
+    x = np.asarray(x)
+    if dtype is None:
+        dtype = x.dtype if x.dtype in FLOAT_DTYPES else np.float64
+    return x.astype(dtype, copy=False)
+
+
+@cache
+def _unit_bounds(dtype: np.dtype) -> tuple:
+    """The least and the greatest value of ``dtype`` strictly inside (0, 1)."""
+    zero, one = dtype.type(0), dtype.type(1)
+    return np.nextafter(zero, one), np.nextafter(one, zero)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) otherwise,
     so exp never overflows; one exp over the whole array. The exp
-    argument is -z or z itself, never -|z|, so a NaN keeps its sign."""
+    argument is -z or z itself, never -|z|, so a NaN keeps its sign.
+    Outputs stay strictly inside (0, 1) in their dtype, even for
+    saturating logits."""
     pos = z >= 0
     e = np.exp(np.where(pos, -z, z))
     d = 1.0 + e
-    return np.clip(np.where(pos, 1.0 / d, e / d), _SIGMOID_MIN, _SIGMOID_MAX)
+    return np.clip(np.where(pos, 1.0 / d, e / d), *_unit_bounds(d.dtype))
 
 
 def apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
@@ -64,7 +83,8 @@ class ConvLayer:
     """Same-padding convolution with per-output-channel bias.
 
     ``weights`` has shape (*kernel, in_ch, out_ch) with odd kernel
-    extents; parameter count is out_ch * (in_ch * prod(kernel) + 1).
+    extents and a dtype of ``FLOAT_DTYPES``; the bias takes that dtype.
+    Parameter count is out_ch * (in_ch * prod(kernel) + 1).
     """
 
     weights: np.ndarray
@@ -72,8 +92,10 @@ class ConvLayer:
     activation: str = "none"
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.weights = np.asarray(self.weights)
+        if self.weights.dtype not in FLOAT_DTYPES:
+            raise ValueError(f"weights must be float32 or float64, got {self.weights.dtype}")
+        self.bias = np.asarray(self.bias, dtype=self.weights.dtype)
         if self.weights.ndim not in (4, 5):
             raise ValueError("weights must be (*kernel, in_ch, out_ch) with rank 2 or 3")
         if any(k % 2 == 0 for k in self.kernel):
@@ -86,6 +108,10 @@ class ConvLayer:
     @property
     def rank(self) -> int:
         return self.weights.ndim - 2
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights.dtype
 
     @property
     def kernel(self) -> tuple[int, ...]:
@@ -104,14 +130,18 @@ class ConvLayer:
         return self.out_channels * (self.in_channels * math.prod(self.kernel) + 1)
 
     @classmethod
-    def create(cls, rank, kernel_size, in_channels, out_channels, activation, rng):
-        """Glorot-uniform initialized layer; bounded and reproducible."""
+    def create(cls, rank, kernel_size, in_channels, out_channels, activation, rng,
+               dtype=np.float64):
+        """Glorot-uniform initialized layer; bounded and reproducible. The
+        weights are drawn in float64 and then cast to ``dtype``, so the
+        same ``rng`` state gives a float32 layer that is the float64 one
+        rounded."""
         kernel = (kernel_size,) * rank if np.isscalar(kernel_size) else tuple(kernel_size)
         fan_in = in_channels * math.prod(kernel)
         fan_out = out_channels * math.prod(kernel)
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         weights = rng.uniform(-limit, limit, size=kernel + (in_channels, out_channels))
-        return cls(weights, np.zeros(out_channels), activation)
+        return cls(weights.astype(dtype, copy=False), np.zeros(out_channels, dtype), activation)
 
 
 @dataclass(frozen=True)
@@ -181,10 +211,11 @@ def conv_forward_cached(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None
 
     ``cols`` lets callers reuse a previously built im2col matrix when
     the same input is convolved repeatedly (training epochs). ``out`` is
-    an optional C-contiguous (*spatial, out_ch) float64 buffer for z.
-    relu is applied in place, so for a relu layer ``z is a``.
+    an optional C-contiguous (*spatial, out_ch) buffer for z in the
+    layer's dtype. relu is applied in place, so for a relu layer
+    ``z is a``.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x, layer.dtype)
     if x.ndim != layer.rank + 1:
         raise ValueError(
             f"input must be rank {layer.rank} spatial + channels, got shape {x.shape}"
@@ -196,7 +227,7 @@ def conv_forward_cached(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None
     if cols is None:
         cols = _im2col(x, layer.kernel)
     out_ch = layer.out_channels
-    z = np.empty(x.shape[: layer.rank] + (out_ch,)) if out is None else out
+    z = np.empty(x.shape[: layer.rank] + (out_ch,), layer.dtype) if out is None else out
     np.matmul(cols, layer.weights.reshape(-1, out_ch), out=z.reshape(-1, out_ch))
     _add_bias(z, layer.bias)
     a = apply_activation(z, layer.activation)
@@ -223,8 +254,9 @@ def conv_backward(layer: ConvLayer, x, cols, dz, need_dx: bool = True):
 
 
 def avg_pool(x: np.ndarray, pool: tuple[int, ...]) -> np.ndarray:
-    """Mean over non-overlapping pool windows; channels preserved."""
-    x = np.asarray(x, dtype=np.float64)
+    """Mean over non-overlapping pool windows; channels preserved. A
+    float32 input is pooled in float32, any other in float64."""
+    x = as_float(x)
     rank = len(pool)
     if x.ndim != rank + 1:
         raise ValueError(f"input must be rank {rank} spatial + channels, got {x.shape}")
@@ -247,7 +279,8 @@ def avg_pool(x: np.ndarray, pool: tuple[int, ...]) -> np.ndarray:
 def avg_pool_backward(pool: tuple[int, ...], x_shape, dz: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Spread each pooled gradient evenly over its window, into the
-    optional C-contiguous float64 buffer ``out`` of shape ``x_shape``."""
+    optional C-contiguous buffer ``out`` of shape ``x_shape`` and the
+    dtype of ``dz``."""
     src = dz * (1.0 / math.prod(pool))
     # view the output as (n0, p0, n1, p1, ..., channels) and broadcast
     # dz over the p axes: one copy instead of chained repeats
@@ -259,6 +292,6 @@ def avg_pool_backward(pool: tuple[int, ...], x_shape, dz: np.ndarray,
     expanded_shape.append(dz.shape[-1])
     src_index.append(slice(None))
     if out is None:
-        out = np.empty(x_shape)
+        out = np.empty(x_shape, dz.dtype)
     out.reshape(expanded_shape)[...] = src[tuple(src_index)]
     return out

@@ -16,6 +16,7 @@ from volumetrica.nn.layers import (
     _im2col,
     _im2col_rows,
     activation_grad,
+    as_float,
     avg_pool,
     avg_pool_backward,
     conv_backward,
@@ -28,14 +29,19 @@ from volumetrica.workers import run_in_order, spare_workers as _band_workers
 @dataclass
 class Network:
     """Ordered conv/pool layers plus the declared input shape
-    (*spatial, channels)."""
+    (*spatial, channels). Every conv layer has the same dtype, which is
+    the network's: its passes compute in it. ``extent_mm`` is the
+    physical extent, per spatial axis in input order, of the grids the
+    network was trained on, or None where it is unknown."""
 
     layers: list
     input_shape: tuple[int, ...]
+    extent_mm: tuple[float, ...] | None = None
 
     def __post_init__(self):
         shape = tuple(self.input_shape)
         channels = shape[-1]
+        dtypes = set()
         for i, layer in enumerate(self.layers):
             if isinstance(layer, ConvLayer):
                 if layer.in_channels != channels:
@@ -43,14 +49,31 @@ class Network:
                         f"layer {i} expects {layer.in_channels} channels, gets {channels}"
                     )
                 channels = layer.out_channels
+                dtypes.add(layer.dtype)
             elif isinstance(layer, AvgPool):
                 continue
             else:
                 raise TypeError(f"unsupported layer type {type(layer)!r}")
+        if len(dtypes) > 1:
+            raise ValueError(f"conv layers mix dtypes {sorted(d.name for d in dtypes)}")
+        if self.extent_mm is not None:
+            extent = tuple(float(e) for e in self.extent_mm)
+            if len(extent) != len(shape) - 1 or not all(0.0 < e < math.inf for e in extent):
+                raise ValueError(f"training extent must be {len(shape) - 1} finite values "
+                                 f"> 0 mm, got {self.extent_mm!r}")
+            self.extent_mm = extent
 
     @property
     def rank(self) -> int:
         return len(self.input_shape) - 1
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the conv layers; float64 for a network without one."""
+        for layer in self.layers:
+            if isinstance(layer, ConvLayer):
+                return layer.dtype
+        return np.dtype(np.float64)
 
     def output_shapes(self, input_shape=None) -> list[tuple[int, ...]]:
         """Shape after each layer for ``input_shape`` (*spatial,
@@ -102,7 +125,7 @@ class Workspace:
     def __init__(self):
         self._buffers: dict = {}
 
-    def buffer(self, key, shape, dtype=np.float64) -> np.ndarray:
+    def buffer(self, key, shape, dtype) -> np.ndarray:
         buf = self._buffers.get(key)
         if buf is None or buf.shape != shape or buf.dtype != dtype:
             buf = self._buffers[key] = np.empty(shape, dtype)
@@ -127,7 +150,7 @@ def _bands(net: Network, shape, shapes, budget: int | None = None) -> tuple[int,
     rows, scale = shape[0], 1
     for layer, out_shape in zip(net.layers, shapes):
         if isinstance(layer, ConvLayer):
-            row_bytes = 8 * math.prod(out_shape[1:])
+            row_bytes = layer.dtype.itemsize * math.prod(out_shape[1:])
             rows = min(rows, budget * scale // max(row_bytes, 1))
         else:
             scale *= layer.pool[0]
@@ -171,15 +194,16 @@ def predict(net: Network, x: np.ndarray) -> np.ndarray:
     real neighbour rows and zero rows only at the image edges. The bands
     run on the workers of ``_band_plan`` and each writes only its own
     rows of the output. The result equals one pass over the whole input
-    bit for bit, on any number of workers.
+    bit for bit, on any number of workers. ``x`` is cast once to the
+    network's dtype, which the output has too.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_float(x, net.dtype)
     # the whole input's shape is checked before it is cut into bands
     shapes = net.output_shapes(x.shape)
     workers, height, scale = _band_plan(net, x.shape, shapes)
     n = x.shape[0]
     in_rows = [n] + [s[0] for s in shapes[:-1]]
-    out = np.empty(shapes[-1] if shapes else x.shape)
+    out = np.empty(shapes[-1] if shapes else x.shape, x.dtype)
 
     def band(index: int) -> None:
         start = index * height
@@ -202,12 +226,12 @@ def predict(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(net: Network, x: np.ndarray, first_cols, ws: Workspace):
-    a = np.asarray(x, dtype=np.float64)
+    a = as_float(x, net.dtype)
     cache = []
     for i, layer in enumerate(net.layers):
         if isinstance(layer, ConvLayer):
             inp = a
-            z_buf = ws.buffer(("z", i), inp.shape[:-1] + (layer.out_channels,))
+            z_buf = ws.buffer(("z", i), inp.shape[:-1] + (layer.out_channels,), layer.dtype)
             a, z, cols = conv_forward_cached(layer, a, first_cols if i == 0 else None, out=z_buf)
             cache.append(("conv", layer, inp, z, cols, a))
         else:
@@ -219,11 +243,11 @@ def _forward_cached(net: Network, x: np.ndarray, first_cols, ws: Workspace):
 
 def input_cols(net: Network, x: np.ndarray):
     """Precompute the first layer's im2col matrix for repeated passes
-    over the same input; returns None when the first layer is not a
-    convolution."""
+    over the same input, in the network's dtype; returns None when the
+    first layer is not a convolution."""
     if not net.layers or not isinstance(net.layers[0], ConvLayer):
         return None
-    return _im2col(np.asarray(x, dtype=np.float64), net.layers[0].kernel)
+    return _im2col(as_float(x, net.dtype), net.layers[0].kernel)
 
 
 def backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind: str, first_cols=None,
@@ -237,7 +261,7 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind: str, fi
     calls; without one a fresh workspace is used.
     """
     ws = Workspace() if workspace is None else workspace
-    target = np.asarray(target, dtype=np.float64)
+    target = as_float(target, net.dtype)
     out, cache = _forward_cached(net, x, first_cols, ws)
     if out.shape != target.shape:
         raise ValueError(f"output shape {out.shape} != target shape {target.shape}")
@@ -283,7 +307,7 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind: str, fi
             if pos > 0 and remaining[pos - 1][0] == "conv":
                 out = remaining[pos - 1][3]  # that conv's z
             else:
-                out = ws.buffer(("dz", pos), inp_shape)
+                out = ws.buffer(("dz", pos), inp_shape, da.dtype)
             da = avg_pool_backward(layer.pool, inp_shape, da, out=out)
 
     return loss_value, list(reversed(grads_rev))
@@ -298,43 +322,51 @@ def gradient_list(grads) -> list[np.ndarray]:
     return flat
 
 
-def build_segmenter_2d(seed: int = 0) -> Network:
-    """(1024,1024,1) -> Conv 32@3x3 relu -> AvgPool 2x2 -> Conv 1@1x1 sigmoid."""
+def build_segmenter_2d(seed: int = 0, dtype=np.float64) -> Network:
+    """(1024,1024,1) -> Conv 32@3x3 relu -> AvgPool 2x2 -> Conv 1@1x1 sigmoid,
+    in ``dtype``: a float32 net is the float64 net of ``seed`` rounded."""
     rng = np.random.default_rng(seed)
     return Network(
         layers=[
-            ConvLayer.create(2, 3, 1, 32, "relu", rng),
+            ConvLayer.create(2, 3, 1, 32, "relu", rng, dtype),
             AvgPool((2, 2)),
-            ConvLayer.create(2, 1, 32, 1, "sigmoid", rng),
+            ConvLayer.create(2, 1, 32, 1, "sigmoid", rng, dtype),
         ],
         input_shape=(1024, 1024, 1),
     )
 
 
-def build_segmenter_3d(seed: int = 0) -> Network:
-    """(32,32,32,1) -> Conv 32@3x3x3 relu -> AvgPool 2x2x2 -> Conv 1@1x1x1 sigmoid."""
+def build_segmenter_3d(seed: int = 0, dtype=np.float64) -> Network:
+    """(32,32,32,1) -> Conv 32@3x3x3 relu -> AvgPool 2x2x2 -> Conv 1@1x1x1 sigmoid,
+    in ``dtype``: a float32 net is the float64 net of ``seed`` rounded."""
     rng = np.random.default_rng(seed)
     return Network(
         layers=[
-            ConvLayer.create(3, 3, 1, 32, "relu", rng),
+            ConvLayer.create(3, 3, 1, 32, "relu", rng, dtype),
             AvgPool((2, 2, 2)),
-            ConvLayer.create(3, 1, 32, 1, "sigmoid", rng),
+            ConvLayer.create(3, 1, 32, 1, "sigmoid", rng, dtype),
         ],
         input_shape=(32, 32, 32, 1),
     )
 
 
 _MAGIC = b"VNET"
+_VERSION = 2
 _ACTIVATION_CODES = {"none": 0, "relu": 1, "sigmoid": 2}
 _ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_CODES.items()}
+# a weight dtype's code is its width in bytes
+_DTYPE_CODES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 
 
 def save_network(net: Network, path) -> None:
-    """Flat little-endian container: magic, input shape, layer table,
-    float64 parameters."""
-    out = [_MAGIC, struct.pack("<I", 1)]
+    """Flat little-endian container, version 2: magic, version, weight
+    dtype code, input shape, training extent in mm (0 where unknown),
+    layer table, parameters in the network's dtype."""
+    dtype = _DTYPE_CODES[net.dtype.itemsize]
+    out = [_MAGIC, struct.pack("<IB", _VERSION, dtype.itemsize)]
     out.append(struct.pack("<B", len(net.input_shape)))
     out.append(struct.pack(f"<{len(net.input_shape)}I", *net.input_shape))
+    out.append(struct.pack(f"<{net.rank}d", *(net.extent_mm or (0.0,) * net.rank)))
     out.append(struct.pack("<I", len(net.layers)))
     for layer in net.layers:
         if isinstance(layer, ConvLayer):
@@ -342,8 +374,8 @@ def save_network(net: Network, path) -> None:
             out.append(struct.pack(f"<{layer.rank}I", *layer.kernel))
             out.append(struct.pack("<IIB", layer.in_channels, layer.out_channels,
                                    _ACTIVATION_CODES[layer.activation]))
-            out.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-            out.append(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+            out.append(np.ascontiguousarray(layer.weights, dtype=dtype).tobytes())
+            out.append(np.ascontiguousarray(layer.bias, dtype=dtype).tobytes())
         else:
             out.append(struct.pack("<BB", 2, layer.rank))
             out.append(struct.pack(f"<{layer.rank}I", *layer.pool))
@@ -351,19 +383,22 @@ def save_network(net: Network, path) -> None:
         fh.write(b"".join(out))
 
 
-def load_network(path) -> Network:
-    """Read a container written by ``save_network``. A truncated,
-    corrupted or over-long file, or one with non-finite parameters,
-    raises InputError naming ``path``."""
+def load_network(path, rank: int | None = None) -> Network:
+    """Read a container written by ``save_network``, of version 2 or of
+    version 1 (float64 weights, no extent: it loads as a float64 network
+    of unknown extent). A truncated, corrupted or over-long file, one
+    with non-finite parameters or an unknown dtype code, or, when
+    ``rank`` is given, a network of another rank raises InputError
+    naming ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return _decode_network(data)
+        return _decode_network(data, rank)
     except ValueError as exc:
         raise InputError(f"cannot load model {path}: {exc}") from exc
 
 
-def _decode_network(data: bytes) -> Network:
+def _decode_network(data: bytes, expected_rank: int | None) -> Network:
     if data[:4] != _MAGIC:
         raise ValueError("not a network container (bad magic)")
     pos = 4
@@ -377,23 +412,31 @@ def _decode_network(data: bytes) -> Network:
         pos += size
         return values
 
-    def take_f8(count: int) -> np.ndarray:
+    def take_floats(count: int) -> np.ndarray:
         nonlocal pos
-        if pos + 8 * count > len(data):
+        if pos + dtype.itemsize * count > len(data):
             raise ValueError(f"network container truncated at byte {pos}")
-        values = np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy()
-        pos += 8 * count
+        values = np.frombuffer(data, dtype=dtype, count=count, offset=pos).astype(dtype.type)
+        pos += dtype.itemsize * count
         if not np.all(np.isfinite(values)):
             raise ValueError(f"non-finite parameter before byte {pos}")
         return values
 
     (version,) = take("<I")
-    if version != 1:
+    if version not in (1, _VERSION):
         raise ValueError(f"unsupported network container version {version}")
+    # version 1 has float64 weights and records no extent
+    (code,) = take("<B") if version > 1 else (8,)
+    if code not in _DTYPE_CODES:
+        raise ValueError(f"unknown weight dtype code {code} in container")
+    dtype = _DTYPE_CODES[code]
     (ndim,) = take("<B")
     if ndim not in (3, 4):
         raise ValueError(f"input shape has {ndim} axes, expected 3 or 4")
+    if expected_rank is not None and ndim - 1 != expected_rank:
+        raise ValueError(f"needs a {expected_rank}-D model, got a {ndim - 1}-D one")
     input_shape = take(f"<{ndim}I")
+    extent = take(f"<{ndim - 1}d") if version > 1 else ()
     (n_layers,) = take("<I")
     layers = []
     for _ in range(n_layers):
@@ -403,10 +446,10 @@ def _decode_network(data: bytes) -> Network:
             in_ch, out_ch, act = take("<IIB")
             if act not in _ACTIVATION_NAMES:
                 raise ValueError(f"unknown activation code {act} in container")
-            weights = take_f8(math.prod(extents) * in_ch * out_ch).reshape(
+            weights = take_floats(math.prod(extents) * in_ch * out_ch).reshape(
                 extents + (in_ch, out_ch)
             )
-            bias = take_f8(out_ch)
+            bias = take_floats(out_ch)
             layers.append(ConvLayer(weights, bias, _ACTIVATION_NAMES[act]))
         elif kind == 2:
             layers.append(AvgPool(extents))
@@ -414,6 +457,7 @@ def _decode_network(data: bytes) -> Network:
             raise ValueError(f"unknown layer kind {kind} in container")
     if pos != len(data):
         raise ValueError(f"{len(data) - pos} trailing bytes after the network container")
-    network = Network(layers, tuple(input_shape))
+    # an all-zero extent is unknown; Network checks any other
+    network = Network(layers, tuple(input_shape), extent if any(extent) else None)
     network.output_shapes()  # layer ranks match the input and every pool divides it
     return network

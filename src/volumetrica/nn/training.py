@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from volumetrica.io import write_csv
-from volumetrica.nn.layers import avg_pool
+from volumetrica.nn.layers import as_float, avg_pool
 from volumetrica.nn.network import Network, Workspace, backward, gradient_list, input_cols
 from volumetrica.nn.optim import AdamState, SgdState, optimizer_step
 
@@ -47,9 +47,10 @@ def fit_target_to_output(net: Network, target: np.ndarray, input_shape=None) -> 
     output grid when the architecture downsamples.
 
     ``input_shape`` is the actual case input (*spatial, channels); it
-    defaults to the network's declared input shape.
+    defaults to the network's declared input shape. The result has the
+    network's dtype.
     """
-    target = np.asarray(target, dtype=np.float64)
+    target = as_float(target, net.dtype)
     out_spatial = net.output_shapes(input_shape)[-1][:-1]
     t_spatial = target.shape[:-1]
     if t_spatial == out_spatial:
@@ -68,8 +69,10 @@ def train(net: Network, cases, config: TrainConfig) -> TrainingLog:
     it is built here when a case brings none.
 
     Inputs are only read, so several runs may share them, read-only,
-    across threads. Deterministic for a fixed configuration: cases are
-    visited in order and all arithmetic is pure float64.
+    across threads; inputs already in the network's dtype are used
+    without a copy. Deterministic for a fixed configuration: cases are
+    visited in order and all arithmetic is in the network's dtype,
+    float32 or float64.
     """
     cases = list(cases)
     if not cases:
@@ -78,10 +81,12 @@ def train(net: Network, cases, config: TrainConfig) -> TrainingLog:
     workspaces: dict[tuple, Workspace] = {}
     for item in cases:
         x, target, cols = (*item, None)[:3]
-        x = np.asarray(x, dtype=np.float64)
+        x = as_float(x, net.dtype)
         target = fit_target_to_output(net, target, input_shape=x.shape)
         if cols is None:  # the first layer sees the same input every epoch: im2col once
             cols = input_cols(net, x)
+        else:
+            cols = as_float(cols, net.dtype)
         ws = workspaces.setdefault(x.shape, Workspace())
         prepared.append((x, target, cols, ws))
 

@@ -25,6 +25,9 @@ _MAX_LOBE_AMPLITUDE = 0.2
 # intensities are 0 or 1; a larger sigma is noise, not a phantom, and
 # 1e308 would overflow the grid to inf
 _MAX_NOISE_SIGMA = 1e3
+# voxels a phantom grid may hold (256^3, or 512^2 x 64): rasterizing
+# holds several float64 arrays of the grid's size at once
+_MAX_VOXELS = 1 << 24
 # Gauss-Legendre nodes in cos(theta) and uniform nodes in phi of the
 # oracle quadrature for lobulated volumes
 _QUAD_POLAR = 128
@@ -239,7 +242,8 @@ def load_phantom_config(d: dict) -> tuple[PhantomSpec, tuple[int, int, int], Spa
 
     Required keys: shape, dims, spacing_mm, and radius_mm or
     semi_axes_mm. Optional: center_mm, noise_sigma, seed, lobe_count,
-    lobe_amplitude. A missing, mistyped or out-of-range value raises
+    lobe_amplitude. ``dims`` may hold at most ``_MAX_VOXELS`` voxels.
+    A missing, mistyped or out-of-range value raises
     InputError, and a shape that does not fit its grid
     ShapeOutOfBoundsError.
     """
@@ -249,6 +253,9 @@ def load_phantom_config(d: dict) -> tuple[PhantomSpec, tuple[int, int, int], Spa
         dims = tuple(int(v) for v in d["dims"])
         if len(dims) != 3 or any(n <= 0 for n in dims):
             raise ValueError(f"dims must be three positive integers, got {dims}")
+        if math.prod(dims) > _MAX_VOXELS:
+            raise ValueError(f"dims {list(dims)} hold {math.prod(dims)} voxels, more than "
+                             f"the {_MAX_VOXELS} a phantom may have")
         sp = d["spacing_mm"]
         spacing = Spacing(float(sp[0]), float(sp[1]), float(sp[2]))
         spec = PhantomSpec.from_dict(d)

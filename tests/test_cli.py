@@ -457,6 +457,48 @@ class TestPipelineCommands:
         assert len(loaded) == 20 and alive == [0, 0, 0]
         assert len(resized) == 2 * 5
 
+    def test_train_and_stats_stay_in_float32(self, small_cohort, tmp_path, monkeypatch):
+        """Every array a training case holds, every workspace buffer and
+        every prediction of ``train`` and ``stats`` is float32: a silent
+        upcast would give the float32 gain back. ``train`` writes a
+        float32 model that records the cohort's 44 mm extent."""
+        import volumetrica.estimators as estimators
+        from volumetrica.nn import network
+
+        prepared, buffers, predicted = [], [], []
+        prepare, buffer, predict = cli._training_case, network.Workspace.buffer, estimators.predict
+
+        def recorded_case(*args):
+            triple = prepare(*args)
+            prepared.extend(a.dtype for a in triple)
+            return triple
+
+        def recorded_buffer(self, key, shape, dtype):
+            buf = buffer(self, key, shape, dtype)
+            buffers.append((key[0], buf.dtype))
+            return buf
+
+        def recorded_predict(net, x):
+            out = predict(net, x)
+            predicted.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(cli, "_training_case", recorded_case)
+        monkeypatch.setattr(network.Workspace, "buffer", recorded_buffer)
+        monkeypatch.setattr(estimators, "predict", recorded_predict)
+        model = tmp_path / "m" / "net.vnet"
+        assert main(["train", "--cohort", str(small_cohort), "--out", str(model.parent),
+                     "--epochs", "1"]) == 0
+        assert main(["stats", "--cohort", str(small_cohort), "--folds", "2", "--epochs", "1",
+                     "--out", str(tmp_path / "s.json")]) == 0
+        f32, boolean = np.dtype(np.float32), np.dtype(bool)
+        assert len(prepared) == 2 * 3 * 5 and set(prepared) == {f32}
+        assert {key for key, _ in buffers} == {"z", "mask"}
+        assert all(dtype == (boolean if key == "mask" else f32) for key, dtype in buffers)
+        assert len(predicted) == 5 and set(predicted) == {f32}
+        net = network.load_network(model)
+        assert net.dtype == f32 and net.extent_mm == (44.0, 44.0, 44.0)
+
     def test_stats_k_exceeding_n_exits_2(self, small_cohort, tmp_path):
         assert main(["stats", "--cohort", str(small_cohort), "--folds", "6",
                      "--out", str(tmp_path / "s.json")]) == 2
@@ -559,6 +601,25 @@ class TestEstimateWorkers:
         first, second = self._runs(monkeypatch, argv, tmp_path)
         assert first == second and first[0] == 0
         assert len(json.loads(first[1])["input_checksums"]) == 6
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--methods", "area_based", "--out", "{out}.json"],
+        ["estimate", "--methods", "area_based", "--format", "csv", "--out", "{out}.csv"],
+        ["ingest", "--out", "{out}"],
+    ], ids=["estimate-json", "estimate-csv", "ingest"])
+    def test_dicom_directory_is_listed_once(self, dicom_series, monkeypatch, tmp_path, argv):
+        import os
+
+        listed, scandir = [], os.scandir
+
+        def counted_scandir(path="."):
+            listed.append(Path(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", counted_scandir)
+        argv = [a.format(out=tmp_path / "out") for a in argv]
+        assert main(argv + ["--input", str(dicom_series)]) == 0
+        assert listed == [dicom_series]
 
     def test_failed_estimate_decides_the_exit(self, dicom_series, monkeypatch, tmp_path, capsys):
         ds = dl.make_slice_dataset(np.zeros((20, 24), dtype=np.uint16), position_z=30.0)

@@ -196,6 +196,23 @@ class TestPhantomSpec:
         assert not list(out.glob("*.volv"))
         assert {p.name for p in tmp_path.iterdir()} <= {"spec.json", "out"}
 
+    def test_dims_bound_names_the_entry(self, tmp_path, capsys):
+        """A grid over the voxel bound is refused before anything is
+        allocated: 2^60 voxels would be 8 EiB of float64."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"cohort": [SPHERE, dict(SPHERE, dims=[1 << 20] * 3)]}))
+        assert main(["phantom", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{spec}: case 1: invalid phantom config: dims [1048576, 1048576, 1048576] " \
+               "hold 1152921504606846976 voxels, more than the 16777216" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_dims_bound_is_inclusive(self):
+        at, over = dict(SPHERE, dims=[256, 256, 256]), dict(SPHERE, dims=[256, 256, 257])
+        assert load_phantom_config(at)[1] == (256, 256, 256)
+        with pytest.raises(InputError, match="more than the 16777216 a phantom may have"):
+            load_phantom_config(over)
+
     def test_id_messages(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"cohort": [dict(SPHERE, id="a"), dict(SPHERE, id="b"),
@@ -256,7 +273,28 @@ class TestNetwork:
         assert main(["eval", "--cohort", str(cohort / "ph" / "manifest.json"),
                      "--model", str(model)]) == 2
         err = capsys.readouterr().err
-        assert f"{model}: eval needs a 3-D model, got a 2-D one" in err
+        assert f"cannot load model {model}: needs a 3-D model, got a 2-D one" in err
+
+    @pytest.mark.parametrize("methods", ["ml", "area_based"])
+    def test_estimate_with_2d_model_exits_2(self, cohort, tmp_path, capsys, methods):
+        model = tmp_path / "net2d.vnet"
+        save_network(build_segmenter_2d(seed=0), model)
+        case = _case(cohort)
+        assert main(["estimate", "--input", str(cohort / "ph" / case["grid"]),
+                     "--mask", str(cohort / "ph" / case["mask"]), "--methods", methods,
+                     "--model", str(model), "--out", str(tmp_path / "e.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot load model {model}: needs a 3-D model, got a 2-D one" in err
+        assert not (tmp_path / "e.json").exists()
+
+    def test_compare_with_2d_model_exits_2(self, cohort, tmp_path, capsys):
+        model = tmp_path / "net2d.vnet"
+        save_network(build_segmenter_2d(seed=0), model)
+        assert main(["compare", "--cohort", str(cohort / "ph" / "manifest.json"),
+                     "--model", str(model), "--out", str(tmp_path / "c.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot load model {model}: needs a 3-D model, got a 2-D one" in err
+        assert not (tmp_path / "c.json").exists()
 
 
 class TestDicom:
@@ -367,8 +405,20 @@ def _loads_or_raises(reader, path):
 
 @pytest.fixture(scope="module")
 def vnet_blob(tmp_path_factory):
+    """A version-2 container of a float64 3-D network."""
     path = tmp_path_factory.mktemp("vnet") / "net.vnet"
     save_network(build_segmenter_3d(seed=2), path)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def vnet32_blob(tmp_path_factory):
+    """A version-2 container of a float32 3-D network with a known extent,
+    as ``train`` writes it."""
+    net = build_segmenter_3d(seed=2, dtype=np.float32)
+    net.extent_mm = (44.0, 44.0, 44.0)
+    path = tmp_path_factory.mktemp("vnet32") / "net.vnet"
+    save_network(net, path)
     return path.read_bytes()
 
 
@@ -387,19 +437,32 @@ def _assert_finite_network(net):
 
 class TestFuzzNetwork:
     def test_every_prefix_and_an_over_long_file_raise(self, vnet_blob, tmp_path):
-        assert len(vnet_blob) == 7521
+        # 114 header and layer-table bytes, 929 float64 parameters
+        assert len(vnet_blob) == 7546
+        assert vnet_blob[4:9] == struct.pack("<IB", 2, 8)
         bad = tmp_path / "bad.vnet"
         for data in [vnet_blob[:cut] for cut in range(len(vnet_blob))] + [vnet_blob + b"\0"]:
             bad.write_bytes(data)
             with pytest.raises(InputError, match="cannot load model"):
                 load_network(bad)
 
+    def test_every_float32_prefix_and_an_over_long_file_raise(self, vnet32_blob, tmp_path):
+        # the same 114 bytes, 929 float32 parameters
+        assert len(vnet32_blob) == 3830
+        assert vnet32_blob[4:9] == struct.pack("<IB", 2, 4)
+        bad = tmp_path / "bad.vnet"
+        for data in [vnet32_blob[:cut] for cut in range(len(vnet32_blob))] + [vnet32_blob + b"\0"]:
+            bad.write_bytes(data)
+            with pytest.raises(InputError, match="cannot load model"):
+                load_network(bad)
+
     @FUZZ
     @given(data=st.data())
-    def test_bit_flips_anywhere(self, vnet_blob, series_csv, tmp_path, data):
-        bits = data.draw(_bit_flips(vnet_blob))
+    def test_bit_flips_anywhere(self, vnet_blob, vnet32_blob, series_csv, tmp_path, data):
+        blob = data.draw(st.sampled_from([vnet_blob, vnet32_blob]))
+        bits = data.draw(_bit_flips(blob))
         bad = tmp_path / "flipped.vnet"
-        bad.write_bytes(_flip(vnet_blob, bits))
+        bad.write_bytes(_flip(blob, bits))
         net, raised = _loads_or_raises(load_network, bad)
         if not raised:
             _assert_finite_network(net)

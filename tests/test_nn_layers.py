@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from volumetrica.nn.layers import (
-    _SIGMOID_MAX,
-    _SIGMOID_MIN,
     ConvLayer,
     _add_bias,
     _im2col,
+    _unit_bounds,
     avg_pool,
     avg_pool_backward,
     conv_forward_cached,
@@ -194,7 +193,7 @@ class TestSigmoid:
             out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
             ez = np.exp(z[~pos])
             out[~pos] = ez / (1.0 + ez)
-            return np.clip(out, _SIGMOID_MIN, _SIGMOID_MAX)
+            return np.clip(out, *_unit_bounds(out.dtype))
 
         tiny = np.nextafter(0.0, 1.0)
         special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0,

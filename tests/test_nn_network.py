@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 import sys
 import threading
 import time
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from volumetrica import workers as vworkers
+from volumetrica.errors import InputError
 from volumetrica.estimators import ml_estimate_slicewise
 from volumetrica.grid import Spacing
 from volumetrica.nn import network
@@ -218,6 +220,150 @@ class TestDeterminismAndSerialization:
                 except ValueError:
                     continue
                 assert isinstance(net, Network)
+
+
+def _v1_blob(net):
+    """The version-1 container of the float64 ``net``, written by hand:
+    magic, version, input shape, layer table, float64 parameters."""
+    out = [b"VNET", struct.pack("<IB", 1, len(net.input_shape)),
+           struct.pack(f"<{len(net.input_shape)}I", *net.input_shape),
+           struct.pack("<I", len(net.layers))]
+    for layer in net.layers:
+        if isinstance(layer, ConvLayer):
+            out += [struct.pack(f"<BB{layer.rank}I", 1, layer.rank, *layer.kernel),
+                    struct.pack("<IIB", layer.in_channels, layer.out_channels,
+                                {"none": 0, "relu": 1, "sigmoid": 2}[layer.activation]),
+                    layer.weights.astype("<f8").tobytes(), layer.bias.astype("<f8").tobytes()]
+        else:
+            out.append(struct.pack(f"<BB{layer.rank}I", 2, layer.rank, *layer.pool))
+    return b"".join(out)
+
+
+def _sphere_case():
+    """A noisy 32^3 sphere, and its mask pooled to the 16^3 output of the
+    3-D segmenter."""
+    spec = PhantomSpec.from_dict({"shape": "sphere", "radius_mm": 8.0, "noise_sigma": 0.05,
+                                  "seed": 3})
+    grid, mask, _ = make_phantom(spec, (32, 32, 32), Spacing(1.0, 1.0, 1.0))
+    target = mask.data.reshape(16, 2, 16, 2, 16, 2).mean(axis=(1, 3, 5))
+    return grid.data[..., None], target[..., None]
+
+
+class TestDtypes:
+    def test_float32_net_is_the_float64_net_rounded(self):
+        for build in (build_segmenter_2d, build_segmenter_3d):
+            net64, net32 = build(seed=4), build(seed=4, dtype=np.float32)
+            assert net64.dtype == np.float64 and net32.dtype == np.float32
+            for p64, p32 in zip(net64.parameters(), net32.parameters()):
+                np.testing.assert_array_equal(p32, p64.astype(np.float32), strict=True)
+
+    @pytest.mark.parametrize("kind", ["bce", "mse"])
+    def test_float32_gradients_match_float64(self, kind):
+        """Within 1000 float32 epsilons of the largest float64 gradient
+        entry, per parameter: the 32^3 sums of the first layer's bias
+        gradient cancel, and measured about 40 epsilons off."""
+        x, target = _sphere_case()
+        loss64, grads64 = backward(build_segmenter_3d(seed=5), x, target, kind)
+        loss32, grads32 = backward(build_segmenter_3d(seed=5, dtype=np.float32), x, target, kind)
+        tol = 1000 * np.finfo(np.float32).eps
+        assert abs(loss32 - loss64) <= tol * loss64
+        for g32, g64 in zip(gradient_list(grads32), gradient_list(grads64)):
+            assert g32.dtype == np.float32
+            assert np.abs(g32 - g64).max() <= tol * np.abs(g64).max()
+
+    def test_float32_workspace_and_outputs(self, monkeypatch):
+        x, target = _sphere_case()
+        net = build_segmenter_3d(seed=5, dtype=np.float32)
+        ws = Workspace()
+        backward(net, x, target, "bce", first_cols=input_cols(net, x), workspace=ws)
+        assert input_cols(net, x).dtype == np.float32
+        assert {k[0]: b.dtype for k, b in ws._buffers.items()} == {
+            "z": np.float32, "mask": np.bool_}
+        # every layer of predict computes in float32, not just its output
+        seen, conv, pool = [], network.conv_forward_cached, network.avg_pool
+
+        def recorded_conv(*args):
+            a, z, cols = conv(*args)
+            seen.extend([a.dtype, z.dtype, cols.dtype])
+            return a, z, cols
+
+        def recorded_pool(*args):
+            out = pool(*args)
+            seen.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(network, "conv_forward_cached", recorded_conv)
+        monkeypatch.setattr(network, "avg_pool", recorded_pool)
+        assert predict(net, x).dtype == np.float32
+        assert len(seen) == 7 and set(seen) == {np.dtype(np.float32)}
+
+    def test_float32_container_roundtrip_bit_for_bit(self, tmp_path):
+        net = build_segmenter_3d(seed=9, dtype=np.float32)
+        net.extent_mm = (44.0, 40.0, 36.5)
+        path = tmp_path / "net.vnet"
+        save_network(net, path)
+        loaded = load_network(path)
+        assert loaded.dtype == np.float32 and loaded.extent_mm == (44.0, 40.0, 36.5)
+        for a, b in zip(net.parameters(), loaded.parameters()):
+            np.testing.assert_array_equal(a, b, strict=True)
+        save_network(loaded, tmp_path / "again.vnet")
+        assert (tmp_path / "again.vnet").read_bytes() == path.read_bytes()
+        x = np.random.default_rng(6).uniform(size=(32, 32, 32, 1))
+        np.testing.assert_array_equal(predict(net, x), predict(loaded, x), strict=True)
+
+    def test_version_1_container_loads_as_float64(self, tmp_path):
+        net = build_segmenter_3d(seed=9)
+        path = tmp_path / "v1.vnet"
+        path.write_bytes(_v1_blob(net))
+        loaded = load_network(path)
+        assert loaded.dtype == np.float64 and loaded.extent_mm is None
+        assert loaded.input_shape == net.input_shape
+        for a, b in zip(net.parameters(), loaded.parameters()):
+            np.testing.assert_array_equal(a, b, strict=True)
+        x = np.random.default_rng(6).uniform(size=(32, 32, 32, 1))
+        np.testing.assert_array_equal(predict(net, x), predict(loaded, x), strict=True)
+        # the same network saved again is version 2 and differs only in its header
+        save_network(loaded, tmp_path / "v2.vnet")
+        v1, v2 = path.read_bytes(), (tmp_path / "v2.vnet").read_bytes()
+        assert v2[4:9] == struct.pack("<IB", 2, 8) and v2[-7432:] == v1[-7432:]
+
+    @pytest.mark.parametrize("code", [0, 2, 16, 255])
+    def test_unknown_dtype_code_raises(self, tmp_path, code):
+        path = tmp_path / "net.vnet"
+        save_network(build_segmenter_3d(seed=9), path)
+        blob = bytearray(path.read_bytes())
+        blob[8] = code
+        path.write_bytes(bytes(blob))
+        with pytest.raises(InputError, match=f"unknown weight dtype code {code}"):
+            load_network(path)
+
+    @pytest.mark.parametrize("extent", [(0.0, 1.0, 1.0), (-1.0, 2.0, 2.0), (math.nan,) * 3,
+                                        (math.inf, 1.0, 1.0)])
+    def test_partial_or_non_finite_extent_raises(self, tmp_path, extent):
+        path = tmp_path / "net.vnet"
+        save_network(build_segmenter_3d(seed=9), path)
+        blob = bytearray(path.read_bytes())
+        blob[26:50] = struct.pack("<3d", *extent)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(InputError, match="training extent"):
+            load_network(path)
+
+    def test_rank_is_checked_in_the_header(self, tmp_path):
+        path = tmp_path / "net.vnet"
+        save_network(build_segmenter_2d(seed=0), path)
+        assert load_network(path, rank=2).rank == 2
+        with pytest.raises(InputError, match="needs a 3-D model, got a 2-D one"):
+            load_network(path, rank=3)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex128])
+    def test_conv_layer_rejects_other_dtypes(self, dtype):
+        with pytest.raises(ValueError, match="float32 or float64"):
+            ConvLayer(np.zeros((1, 1, 1, 1, 1), dtype), np.zeros(1), "none")
+
+    def test_network_rejects_mixed_dtypes(self):
+        with pytest.raises(ValueError, match="mix dtypes"):
+            Network([ConvLayer(np.zeros((3, 3, 1, 2), np.float32), np.zeros(2), "relu"),
+                     ConvLayer(np.zeros((1, 1, 2, 1)), np.zeros(1), "sigmoid")], (8, 8, 1))
 
 
 # Reference forward/backward with one fresh array per operation: im2col
