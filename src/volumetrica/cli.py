@@ -41,7 +41,13 @@ from volumetrica.nn.inference import (
     prepare_input,
 )
 from volumetrica.nn.network import build_segmenter_3d, input_cols, load_network, save_network
-from volumetrica.nn.training import TrainConfig, fit_target_to_output, train
+from volumetrica.nn.training import (
+    TrainConfig,
+    TrainingDivergedError,
+    fit_target_to_output,
+    train,
+    train_steps,
+)
 from volumetrica.phantoms import load_phantom_config, make_phantom
 from volumetrica.stats.report import build_stats_report
 from volumetrica.stats.resample import cv_volume_error, kfold
@@ -517,23 +523,29 @@ def cmd_stats(args) -> int:
         return _fail(EXIT_RUNTIME, str(exc))
     del cases  # from here on only the prepared arrays are read
     # every fold trains on these arrays at once: each case's first-layer
-    # im2col is built once, and all of them are read-only
+    # im2col and pooled target are built once, and all of them are read-only
     manual_volumes, prepared, geometry = zip(*per_case)
     train_config = TrainConfig(
         epochs=args.epochs, loss=args.loss, optimizer="adam", learning_rate=args.lr
     )
 
-    # the cohort is indexed: the trainer reads the training triples, and
-    # the estimator scores a triple's input with its grid's geometry
+    plan = kfold(n, args.folds, seed)
+
+    # the cohort is indexed: a fold's run steps through its training
+    # triples, and the estimator scores a triple's input with its grid's
+    # geometry
     def trainer(indices):
+        fold = int(np.setdiff1d(plan.fold_of, plan.fold_of[indices])[0])  # the one held out
         net = build_segmenter_3d(seed=seed, dtype=TRAIN_DTYPE)
-        train(net, [prepared[i] for i in indices], train_config)
+        try:
+            yield from train_steps(net, [prepared[i] for i in indices], train_config)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(f"fold {fold}: {exc}") from None
         return net
 
     def estimator(net, i):
         return ml_volume(prepared[i][0], *geometry[i], net, args.threshold)[0]
 
-    plan = kfold(n, args.folds, seed)
     indexed = [(i, truths[i]) for i in range(n)]
     cv = cv_volume_error(indexed, trainer, estimator, plan)
 
@@ -574,12 +586,12 @@ def _each_case(fn, items, name: str) -> list:
 
 def _training_case(net, case: EstimateCase) -> tuple:
     """``(x, target, cols)`` of one case for ``train``: the network input,
-    its mask target and the first layer's im2col of the input, in the
-    network's dtype and all read-only so several trainings may share
-    them across threads."""
+    its mask target already pooled to the network's output grid and the
+    first layer's im2col of the input, in the network's dtype and all
+    read-only so several trainings may share them across threads."""
     target_shape = net.input_shape[:-1]
     x = prepare_input(case.grid, target_shape).astype(net.dtype, copy=False)
-    target = mask_training_target(case.mask, target_shape).astype(net.dtype, copy=False)
+    target = fit_target_to_output(net, mask_training_target(case.mask, target_shape))
     triple = (x, target, input_cols(net, x))
     for a in triple:
         a.flags.writeable = False

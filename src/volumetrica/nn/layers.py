@@ -241,7 +241,11 @@ def conv_backward(layer: ConvLayer, x, cols, dz, need_dx: bool = True):
     ``cols`` is the im2col matrix of ``x`` from the forward pass.
     """
     dz_flat = dz.reshape(-1, layer.out_channels)
-    db = dz_flat.sum(axis=0)
+    # numpy sums an (n, C) array over axis 0 row after row, one C-wide
+    # inner loop per row; einsum adds the rows in the same order in one
+    # pass. One column is a contiguous reduction, which numpy sums
+    # pairwise and einsum does not, so it keeps the plain sum.
+    db = dz_flat.sum(axis=0) if layer.out_channels == 1 else np.einsum("ij->j", dz_flat)
     dW = (cols.T @ dz_flat).reshape(layer.weights.shape)
     if not need_dx:
         return dW, db, None

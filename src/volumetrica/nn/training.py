@@ -1,4 +1,6 @@
-"""Epoch loop with per-case optimizer steps (batch size 1)."""
+"""Epoch loop with per-case optimizer steps (batch size 1), whole
+(``train``) or one step at a time (``train_steps``), so that several
+runs can share threads step by step."""
 
 from __future__ import annotations
 
@@ -63,22 +65,31 @@ def fit_target_to_output(net: Network, target: np.ndarray, input_shape=None) -> 
     return avg_pool(target, tuple(factors))
 
 
-def train(net: Network, cases, config: TrainConfig) -> TrainingLog:
-    """Run the epoch loop over cases given as ``(x, target)`` or
-    ``(x, target, cols)``. ``cols`` is the caller's ``input_cols(net, x)``;
-    it is built here when a case brings none.
+def train_steps(net: Network, cases, config: TrainConfig):
+    """The epoch loop over cases given as ``(x, target)`` or
+    ``(x, target, cols)``, as a generator that runs one optimizer step
+    per resumption and returns the ``TrainingLog``.
+
+    ``cols`` is the caller's ``input_cols(net, x)``; it is built here
+    when a case brings none. Before each step the generator yields the
+    number of steps still to run, that step included (the first yield,
+    once the cases are prepared, is the total); the caller resumes it
+    with ``send(workspace)``, the ``Workspace`` that step computes in.
+    One workspace may serve several runs, one step at a time; it remakes
+    a buffer when a case's input shape differs from the last one's.
 
     Inputs are only read, so several runs may share them, read-only,
     across threads; inputs already in the network's dtype are used
     without a copy. Deterministic for a fixed configuration: cases are
     visited in order and all arithmetic is in the network's dtype,
-    float32 or float64.
+    float32 or float64. A non-finite loss raises
+    ``TrainingDivergedError`` naming the epoch (from 1) and the case
+    (its index in ``cases``).
     """
     cases = list(cases)
     if not cases:
         raise ValueError("no valid images")
     prepared = []
-    workspaces: dict[tuple, Workspace] = {}
     for item in cases:
         x, target, cols = (*item, None)[:3]
         x = as_float(x, net.dtype)
@@ -87,8 +98,7 @@ def train(net: Network, cases, config: TrainConfig) -> TrainingLog:
             cols = input_cols(net, x)
         else:
             cols = as_float(cols, net.dtype)
-        ws = workspaces.setdefault(x.shape, Workspace())
-        prepared.append((x, target, cols, ws))
+        prepared.append((x, target, cols))
 
     params = net.parameters()
     if config.optimizer == "adam":
@@ -97,13 +107,30 @@ def train(net: Network, cases, config: TrainConfig) -> TrainingLog:
         state = SgdState(config.learning_rate)
 
     log = TrainingLog()
-    for _ in range(config.epochs):
+    left = config.epochs * len(prepared)
+    for epoch in range(1, config.epochs + 1):
         total = 0.0
-        for x, target, cols, ws in prepared:
-            value, grads = backward(net, x, target, config.loss, first_cols=cols, workspace=ws)
+        for case, (x, target, cols) in enumerate(prepared):
+            workspace = yield left
+            left -= 1
+            value, grads = backward(net, x, target, config.loss, first_cols=cols,
+                                    workspace=workspace)
+            del workspace  # the caller decides how long a workspace lives
             if not math.isfinite(value):
-                raise TrainingDivergedError(f"non-finite loss {value!r}")
+                raise TrainingDivergedError(
+                    f"epoch {epoch}, case {case}: non-finite loss {value!r}")
             optimizer_step(params, gradient_list(grads), state)
             total += value
         log.losses.append(total / len(prepared))
     return log
+
+
+def train(net: Network, cases, config: TrainConfig) -> TrainingLog:
+    """``train_steps`` run to its end, every step in one workspace."""
+    run, workspace = train_steps(net, cases, config), Workspace()
+    try:
+        next(run)
+        while True:
+            run.send(workspace)
+    except StopIteration as done:
+        return done.value

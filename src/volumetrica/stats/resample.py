@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from volumetrica.nn.network import Workspace
 from volumetrica.workers import run_in_order, spare_workers as _fold_workers
 
 CI_LEVEL = 0.95
@@ -96,47 +97,93 @@ class CVResult:
         return self.per_case_error[self.fold_of == fold]
 
 
-# a fold whose trainer raised; a trainer may return None as its model
-_UNTRAINED = object()
-
-
 def cv_volume_error(cohort, trainer, estimator, plan: CVPlan) -> CVResult:
     """Train on k-1 folds, measure relative volume error on the held-out
     fold; every case is scored exactly once, out of fold.
 
-    ``cohort`` is a sequence of (case, true_volume); ``trainer`` maps a
-    list of cases to a model; ``estimator`` maps (model, case) to mm^3.
-    The work is 2k tasks of one ordered work queue (``run_in_order``) on
-    ``_fold_workers(k)`` threads: task f trains fold f and task k + f
-    scores fold f's held-out cases once that model is ready, so a spare
-    thread scores the early folds while the last ones train. ``trainer``
-    and ``estimator`` must therefore be safe to call from several
-    threads at once. After a task raises no further task is started, and
-    the first failure in task order is raised: every training failure
-    before any scoring one. The errors and fold means are assembled in
-    fold order on the calling thread.
+    ``cohort`` is a sequence of (case, true_volume); ``estimator`` maps
+    (model, case) to mm^3. ``trainer`` maps a fold's list of training
+    cases to a resumable run, a generator such as
+    ``nn.training.train_steps``: each yield gives the number of steps
+    still to run, ``send(workspace)`` runs the next one in that
+    ``Workspace``, and the run returns the fold's model. The runs are
+    started (their first ``next``) in fold order on the calling thread;
+    their steps then run as tasks of one ordered work queue
+    (``run_in_order``) on ``_fold_workers(k)`` threads, round-major:
+    step s of every fold before step s + 1 of any, so every thread stays
+    busy until the last round. A step waits for its own fold's previous
+    step, so each fold takes its steps in order, one at a time, with its
+    own model and optimizer state, and its bits do not depend on the
+    thread count. k scoring tasks follow, the one of fold f waiting for
+    fold f's last step. Each thread computes its steps in one
+    ``Workspace`` of this call, dropped when it moves on to scoring.
+    ``estimator`` must be safe to call from several threads at once.
+    After a task raises no further task is started, and the first
+    failing task in queue order is raised, whatever the thread count.
+    The errors and fold means are assembled in fold order on the calling
+    thread.
     """
     cohort = list(cohort)
     if len(cohort) != len(plan.fold_of):
         raise ValueError("plan does not match cohort size")
     k = plan.k
-    models = [_UNTRAINED] * k
-    trained = [threading.Event() for _ in range(k)]
+    runs = [trainer([cohort[i][0] for i in plan.train_indices(fold)]) for fold in range(k)]
+    models = [None] * k
+    steps = [0] * k
+    for fold, run in enumerate(runs):
+        try:
+            steps[fold] = next(run)
+        except StopIteration as finished:  # a run without steps
+            models[fold] = finished.value
+    # the queue's step tasks, round-major: task t is step step_at[t] of fold fold_at[t]
+    step_at, fold_at = np.nonzero(np.arange(max(steps))[:, None] < np.array(steps))
+    n_steps = len(step_at)
+    done = [0] * k  # steps each fold has taken
+    failed = [False] * k
+    changed = threading.Condition()
+    workspaces = {}  # thread ident -> that thread's Workspace while it steps
+
+    def wait_for(fold, step):
+        """True once ``fold`` has taken ``step`` steps, False if it failed."""
+        with changed:
+            changed.wait_for(lambda: done[fold] == step or failed[fold])
+            return not failed[fold]
+
+    def take_step(fold, step):
+        try:
+            if not wait_for(fold, step):
+                return
+            me = threading.get_ident()
+            workspace = workspaces.get(me) or workspaces.setdefault(me, Workspace())
+            try:
+                left = runs[fold].send(workspace)
+            except StopIteration as finished:
+                left, models[fold] = None, finished.value
+            if left != (steps[fold] - step - 1 or None):  # None: the run has returned
+                raise RuntimeError(f"fold {fold}: its run does not take the "
+                                   f"{steps[fold]} steps it announced")
+        except BaseException:  # releases the fold's later steps and its scorer
+            with changed:
+                failed[fold] = True
+                changed.notify_all()
+            raise
+        with changed:
+            done[fold] += 1
+            changed.notify_all()
 
     def task(index):
-        fold = index % k
-        if index < k:
-            try:
-                models[fold] = trainer([cohort[i][0] for i in plan.train_indices(fold)])
-            finally:  # a failed fold still releases its scorer
-                trained[fold].set()
-            return None
-        trained[fold].wait()
-        if models[fold] is _UNTRAINED:  # the trainer's error is raised instead
+        if index < n_steps:
+            return take_step(int(fold_at[index]), int(step_at[index]))
+        fold = index - n_steps
+        workspaces.pop(threading.get_ident(), None)
+        if not wait_for(fold, steps[fold]):  # the fold's error is raised instead
             return None
         return [float(estimator(models[fold], cohort[i][0])) for i in plan.test_indices(fold)]
 
-    scored = run_in_order(task, 2 * k, _fold_workers(k), "cv-fold")[k:]
+    try:
+        scored = run_in_order(task, n_steps + k, _fold_workers(k), "cv-fold")[n_steps:]
+    finally:  # also the workspace of a thread that never scored
+        workspaces.clear()
     per_case_error = np.full(len(cohort), np.nan)
     per_case_volume = np.full(len(cohort), np.nan)
     fold_means = []

@@ -1,11 +1,13 @@
 """Threads for loops of independent tasks: how many to start, and the
 ordered work queue they share. The per-case loops of the cohort
 commands (``phantom``, ``train``, ``eval``, ``compare``, ``stats``),
-the CV folds of ``stats`` and the scoring of their held-out cases, the
-row bands of ``predict`` and the estimators and input hashes of
-``estimate`` all run through it. Standard library only; numpy releases the GIL in the
-BLAS calls and ufuncs the tasks spend their time in, hashlib and file
-reads in theirs.
+the optimizer steps of the CV folds of ``stats`` and the scoring of
+their held-out cases, the row bands of ``predict`` and the estimators
+and input hashes of ``estimate`` all run through it. A task may wait
+for an earlier task, never for a later one: every earlier task has
+already been claimed by a running thread. Standard library only; numpy
+releases the GIL in the BLAS calls and ufuncs the tasks spend their
+time in, hashlib and file reads in theirs.
 """
 
 from __future__ import annotations

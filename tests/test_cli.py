@@ -427,17 +427,20 @@ class TestPipelineCommands:
         from volumetrica.nn import inference
 
         loaded, alive = [], []
-        load, fit, resize = cli._load_manifest_cases, cli.train, inference.resize_volume
+        load, fit, steps, resize = (cli._load_manifest_cases, cli.train, cli.train_steps,
+                                    inference.resize_volume)
 
         def tracked_load(path):
             cases, truths = load(path)
             loaded.extend(weakref.ref(v) for c in cases for v in (c.grid, c.mask))
             return cases, truths
 
-        def checked_train(*args, **kwargs):
-            gc.collect()
-            alive.append(sum(ref() is not None for ref in loaded))
-            return fit(*args, **kwargs)
+        def checked(start):
+            def started(*args, **kwargs):
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in loaded))
+                return start(*args, **kwargs)
+            return started
 
         resized = []
 
@@ -446,7 +449,8 @@ class TestPipelineCommands:
             return resize(*args, **kwargs)
 
         monkeypatch.setattr(cli, "_load_manifest_cases", tracked_load)
-        monkeypatch.setattr(cli, "train", checked_train)
+        monkeypatch.setattr(cli, "train", checked(fit))
+        monkeypatch.setattr(cli, "train_steps", checked(steps))  # each CV fold's run
         monkeypatch.setattr(inference, "resize_volume", counted_resize)
         assert main(["train", "--cohort", str(small_cohort), "--out", str(tmp_path / "m"),
                      "--epochs", "1"]) == 0
@@ -498,6 +502,28 @@ class TestPipelineCommands:
         assert len(predicted) == 5 and set(predicted) == {f32}
         net = network.load_network(model)
         assert net.dtype == f32 and net.extent_mm == (44.0, 44.0, 44.0)
+
+    def test_training_case_target_is_pooled_once(self, small_cohort):
+        """``_training_case`` pools the mask target to the network's output
+        grid, so ``train`` and every CV fold share that one read-only
+        array; training on it gives the bits of the full-resolution
+        target, which ``train`` would pool itself."""
+        from volumetrica.nn.inference import mask_training_target
+        from volumetrica.nn.network import build_segmenter_3d
+        from volumetrica.nn.training import TrainConfig, train
+
+        cases, _ = cli._load_manifest_cases(small_cohort)
+        nets = [build_segmenter_3d(seed=2, dtype=cli.TRAIN_DTYPE) for _ in range(2)]
+        x, target, cols = cli._training_case(nets[0], cases[0])
+        assert target.shape == nets[0].output_shapes()[-1]
+        assert target.dtype == nets[0].dtype and not target.flags.writeable
+        full = mask_training_target(cases[0].mask, nets[0].input_shape[:-1])
+        assert full.shape[:-1] != target.shape[:-1]
+        losses = [train(net, [(x, t, cols)], TrainConfig(epochs=2)).losses
+                  for net, t in zip(nets, (target, full))]
+        assert losses[0] == losses[1]
+        for a, b in zip(nets[0].parameters(), nets[1].parameters()):
+            np.testing.assert_array_equal(a, b, strict=True)
 
     def test_stats_k_exceeding_n_exits_2(self, small_cohort, tmp_path):
         assert main(["stats", "--cohort", str(small_cohort), "--folds", "6",
@@ -836,6 +862,36 @@ class TestCohortWorkers:
         assert results[0][0] == 1
         assert results[0][1].startswith("error: case_001: spherical failed: ")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow, on any fold thread
+    def test_diverging_fold_is_named_alike_at_one_and_two_workers(self, spec, tmp_path,
+                                                                  monkeypatch, capsys):
+        ph = tmp_path / "ph"
+        assert main(["phantom", "--spec", str(spec), "--out", str(ph), "--seed", "5"]) == 0
+        out = tmp_path / "stats.json"
+        results = []
+        for workers in (1, 2):
+            self._set_workers(monkeypatch, workers)
+            before = threading.enumerate()
+            code = main(["stats", "--cohort", str(ph / "manifest.json"), "--folds", "3",
+                         "--epochs", "2", "--lr", "1e30", "--out", str(out)])
+            assert threading.enumerate() == before
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0] == (1, "error: TrainingDivergedError: fold 0: epoch 1, case 1: "
+                                 "non-finite loss nan\n")
+        assert not out.exists()
+
+    def test_diverging_train_names_epoch_and_case(self, spec, tmp_path, capsys):
+        ph = tmp_path / "ph"
+        assert main(["phantom", "--spec", str(spec), "--out", str(ph), "--seed", "5"]) == 0
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = main(["train", "--cohort", str(ph / "manifest.json"), "--out",
+                         str(tmp_path / "m"), "--epochs", "2", "--lr", "1e300"])
+        assert (code, capsys.readouterr().err) == (
+            1, "error: TrainingDivergedError: epoch 1, case 1: non-finite loss nan\n")
+        assert not (tmp_path / "m" / "net.vnet").exists()
 
 
 class TestCsvHashesNothing:

@@ -10,6 +10,7 @@ from volumetrica.nn.layers import (
     _unit_bounds,
     avg_pool,
     avg_pool_backward,
+    conv_backward,
     conv_forward_cached,
     sigmoid,
 )
@@ -224,3 +225,27 @@ class TestBias:
         z = np.empty((0, 5, 3))
         _add_bias(z, np.ones(3))
         assert z.shape == (0, 5, 3)
+
+
+class TestBiasGradient:
+    """``conv_backward``'s ``db`` has the bits of the per-channel sum
+    ``dz.reshape(-1, C).sum(axis=0)``, non-finite values included."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [1, 2, 3, 32])
+    @pytest.mark.parametrize("sites", [1, 7, 4101])
+    @pytest.mark.parametrize("special", [False, True], ids=["finite", "inf-nan"])
+    def test_matches_the_axis_0_sum(self, dtype, channels, sites, special):
+        rng = np.random.default_rng(sites * 100 + channels)
+        layer = ConvLayer.create(2, 1, 1, channels, "none", rng, dtype=dtype)
+        x = rng.normal(size=(sites, 1, 1)).astype(dtype)
+        dz = (rng.normal(size=(sites, 1, channels)) * 1e3).astype(dtype)
+        if special:
+            flat = dz.reshape(-1)
+            picks = rng.choice(flat.size, size=min(flat.size, 3), replace=False)
+            flat[picks] = [np.inf, -np.inf, np.nan][: len(picks)]
+        with np.errstate(invalid="ignore"):
+            _, db, _ = conv_backward(layer, x, x.reshape(sites, 1), dz, need_dx=False)
+            expected = dz.reshape(-1, channels).sum(axis=0)
+        assert db.dtype == dtype and db.shape == (channels,)
+        assert db.tobytes() == expected.tobytes()

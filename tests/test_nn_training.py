@@ -14,9 +14,9 @@ from volumetrica.nn.inference import (
     prepare_input,
     resize_volume,
 )
-from volumetrica.nn.network import build_segmenter_3d, input_cols, predict
+from volumetrica.nn.network import Workspace, build_segmenter_3d, input_cols, predict
 from volumetrica.nn.optim import AdamState, SgdState, optimizer_step
-from volumetrica.nn.training import TrainConfig, train
+from volumetrica.nn.training import TrainConfig, TrainingDivergedError, train, train_steps
 from volumetrica.phantoms import PhantomSpec, make_phantom
 
 
@@ -312,6 +312,55 @@ class TestTrain:
         assert rows[0] == ["epoch", "loss"]
         assert [(int(e), float(v)) for e, v in rows[1:]] == list(enumerate(log.losses, start=1))
 
+    def test_diverged_error_names_epoch_and_case(self):
+        net = build_segmenter_3d(seed=0)
+        rng = np.random.default_rng(4)
+        good = (rng.uniform(size=(8, 8, 8, 1)), rng.uniform(size=(4, 4, 4, 1)))
+        bad = (np.full((8, 8, 8, 1), np.inf), good[1])
+        with np.errstate(invalid="ignore"), pytest.raises(
+                TrainingDivergedError, match=r"^epoch 1, case 2: non-finite loss nan$"):
+            train(net, [good, good, bad], TrainConfig(epochs=2, loss="bce"))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+
+class TestTrainSteps:
+    """``train_steps`` is ``train`` one optimizer step at a time, each in
+    the workspace its caller sends."""
+
+    @staticmethod
+    def _cases(rng, n):
+        return [(rng.uniform(size=(8, 8, 8, 1)), (rng.uniform(size=(4, 4, 4, 1)) > 0.5) * 1.0)
+                for _ in range(n)]
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_matches_train_with_any_workspaces(self, optimizer):
+        cases = self._cases(np.random.default_rng(6), 3)
+        config = TrainConfig(epochs=4, optimizer=optimizer, learning_rate=0.01)
+        reference = build_segmenter_3d(seed=1)
+        expected = train(reference, cases, config).losses
+        net = build_segmenter_3d(seed=1)
+        run = train_steps(net, cases, config)
+        workspaces = [Workspace(), Workspace()]
+        told = [next(run)]
+        try:
+            while True:  # alternate workspaces, as fold threads do
+                told.append(run.send(workspaces[len(told) % 2]))
+        except StopIteration as done:
+            log = done.value
+        assert told == list(range(12, 0, -1))  # the steps left, that one included
+        assert log.losses == expected
+        for a, b in zip(net.parameters(), reference.parameters()):
+            np.testing.assert_array_equal(a, b, strict=True)
+
+    def test_nothing_runs_before_the_first_step(self):
+        net = build_segmenter_3d(seed=1)
+        before = [p.copy() for p in net.parameters()]
+        run = train_steps(net, self._cases(np.random.default_rng(7), 2), TrainConfig(epochs=1))
+        assert next(run) == 2
+        for a, b in zip(before, net.parameters()):
+            np.testing.assert_array_equal(a, b, strict=True)
+        run.send(Workspace())
+        assert not np.array_equal(before[0], net.parameters()[0])
