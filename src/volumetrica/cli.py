@@ -40,13 +40,14 @@ from volumetrica.nn.inference import (
     mask_training_target,
     prepare_input,
 )
-from volumetrica.nn.network import build_segmenter_3d, input_cols, load_network, save_network
+from volumetrica.nn.network import build_segmenter_3d, load_network, save_network
 from volumetrica.nn.training import (
     TrainConfig,
     TrainingDivergedError,
     fit_target_to_output,
     train,
     train_steps,
+    training_case,
 )
 from volumetrica.phantoms import load_phantom_config, make_phantom
 from volumetrica.stats.report import build_stats_report
@@ -105,7 +106,7 @@ def cmd_phantom(args) -> int:
             "seed": entry.get("seed", seed + i),
         }
 
-    cases = _each_case(write_case, range(len(configs)), "phantom")
+    cases = run_in_order(write_case, len(configs), spare_workers(len(configs)), "phantom")
     payload = {"cases": cases}
     envelope = vio.report_envelope(
         "phantom_manifest", payload, seed, {"spec": entries}, vio.input_checksums([args.spec])
@@ -141,19 +142,16 @@ def _case_ids(entries: list[dict], spec_path) -> list[str]:
     return ids
 
 
-def _load_manifest_cases(manifest_path) -> tuple[list[EstimateCase], list[float]]:
-    doc = vio.read_cohort_manifest(manifest_path)
+def _cohort(manifest_path) -> list[dict]:
+    """The validated case entries of a manifest; ``_read_case`` reads one."""
     base = Path(manifest_path).parent
-    cases = [
-        EstimateCase(
-            entry["id"],
-            vio.read_volume(base / entry["grid"]),
-            vio.read_volume(base / entry["mask"]),
-            float(entry["analytic_volume_mm3"]),
-        )
-        for entry in doc["cases"]
-    ]
-    return cases, [c.analytic_volume for c in cases]
+    return [dict(entry, grid=base / entry["grid"], mask=base / entry["mask"])
+            for entry in vio.read_cohort_manifest(manifest_path)["cases"]]
+
+
+def _read_case(entry: dict) -> EstimateCase:
+    return EstimateCase(entry["id"], vio.read_volume(entry["grid"]),
+                        vio.read_volume(entry["mask"]), float(entry["analytic_volume_mm3"]))
 
 
 # ------------------------------------------------------------- parse/ingest
@@ -345,10 +343,10 @@ def _read_input(src: Path, listing) -> tuple[str, EstimateCase | VoxelGrid | Bin
     if src.is_dir():
         manifest = src / "manifest.json"
         if manifest.exists():
-            cases, _ = _load_manifest_cases(manifest)
+            cases = _cohort(manifest)
             if len(cases) != 1:
                 raise InputError(f"{manifest} lists {len(cases)} cases; use `compare` for cohorts")
-            return cases[0].case_id, cases[0]
+            return cases[0]["id"], _read_case(cases[0])
         # a directory of DICOM slices
         grid, geometry, skipped = dicomlite.read_directory(src, listing)
         for message in [*geometry.warnings, *(f"skipped {entry}" for entry in skipped)]:
@@ -394,14 +392,12 @@ def _mask_for(grid: VoxelGrid, args) -> BinaryMask:
 
 def cmd_train(args) -> int:
     seed = _seed(args)
-    cases, _ = _load_manifest_cases(args.cohort)
+    entries = _cohort(args.cohort)
     net = build_segmenter_3d(seed=seed, dtype=TRAIN_DTYPE)
-    # the model records its cohort's extent; cases that differ in extent
-    # leave it unknown
-    extents = {_extent_mm(c.grid) for c in cases}
-    net.extent_mm = extents.pop() if len(extents) == 1 else None
-    training_cases = _each_case(lambda c: _training_case(net, c), cases, "train")
-    del cases  # training reads only the prepared arrays
+    training_cases, extents = zip(*_each_case(
+        lambda c: (_training_case(net, c), _extent_mm(c.grid)), entries, "train"))
+    # the model records its cohort's extent, unknown if the cases differ in it
+    net.extent_mm = extents[0] if len(set(extents)) == 1 else None
     config = TrainConfig(
         epochs=args.epochs, loss=args.loss, optimizer=args.optimizer, learning_rate=args.lr
     )
@@ -430,7 +426,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     seed = _seed(args)
-    cases, _ = _load_manifest_cases(args.cohort)
+    entries = _cohort(args.cohort)
     network = load_network(args.model, rank=3)
     target_shape = network.input_shape[:-1]
 
@@ -448,7 +444,7 @@ def cmd_eval(args) -> int:
             "dice": dice(pred_mask, ref_mask),
         }
 
-    rows = _each_case(row, cases, "eval")
+    rows = _each_case(row, entries, "eval")
     if args.format == "csv":
         columns = ("case_id", "volume_mm3", "analytic_volume_mm3", "rel_error", "dice")
         vio.write_csv(args.out, columns, ([r[c] for c in columns] for r in rows))
@@ -470,12 +466,12 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     seed = _seed(args)
-    cases, _ = _load_manifest_cases(args.cohort)
+    entries = _cohort(args.cohort)
     network = load_network(args.model, rank=3) if args.model else None
     methods = _methods(None, network)
     reports = _each_case(
         lambda c: estimate_all(c, network=network, threshold=args.threshold, methods=methods),
-        cases, "compare",
+        entries, "compare",
     )
     matrix = discrepancy(reports, methods=methods)
     payload = {
@@ -501,10 +497,11 @@ def cmd_compare(args) -> int:
 
 def cmd_stats(args) -> int:
     seed = _seed(args)
-    cases, truths = _load_manifest_cases(args.cohort)
-    n = len(cases)
+    entries = _cohort(args.cohort)
+    n = len(entries)
     if args.folds > n:
         return _fail(EXIT_USAGE, f"k = {args.folds} folds exceed {n} cases")
+    truths = [float(entry["analytic_volume_mm3"]) for entry in entries]
 
     manual_methods = ("spherical", "area_based", "regression")
     net_template = build_segmenter_3d(seed=seed, dtype=TRAIN_DTYPE)
@@ -518,10 +515,9 @@ def cmd_stats(args) -> int:
         return report.volumes, _training_case(net_template, case), geometry
 
     try:
-        per_case = _each_case(prepare, cases, "stats")
+        per_case = _each_case(prepare, entries, "stats")
     except _CaseFailed as exc:
         return _fail(EXIT_RUNTIME, str(exc))
-    del cases  # from here on only the prepared arrays are read
     # every fold trains on these arrays at once: each case's first-layer
     # im2col and pooled target are built once, and all of them are read-only
     manual_volumes, prepared, geometry = zip(*per_case)
@@ -575,27 +571,23 @@ class _CaseFailed(Exception):
     """A case a command cannot go on without; its message is the error."""
 
 
-def _each_case(fn, items, name: str) -> list:
-    """``[fn(item) for item in items]``, split over the CPUs that BLAS
-    leaves spare (``run_in_order``, threads named ``name-<n>``): results
-    come back in item order, and the first failing item in that order
-    raises. With one worker it is that loop, on the calling thread."""
-    items = list(items)
-    return run_in_order(lambda i: fn(items[i]), len(items), spare_workers(len(items)), name)
+def _each_case(fn, entries: list[dict], name: str) -> list:
+    """``[fn(_read_case(entry)) for entry in entries]``, split over the
+    CPUs that BLAS leaves spare (``run_in_order``, threads named
+    ``name-<n>``): each task reads its case's grid and mask, which go
+    when ``fn`` returns, results come back in case order, and the first
+    case that fails in that order raises, in its read or in ``fn``. With
+    one worker it is that loop, on the calling thread."""
+    return run_in_order(lambda i: fn(_read_case(entries[i])), len(entries),
+                        spare_workers(len(entries)), name)
 
 
 def _training_case(net, case: EstimateCase) -> tuple:
-    """``(x, target, cols)`` of one case for ``train``: the network input,
-    its mask target already pooled to the network's output grid and the
-    first layer's im2col of the input, in the network's dtype and all
-    read-only so several trainings may share them across threads."""
+    """The ``nn.training.training_case`` of one case's network input and
+    mask target: what ``train`` and every CV fold step on, read-only."""
     target_shape = net.input_shape[:-1]
-    x = prepare_input(case.grid, target_shape).astype(net.dtype, copy=False)
-    target = fit_target_to_output(net, mask_training_target(case.mask, target_shape))
-    triple = (x, target, input_cols(net, x))
-    for a in triple:
-        a.flags.writeable = False
-    return triple
+    return training_case(net, prepare_input(case.grid, target_shape),
+                         mask_training_target(case.mask, target_shape))
 
 
 def _extent_mm(grid: VoxelGrid) -> tuple[float, float, float]:

@@ -119,8 +119,8 @@ class Workspace:
     conv layer's z, each relu mask, and the gradient spread back through
     a pool, which lands in the z of the conv below the pool when there is
     one. A buffer is made again when its shape changes, so any input
-    shape is served; a training run keeps one workspace per case input
-    shape. Returned gradients never alias these buffers."""
+    shape is served; ``train`` steps in one workspace, each CV fold
+    thread in its own. Returned gradients never alias these buffers."""
 
     def __init__(self):
         self._buffers: dict = {}

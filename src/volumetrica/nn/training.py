@@ -65,41 +65,45 @@ def fit_target_to_output(net: Network, target: np.ndarray, input_shape=None) -> 
     return avg_pool(target, tuple(factors))
 
 
+def training_case(net: Network, x, target, cols=None) -> tuple:
+    """``(x, target, cols)`` as ``train_steps`` steps on them, as read-only
+    views that several runs may share across threads: ``x`` in the
+    network's dtype, ``target`` pooled to the network's output grid and
+    ``cols`` the first layer's im2col of ``x``, built here when not given.
+    A triple in this form comes back without a copy."""
+    x = as_float(x, net.dtype)
+    target = fit_target_to_output(net, target, input_shape=x.shape)
+    # the first layer sees the same input every epoch: im2col once
+    cols = input_cols(net, x) if cols is None else as_float(cols, net.dtype)
+    triple = tuple(None if a is None else a.view() for a in (x, target, cols))
+    for a in triple:
+        if a is not None:  # a view: the caller's array stays writeable
+            a.flags.writeable = False
+    return triple
+
+
 def train_steps(net: Network, cases, config: TrainConfig):
-    """The epoch loop over cases given as ``(x, target)`` or
-    ``(x, target, cols)``, as a generator that runs one optimizer step
-    per resumption and returns the ``TrainingLog``.
+    """The epoch loop over cases given as ``(x, target)`` or ``(x, target,
+    cols)``, each made a ``training_case``, as a generator that runs one
+    optimizer step per resumption and returns the ``TrainingLog``.
 
-    ``cols`` is the caller's ``input_cols(net, x)``; it is built here
-    when a case brings none. Before each step the generator yields the
-    number of steps still to run, that step included (the first yield,
-    once the cases are prepared, is the total); the caller resumes it
-    with ``send(workspace)``, the ``Workspace`` that step computes in.
-    One workspace may serve several runs, one step at a time; it remakes
-    a buffer when a case's input shape differs from the last one's.
+    Before each step the generator yields the number of steps still to
+    run, that step included (the first yield, once the cases are
+    prepared, is the total); the caller resumes it with
+    ``send(workspace)``, the ``Workspace`` that step computes in. One
+    workspace may serve several runs, one step at a time; it remakes a
+    buffer when a case's input shape differs from the last one's.
 
-    Inputs are only read, so several runs may share them, read-only,
-    across threads; inputs already in the network's dtype are used
-    without a copy. Deterministic for a fixed configuration: cases are
-    visited in order and all arithmetic is in the network's dtype,
-    float32 or float64. A non-finite loss raises
+    Deterministic for a fixed configuration: cases are visited in order
+    and all arithmetic is in the network's dtype, float32 or float64.
+    Steps compute with numpy's floating-point warnings off. A non-finite
+    loss, or a non-finite parameter after the last step, raises
     ``TrainingDivergedError`` naming the epoch (from 1) and the case
     (its index in ``cases``).
     """
-    cases = list(cases)
+    cases = [training_case(net, *item) for item in cases]
     if not cases:
         raise ValueError("no valid images")
-    prepared = []
-    for item in cases:
-        x, target, cols = (*item, None)[:3]
-        x = as_float(x, net.dtype)
-        target = fit_target_to_output(net, target, input_shape=x.shape)
-        if cols is None:  # the first layer sees the same input every epoch: im2col once
-            cols = input_cols(net, x)
-        else:
-            cols = as_float(cols, net.dtype)
-        prepared.append((x, target, cols))
-
     params = net.parameters()
     if config.optimizer == "adam":
         state = AdamState.for_params(params, learning_rate=config.learning_rate)
@@ -107,21 +111,24 @@ def train_steps(net: Network, cases, config: TrainConfig):
         state = SgdState(config.learning_rate)
 
     log = TrainingLog()
-    left = config.epochs * len(prepared)
+    left = config.epochs * len(cases)
     for epoch in range(1, config.epochs + 1):
         total = 0.0
-        for case, (x, target, cols) in enumerate(prepared):
+        for case, (x, target, cols) in enumerate(cases):
             workspace = yield left
             left -= 1
-            value, grads = backward(net, x, target, config.loss, first_cols=cols,
-                                    workspace=workspace)
-            del workspace  # the caller decides how long a workspace lives
-            if not math.isfinite(value):
-                raise TrainingDivergedError(
-                    f"epoch {epoch}, case {case}: non-finite loss {value!r}")
-            optimizer_step(params, gradient_list(grads), state)
+            with np.errstate(all="ignore"):  # per thread, so never across a yield
+                value, grads = backward(net, x, target, config.loss, first_cols=cols,
+                                        workspace=workspace)
+                del workspace  # the caller decides how long a workspace lives
+                if not math.isfinite(value):
+                    raise TrainingDivergedError(
+                        f"epoch {epoch}, case {case}: non-finite loss {value!r}")
+                optimizer_step(params, gradient_list(grads), state)
             total += value
-        log.losses.append(total / len(prepared))
+        log.losses.append(total / len(cases))
+    if not all(np.isfinite(p).all() for p in params):
+        raise TrainingDivergedError(f"epoch {epoch}, case {case}: non-finite parameter")
     return log
 
 

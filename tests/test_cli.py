@@ -414,52 +414,66 @@ class TestPipelineCommands:
                      "--out", str(out)]) == 0
         rows = json.loads(out.read_text())["payload"]["cases"]
         assert len(calls) == len(rows) == 5
-        cases, _ = cli._load_manifest_cases(small_cohort)
+        cases = [cli._read_case(entry) for entry in cli._cohort(small_cohort)]
         net = load_network(model)
         for case, row in zip(cases, rows):
             assert row["volume_mm3"] == estimators.ml_estimate(case.grid, net)
 
     def test_training_holds_only_prepared_arrays(self, small_cohort, tmp_path, monkeypatch):
-        """``train`` and ``stats`` train on the prepared arrays alone: no
-        grid or mask the manifest gave is alive once ``train()`` starts,
-        and the CV scorer reads each case's prepared input, so ``stats``
-        resizes every grid and every mask once."""
+        """Each per-case task of ``train`` and ``stats`` reads its own grid
+        and mask and lets them go: inside a task at most one case per
+        worker is alive, and no grid or mask once ``train()`` or a fold's
+        run starts. The CV scorer reads each case's prepared input, so
+        ``stats`` resizes every grid and every mask once."""
         from volumetrica.nn import inference
 
-        loaded, alive = [], []
-        load, fit, steps, resize = (cli._load_manifest_cases, cli.train, cli.train_steps,
-                                    inference.resize_volume)
+        read, in_task, alive, resized = [], [], [], []
+        read_volume, prepare, fit, steps, resize = (
+            vio.read_volume, cli._training_case, cli.train, cli.train_steps,
+            inference.resize_volume)
 
-        def tracked_load(path):
-            cases, truths = load(path)
-            loaded.extend(weakref.ref(v) for c in cases for v in (c.grid, c.mask))
-            return cases, truths
+        def tracked_read(path):
+            volume = read_volume(path)
+            read.append(weakref.ref(volume))
+            return volume
+
+        def alive_volumes():
+            gc.collect()
+            return sum(ref() is not None for ref in read)
+
+        def counted_case(*args):
+            in_task.append(alive_volumes())
+            return prepare(*args)
 
         def checked(start):
             def started(*args, **kwargs):
-                gc.collect()
-                alive.append(sum(ref() is not None for ref in loaded))
+                alive.append(alive_volumes())
                 return start(*args, **kwargs)
             return started
-
-        resized = []
 
         def counted_resize(*args, **kwargs):
             resized.append(1)
             return resize(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_load_manifest_cases", tracked_load)
+        monkeypatch.setattr(vio, "read_volume", tracked_read)
+        monkeypatch.setattr(cli, "_training_case", counted_case)
         monkeypatch.setattr(cli, "train", checked(fit))
         monkeypatch.setattr(cli, "train_steps", checked(steps))  # each CV fold's run
         monkeypatch.setattr(inference, "resize_volume", counted_resize)
-        assert main(["train", "--cohort", str(small_cohort), "--out", str(tmp_path / "m"),
-                     "--epochs", "1"]) == 0
-        assert len(loaded) == 10 and alive == [0]
-        resized.clear()
-        assert main(["stats", "--cohort", str(small_cohort), "--folds", "2", "--epochs", "1",
-                     "--out", str(tmp_path / "s.json")]) == 0
-        assert len(loaded) == 20 and alive == [0, 0, 0]
-        assert len(resized) == 2 * 5
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "spare_workers", lambda tasks: min(tasks, workers))
+            for log in (read, in_task, alive):
+                log.clear()
+            assert main(["train", "--cohort", str(small_cohort), "--out",
+                         str(tmp_path / f"m{workers}"), "--epochs", "1"]) == 0
+            assert len(read) == 10 and len(in_task) == 5 and alive == [0]
+            assert 2 <= min(in_task) and max(in_task) <= 2 * workers
+            resized.clear()
+            assert main(["stats", "--cohort", str(small_cohort), "--folds", "2", "--epochs", "1",
+                         "--out", str(tmp_path / f"s{workers}.json")]) == 0
+            assert len(read) == 20 and len(in_task) == 10 and alive == [0, 0, 0]
+            assert 2 <= min(in_task) and max(in_task) <= 2 * workers
+            assert len(resized) == 2 * 5
 
     def test_train_and_stats_stay_in_float32(self, small_cohort, tmp_path, monkeypatch):
         """Every array a training case holds, every workspace buffer and
@@ -512,7 +526,7 @@ class TestPipelineCommands:
         from volumetrica.nn.network import build_segmenter_3d
         from volumetrica.nn.training import TrainConfig, train
 
-        cases, _ = cli._load_manifest_cases(small_cohort)
+        cases = [cli._read_case(entry) for entry in cli._cohort(small_cohort)]
         nets = [build_segmenter_3d(seed=2, dtype=cli.TRAIN_DTYPE) for _ in range(2)]
         x, target, cols = cli._training_case(nets[0], cases[0])
         assert target.shape == nets[0].output_shapes()[-1]
@@ -892,6 +906,83 @@ class TestCohortWorkers:
         assert (code, capsys.readouterr().err) == (
             1, "error: TrainingDivergedError: epoch 1, case 1: non-finite loss nan\n")
         assert not (tmp_path / "m" / "net.vnet").exists()
+
+
+    def test_case_reads_count_in_case_order(self, spec, tmp_path, monkeypatch, capsys):
+        """Each case is read inside its own task, so a read error counts in
+        case order like any other failure: case 1's failing estimate
+        decides ``stats``, not case 3's truncated grid, and a bad
+        ``--model`` decides ``eval`` before any case is read."""
+        from volumetrica.nn.network import build_segmenter_3d, save_network
+
+        ph = tmp_path / "ph"
+        assert main(["phantom", "--spec", str(spec), "--out", str(ph), "--seed", "5"]) == 0
+        path = ph / "case_001_mask.volv"
+        mask = vio.read_volume(path)
+        vio.write_volume(path, BinaryMask(np.zeros_like(mask.data), mask.spacing))
+        grid = ph / "case_003_grid.volv"
+        grid.write_bytes(grid.read_bytes()[:-100])
+        model = tmp_path / "net.vnet"
+        save_network(build_segmenter_3d(seed=0), model)
+        model.write_bytes(model.read_bytes()[:-10])
+        manifest = str(ph / "manifest.json")
+        argvs = [["stats", "--cohort", manifest, "--folds", "3", "--epochs", "1"],
+                 ["eval", "--cohort", manifest, "--model", str(model)]]
+        results = []
+        for workers in (1, 2):
+            self._set_workers(monkeypatch, workers)
+            for argv in argvs:
+                before = threading.enumerate()
+                results.append((main(argv), capsys.readouterr().err))
+                assert threading.enumerate() == before
+        assert results[:2] == results[2:]
+        (stats_code, stats_err), (eval_code, eval_err) = results[:2]
+        assert stats_code == 1 and stats_err.startswith("error: case_001: spherical failed: ")
+        assert eval_code == 2
+        assert eval_err.startswith(f"error: unreadable input: cannot load model {model}: ")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_run_prints_only_its_error(self, spec, tmp_path, monkeypatch, capsys):
+        """A diverging step computes with numpy's floating-point warnings
+        off, on whichever thread takes it, so the error line is all that
+        ``train`` and ``stats`` print to stderr."""
+        ph = tmp_path / "ph"
+        assert main(["phantom", "--spec", str(spec), "--out", str(ph), "--seed", "5"]) == 0
+        capsys.readouterr()
+        manifest = str(ph / "manifest.json")
+        for workers in (1, 2):
+            self._set_workers(monkeypatch, workers)
+            code = main(["train", "--cohort", manifest, "--out", str(tmp_path / "m"),
+                         "--epochs", "2", "--lr", "1e300"])
+            assert (code, capsys.readouterr().err) == (
+                1, "error: TrainingDivergedError: epoch 1, case 1: non-finite loss nan\n")
+            code = main(["stats", "--cohort", manifest, "--folds", "3", "--epochs", "2",
+                         "--lr", "1e30", "--out", str(tmp_path / "stats.json")])
+            assert (code, capsys.readouterr().err) == (
+                1, "error: TrainingDivergedError: fold 0: epoch 1, case 1: non-finite loss nan\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_last_step_is_an_error(self, tmp_path, capsys):
+        """The last step's overflow shows in no later loss, so the
+        parameters are checked after it: ``train`` on one case and a
+        ``stats`` fold trained on one case fail, and no model is written
+        that ``eval`` would refuse to load."""
+        entries = [{"dims": [24, 24, 24], "spacing_mm": [1.0, 1.0, 1.0], "noise_sigma": 0.05,
+                    "shape": "sphere", "radius_mm": 4.0 + i} for i in range(2)]
+        for n in (1, 2):
+            spec = tmp_path / f"spec{n}.json"
+            spec.write_text(json.dumps({"cohort": entries[:n]}))
+            assert main(["phantom", "--spec", str(spec), "--out", str(tmp_path / f"ph{n}")]) == 0
+        capsys.readouterr()
+        code = main(["train", "--cohort", str(tmp_path / "ph1" / "manifest.json"),
+                     "--out", str(tmp_path / "m"), "--epochs", "1", "--lr", "1e300"])
+        assert (code, capsys.readouterr().err) == (
+            1, "error: TrainingDivergedError: epoch 1, case 0: non-finite parameter\n")
+        assert not (tmp_path / "m" / "net.vnet").exists()
+        code = main(["stats", "--cohort", str(tmp_path / "ph2" / "manifest.json"),
+                     "--folds", "2", "--epochs", "1", "--lr", "1e300"])
+        assert (code, capsys.readouterr().err) == (
+            1, "error: TrainingDivergedError: fold 0: epoch 1, case 0: non-finite parameter\n")
 
 
 class TestCsvHashesNothing:

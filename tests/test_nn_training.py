@@ -16,7 +16,13 @@ from volumetrica.nn.inference import (
 )
 from volumetrica.nn.network import Workspace, build_segmenter_3d, input_cols, predict
 from volumetrica.nn.optim import AdamState, SgdState, optimizer_step
-from volumetrica.nn.training import TrainConfig, TrainingDivergedError, train, train_steps
+from volumetrica.nn.training import (
+    TrainConfig,
+    TrainingDivergedError,
+    train,
+    train_steps,
+    training_case,
+)
 from volumetrica.phantoms import PhantomSpec, make_phantom
 
 
@@ -268,6 +274,26 @@ class TestTrain:
         reference = build_segmenter_3d(seed=0)
         assert train(reference, [(x, t)], TrainConfig(epochs=2, loss="bce")).losses == log.losses
         np.testing.assert_array_equal(case[0], x, strict=True)
+
+    def test_training_case_is_one_read_only_preparation(self, sphere_case):
+        """``training_case`` casts, pools and im2cols into read-only views,
+        leaves the caller's arrays writeable, and gives a prepared triple
+        back without a copy, so ``train_steps`` may apply it again."""
+        x, t, *_ = sphere_case
+        net = build_segmenter_3d(seed=0, dtype=np.float32)
+        triple = training_case(net, x, t)
+        assert [a.dtype for a in triple] == [np.dtype(np.float32)] * 3
+        assert triple[1].shape == net.output_shapes()[-1]
+        assert not any(a.flags.writeable for a in triple) and x.flags.writeable
+        again = training_case(net, *triple)
+        assert all(np.shares_memory(a, b) for a, b in zip(triple, again))
+
+    def test_non_finite_parameters_after_the_last_step_raise(self, sphere_case):
+        x, t, *_ = sphere_case
+        net = build_segmenter_3d(seed=0, dtype=np.float32)  # a 1e300 step overflows float32
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^epoch 1, case 0: non-finite parameter$"):
+            train(net, [(x, t)], TrainConfig(epochs=1, loss="bce", learning_rate=1e300))
 
     def test_empty_dataset_raises(self):
         net = build_segmenter_3d()
