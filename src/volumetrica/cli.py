@@ -82,8 +82,9 @@ def cmd_phantom(args) -> int:
     seed = _seed(args)
     spec_doc = vio.read_json(args.spec)
     entries = spec_doc["cohort"] if isinstance(spec_doc, dict) and "cohort" in spec_doc else [spec_doc]
-    if not isinstance(entries, list):
-        raise InputError(f"{args.spec}: 'cohort' must be a list of phantom configs")
+    # a manifest with no cases is one every cohort command refuses
+    if not isinstance(entries, list) or not entries:
+        raise InputError(f"{args.spec}: 'cohort' must be a non-empty list of phantom configs")
     # every entry is validated before the first file is written
     configs = [_phantom_config(entry, seed + i, i, args.spec) for i, entry in enumerate(entries)]
     case_ids = _case_ids(entries, args.spec)
@@ -229,7 +230,8 @@ def cmd_estimate(args) -> int:
     the calling thread, reads ``--input`` and runs ``estimate_all`` with
     the ml method alone; task 1 runs the manual methods on the mask's
     slice areas; each further task hashes one input file, largest first.
-    The input and the mask are loaded once, by whichever task asks first.
+    The input, the mask and its slice areas are each made once, by
+    whichever task asks first.
     A slice-area CSV has no grid, so its whole estimate is task 0. A
     failure decides the exit code and the message in task order, so the
     input's error comes before the mask's, the mask's before a
@@ -251,7 +253,12 @@ def cmd_estimate(args) -> int:
     tasks = parts + [lambda path=path: (str(path), vio.sha256_file(path)) for path, _ in hashed]
     results = run_in_order(lambda i: tasks[i](), len(tasks), spare_workers(len(tasks)),
                            "estimate")
-    report = results[0] if len(parts) == 1 else _merged(*results[:2], methods)
+    report = results[0]
+    if len(parts) == 2:  # the ml and the manual part hold disjoint methods
+        manual = results[1]
+        report.volumes |= manual.volumes
+        report.errors |= manual.errors
+        report.metadata |= manual.metadata
     if args.format == "csv":
         rows = [(m, report.volumes.get(m, ""), report.errors.get(m, "")) for m in methods]
         vio.write_csv(args.out, ("method", "volume_mm3", "error"), rows)
@@ -268,7 +275,8 @@ def cmd_estimate(args) -> int:
                                        dict(results[len(parts):]))
         _write_report(args.out, envelope)
     if not report.volumes:
-        return _fail(EXIT_RUNTIME, "all methods failed: " + "; ".join(report.errors.values()))
+        return _fail(EXIT_RUNTIME,
+                     "all methods failed: " + "; ".join(report.errors[m] for m in methods))
     return EXIT_OK
 
 
@@ -303,81 +311,61 @@ class _Shared:
 
 def _estimate_parts(src: Path, listing, args, network, methods) -> list:
     """Tasks 0 and 1 of ``cmd_estimate`` on a grid input (see there);
-    ``listing`` is ``io.input_files([src])``."""
-    volume = _Shared(lambda: _read_input(src, listing))
-    if args.mask and src.is_dir() and not (src / "manifest.json").exists():
-        # a DICOM series' --mask does not wait for the series
-        mask = _Shared(lambda: vio.read_volume(args.mask))
-    else:
-        mask = _Shared(lambda: _case_mask(volume.get()[1], args))
+    ``listing`` is ``io.input_files([src])``. The mask is ``--mask`` when
+    given, for every input kind, so it loads beside the input; else the
+    input's own mask; else ``_mask_for`` of its grid."""
+    read = _Shared(lambda: _read_input(src, listing))
+
+    def read_mask():
+        if args.mask:
+            return vio.read_volume(args.mask)
+        _, grid, own, _ = read.get()
+        return own if own is not None else _mask_for(grid, args)
+
+    mask = _Shared(read_mask)
+    areas = _Shared(lambda: slice_areas(mask.get()))
 
     def ml():
-        case = _single_case(*volume.get(), mask.get())
+        case_id, grid, _, analytic = read.get()
+        case = EstimateCase(case_id, grid, mask.get(), analytic)
         return estimate_all(case, network=network, threshold=args.threshold,
-                            methods=[m for m in methods if m == "ml"])
+                            methods=[m for m in methods if m == "ml"], areas=areas.get())
 
     def manual():
-        return estimate_series(slice_areas(mask.get()), [m for m in methods if m != "ml"],
+        return estimate_series(areas.get(), [m for m in methods if m != "ml"],
                                manual_radius=args.radius)
 
     return [ml, manual]
 
 
-def _merged(ml: EstimateReport, manual: EstimateReport, methods) -> EstimateReport:
-    """The report of ``estimate_all`` over ``methods``, from its ml part
-    (with the case's metadata) and its manual part, in method order."""
-    report = EstimateReport(ml.case_id, metadata=manual.metadata | ml.metadata)
-    for m in methods:
-        part = ml if m == "ml" else manual
-        if m in part.volumes:
-            report.volumes[m] = part.volumes[m]
-        else:
-            report.errors[m] = part.errors[m]
-    return report
-
-
-def _read_input(src: Path, listing) -> tuple[str, EstimateCase | VoxelGrid | BinaryMask]:
-    """The case id and what ``--input`` holds: the one case of a manifest
+def _read_input(src: Path, listing) -> tuple[str, VoxelGrid, BinaryMask | None, float | None]:
+    """The case id, grid, own mask (or ``None``) and analytic volume (or
+    ``None``) of what ``--input`` holds: the one case of a manifest
     directory, the grid of a DICOM directory (read from ``listing``, its
-    ``io.directory_files``), or a VOLV's grid or mask."""
+    ``io.directory_files``), a grid VOLV, or a mask VOLV, which is its
+    own grid."""
     if src.is_dir():
         manifest = src / "manifest.json"
         if manifest.exists():
             cases = _cohort(manifest)
             if len(cases) != 1:
                 raise InputError(f"{manifest} lists {len(cases)} cases; use `compare` for cohorts")
-            return cases[0]["id"], _read_case(cases[0])
+            case = _read_case(cases[0])
+            return case.case_id, case.grid, case.mask, case.analytic_volume
         # a directory of DICOM slices
         grid, geometry, skipped = dicomlite.read_directory(src, listing)
         for message in [*geometry.warnings, *(f"skipped {entry}" for entry in skipped)]:
             logger.warning("%s: %s", src, message)
-        return src.name, grid
+        return src.name, grid, None, None
     if src.suffix.lower() == ".volv":
-        return src.stem, vio.read_volume(src)
+        volume = vio.read_volume(src)
+        if isinstance(volume, BinaryMask):
+            return src.stem, VoxelGrid(volume.data.astype(np.float64), volume.spacing), volume, None
+        return src.stem, volume, None, None
     raise InputError(f"cannot interpret input {src}")
 
 
-def _case_mask(volume, args):
-    """The mask of the case ``volume`` (from ``_read_input``) belongs to."""
-    if isinstance(volume, EstimateCase):
-        return volume.mask
-    if isinstance(volume, BinaryMask):
-        return volume
-    return _mask_for(volume, args)
-
-
-def _single_case(case_id: str, volume, mask) -> EstimateCase:
-    if isinstance(volume, EstimateCase):
-        return volume
-    if isinstance(volume, BinaryMask):
-        grid = VoxelGrid(volume.data.astype(np.float64), volume.spacing)
-        return EstimateCase(case_id, grid, volume)
-    return EstimateCase(case_id, volume, mask)
-
-
 def _mask_for(grid: VoxelGrid, args) -> BinaryMask:
-    if args.mask:
-        return vio.read_volume(args.mask)
     # no segmentation supplied: binarize the intensities
     logger.warning("%s: no --mask given; the mask is every voxel whose raw intensity "
                    "exceeds 0.5", args.input)
@@ -499,6 +487,8 @@ def cmd_stats(args) -> int:
     seed = _seed(args)
     entries = _cohort(args.cohort)
     n = len(entries)
+    if n < 3:  # the report's Shapiro-Wilk test needs 3 differences
+        return _fail(EXIT_USAGE, f"stats needs at least 3 cases, got {n}")
     if args.folds > n:
         return _fail(EXIT_USAGE, f"k = {args.folds} folds exceed {n} cases")
     truths = [float(entry["analytic_volume_mm3"]) for entry in entries]
@@ -663,7 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate volumes for one case")
     p.add_argument("--input", required=True, help=".csv series, .volv, phantom dir, or DICOM dir")
-    p.add_argument("--mask", help="mask .volv when the input carries no segmentation")
+    p.add_argument("--mask", help="mask .volv of a grid input (default: the input's own mask, "
+                        "else raw intensities above 0.5)")
     p.add_argument("--methods", help="comma list from ml,spherical,area_based,regression or 'all'")
     p.add_argument("--model", help="trained network container for the ml method")
     p.add_argument("--threshold", type=_float_between(0.0, 1.0), default=0.5)

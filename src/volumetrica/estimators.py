@@ -181,12 +181,14 @@ def estimate_all(
     threshold: float = 0.5,
     methods=METHODS,
     manual_radius: float | None = None,
+    areas: SliceAreaSeries | None = None,
 ) -> EstimateReport:
     """``estimate_series`` over the mask's slice areas, with the case
-    geometry added to the report metadata."""
+    geometry added to the report metadata. ``areas`` is
+    ``slice_areas(case.mask)`` when the caller has counted it already."""
     report = estimate_series(
-        slice_areas(case.mask), methods, grid=case.grid, network=network,
-        threshold=threshold, manual_radius=manual_radius, case_id=case.case_id,
+        slice_areas(case.mask) if areas is None else areas, methods, grid=case.grid,
+        network=network, threshold=threshold, manual_radius=manual_radius, case_id=case.case_id,
     )
     report.metadata.update(
         spacing_mm=list(case.mask.spacing.as_tuple()),

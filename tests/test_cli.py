@@ -543,6 +543,27 @@ class TestPipelineCommands:
         assert main(["stats", "--cohort", str(small_cohort), "--folds", "6",
                      "--out", str(tmp_path / "s.json")]) == 2
 
+    def test_stats_on_fewer_than_3_cases_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the report's Shapiro-Wilk test needs 3 cases; none is read
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"cohort": [
+            {"dims": [24, 24, 24], "spacing_mm": [1.0, 1.0, 1.0], "shape": "sphere",
+             "radius_mm": 4.0 + i} for i in range(3)]}))
+        ph, out = tmp_path / "ph", tmp_path / "s.json"
+        assert main(["phantom", "--spec", str(spec), "--out", str(ph)]) == 0
+        argv = ["stats", "--folds", "2", "--epochs", "1", "--out", str(out)]
+        assert main(argv + ["--cohort", str(ph / "manifest.json")]) == 0
+        out.unlink()
+        cases = json.loads((ph / "manifest.json").read_text())["payload"]["cases"]
+        (ph / "two.json").write_text(json.dumps({"cases": cases[:2]}))
+        capsys.readouterr()
+        read = []
+        monkeypatch.setattr(cli, "_read_case", lambda entry: read.append(entry))
+        assert main(argv + ["--cohort", str(ph / "two.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: stats needs at least 3 cases, got 2\n"
+        assert captured.out == "" and read == [] and not out.exists()
+
     def test_stats_deterministic_bytes(self, small_cohort, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -704,8 +725,8 @@ class TestEstimateWorkers:
     @pytest.mark.parametrize("argv", [
         ["--input", "{series}", "--mask", "{series_mask}", "--model", "{model}"],
         ["--input", "{series}", "--model", "{model}"],
-        ["--input", "{ph}", "--model", "{model}", "--mask", "{series_mask}"],
-        ["--input", "{mask}", "--model", "{model}", "--mask", "{bad}"],
+        ["--input", "{ph}", "--model", "{model}", "--mask", "{mask}"],
+        ["--input", "{mask}", "--model", "{model}"],
         ["--input", "{grid}", "--model", "{model}", "--radius", "4"],
         ["--input", "{series}", "--mask", "{series_mask}", "--model", "{model}",
          "--format", "csv"],
@@ -724,13 +745,31 @@ class TestEstimateWorkers:
          "mask dims (40, 40, 40) differ from grid dims (24, 24, 6)"),
         (["--input", "{series}", "--mask", "{grid}"], "needs a grid and a mask container"),
         (["--input", "{series}", "--mask", "{bad}"], "VOLV header truncated"),
-    ], ids=["bad-input-and-bad-mask", "mismatched-dims", "grid-volv-as-mask", "bad-mask"])
+        (["--input", "{mask}", "--model", "{model}", "--mask", "{bad}"], "VOLV header truncated"),
+    ], ids=["bad-input-and-bad-mask", "mismatched-dims", "grid-volv-as-mask", "bad-mask",
+            "mask-volv"])
     def test_failures_identical_at_one_and_two_workers(self, inputs, argv, message,
                                                        monkeypatch, tmp_path, capsys):
         argv = ["estimate", *(a.format(**inputs) for a in argv)]
         results = self._failed_runs(monkeypatch, argv, tmp_path, capsys)
         assert results[0] == results[1]
         assert results[0][0] == 2 and message in results[0][1]
+
+    def test_mask_flag_is_the_mask_of_a_manifest_directory(self, inputs, monkeypatch,
+                                                            tmp_path):
+        """``--mask`` replaces a phantom case's own mask, and is hashed."""
+        grid = vio.read_volume(inputs["grid"])
+        one = np.zeros(grid.data.shape, dtype=bool)
+        one[3, 4, 5] = True
+        vio.write_volume(tmp_path / "one.volv", BinaryMask(one, grid.spacing))
+        argv = ["estimate", "--input", inputs["ph"], "--mask", str(tmp_path / "one.volv"),
+                "--methods", "area_based"]
+        first, second = self._runs(monkeypatch, argv, tmp_path)
+        assert first == second and first[0] == 0
+        report = json.loads(first[1])
+        voxel = grid.spacing.voxel_volume_mm3
+        assert report["payload"]["methods"]["area_based"] == {"volume_mm3": voxel}
+        assert str(tmp_path / "one.volv") in report["input_checksums"]
 
     def test_hash_failure_identical_at_one_and_two_workers(self, inputs, monkeypatch, tmp_path,
                                                            capsys):
@@ -968,8 +1007,8 @@ class TestCohortWorkers:
         ``stats`` fold trained on one case fail, and no model is written
         that ``eval`` would refuse to load."""
         entries = [{"dims": [24, 24, 24], "spacing_mm": [1.0, 1.0, 1.0], "noise_sigma": 0.05,
-                    "shape": "sphere", "radius_mm": 4.0 + i} for i in range(2)]
-        for n in (1, 2):
+                    "shape": "sphere", "radius_mm": 4.0 + i} for i in range(3)]
+        for n in (1, 3):
             spec = tmp_path / f"spec{n}.json"
             spec.write_text(json.dumps({"cohort": entries[:n]}))
             assert main(["phantom", "--spec", str(spec), "--out", str(tmp_path / f"ph{n}")]) == 0
@@ -979,7 +1018,8 @@ class TestCohortWorkers:
         assert (code, capsys.readouterr().err) == (
             1, "error: TrainingDivergedError: epoch 1, case 0: non-finite parameter\n")
         assert not (tmp_path / "m" / "net.vnet").exists()
-        code = main(["stats", "--cohort", str(tmp_path / "ph2" / "manifest.json"),
+        # 2 folds of 3 cases: fold 0 holds out 2 and trains on case 0
+        code = main(["stats", "--cohort", str(tmp_path / "ph3" / "manifest.json"),
                      "--folds", "2", "--epochs", "1", "--lr", "1e300"])
         assert (code, capsys.readouterr().err) == (
             1, "error: TrainingDivergedError: fold 0: epoch 1, case 0: non-finite parameter\n")

@@ -236,6 +236,15 @@ class TestPhantomSpec:
         spec.write_text(json.dumps({"cohort": 5}))
         assert main(["phantom", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
 
+    def test_empty_cohort_writes_nothing(self, tmp_path, capsys):
+        # every cohort command refuses a manifest with no cases
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"cohort": []}))
+        out = tmp_path / "o"
+        assert main(["phantom", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "'cohort' must be a non-empty list" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_typed_errors_keep_value_error_ancestry(self):
         for cls in (ShapeOutOfBoundsError, dl.DicomParseError, dl.NoValidImagesError,
                     dl.GeometryMismatchError):

@@ -83,6 +83,7 @@ def test_every_function_wrapped_for_dicom_estimate_runs(tmp_path, monkeypatch):
     assert [name for name in wrapped if name not in calls] == []
     # the per-case metrics of the benchmark count estimate_all once a call
     assert calls.count("estimators.estimate_all") == 1
+    assert calls.count("geometry.slice_areas") == 1
 
 
 def test_every_function_wrapped_for_cohort_runs(tmp_path, monkeypatch):
