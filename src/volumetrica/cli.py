@@ -16,6 +16,8 @@ import logging
 import os
 import sys
 import threading
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -239,10 +241,13 @@ def cmd_estimate(args) -> int:
     is listed once: a DICOM directory is read from the listing that is
     hashed."""
     src = Path(args.input)
+    csv = src.suffix.lower() == ".csv"
+    if csv and args.mask:
+        return _fail(EXIT_USAGE, "--mask applies to grid inputs, not to a slice-area CSV")
     network = load_network(args.model, rank=3) if args.model else None
     methods = _methods(args.methods, network)
     listing = vio.input_files([src])
-    if src.suffix.lower() == ".csv":
+    if csv:
         parts = [lambda: _estimate_csv(src, methods, args)]
     else:
         parts = _estimate_parts(src, listing, args, network, methods)
@@ -313,14 +318,14 @@ def _estimate_parts(src: Path, listing, args, network, methods) -> list:
     """Tasks 0 and 1 of ``cmd_estimate`` on a grid input (see there);
     ``listing`` is ``io.input_files([src])``. The mask is ``--mask`` when
     given, for every input kind, so it loads beside the input; else the
-    input's own mask; else ``_mask_for`` of its grid."""
+    input's own mask, read only then; else ``_mask_for`` of its grid."""
     read = _Shared(lambda: _read_input(src, listing))
 
     def read_mask():
         if args.mask:
             return vio.read_volume(args.mask)
-        _, grid, own, _ = read.get()
-        return own if own is not None else _mask_for(grid, args)
+        _, grid, own_mask, _ = read.get()
+        return own_mask() if own_mask is not None else _mask_for(grid, args)
 
     mask = _Shared(read_mask)
     areas = _Shared(lambda: slice_areas(mask.get()))
@@ -338,20 +343,23 @@ def _estimate_parts(src: Path, listing, args, network, methods) -> list:
     return [ml, manual]
 
 
-def _read_input(src: Path, listing) -> tuple[str, VoxelGrid, BinaryMask | None, float | None]:
-    """The case id, grid, own mask (or ``None``) and analytic volume (or
-    ``None``) of what ``--input`` holds: the one case of a manifest
-    directory, the grid of a DICOM directory (read from ``listing``, its
-    ``io.directory_files``), a grid VOLV, or a mask VOLV, which is its
-    own grid."""
+def _read_input(src: Path, listing) -> tuple[str, VoxelGrid, Callable[[], BinaryMask] | None,
+                                             float | None]:
+    """The case id, grid, reader of its own mask (or ``None``) and
+    analytic volume (or ``None``) of what ``--input`` holds: the one case
+    of a manifest directory, the grid of a DICOM directory (read from
+    ``listing``, its ``io.directory_files``), a grid VOLV, or a mask
+    VOLV, which is its own grid. A manifest case's mask file is read
+    only when the reader is called."""
     if src.is_dir():
         manifest = src / "manifest.json"
         if manifest.exists():
             cases = _cohort(manifest)
             if len(cases) != 1:
                 raise InputError(f"{manifest} lists {len(cases)} cases; use `compare` for cohorts")
-            case = _read_case(cases[0])
-            return case.case_id, case.grid, case.mask, case.analytic_volume
+            entry = cases[0]
+            return (entry["id"], vio.read_volume(entry["grid"]),
+                    partial(vio.read_volume, entry["mask"]), float(entry["analytic_volume_mm3"]))
         # a directory of DICOM slices
         grid, geometry, skipped = dicomlite.read_directory(src, listing)
         for message in [*geometry.warnings, *(f"skipped {entry}" for entry in skipped)]:
@@ -360,7 +368,8 @@ def _read_input(src: Path, listing) -> tuple[str, VoxelGrid, BinaryMask | None, 
     if src.suffix.lower() == ".volv":
         volume = vio.read_volume(src)
         if isinstance(volume, BinaryMask):
-            return src.stem, VoxelGrid(volume.data.astype(np.float64), volume.spacing), volume, None
+            grid = VoxelGrid(volume.data.astype(np.float64), volume.spacing)
+            return src.stem, grid, lambda: volume, None
         return src.stem, volume, None, None
     raise InputError(f"cannot interpret input {src}")
 

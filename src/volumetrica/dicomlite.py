@@ -648,8 +648,10 @@ def read_directory(path, files=None) -> tuple[VoxelGrid, SeriesGeometry, list[st
                 continue
             kept.append((header, vr, head, pixel_bytes))
             head += pixel_bytes
-    # no view of the buffer is left, so the resize may shrink it in place
-    buffer.resize(head)
+    # the ``with`` block released the only view of the buffer, so it may
+    # shrink in place; refcheck is off because a Python tracer (pdb,
+    # ``sys.settrace``) holds this frame's locals, one more reference
+    buffer.resize(head, refcheck=False)
     buffer.flags.writeable = False
     pixels = memoryview(buffer)
     for header, vr, start, size in kept:

@@ -61,7 +61,7 @@ def apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def activation_grad(a: np.ndarray, z: np.ndarray, kind: str, out=None):
+def activation_grad(a: np.ndarray, kind: str, out=None):
     """d(activation)/dz from cached forward values, as a multiplicative
     factor, written to ``out`` when given.
 

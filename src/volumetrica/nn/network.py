@@ -107,12 +107,6 @@ class Network:
                 params.extend([layer.weights, layer.bias])
         return params
 
-    def final_activation(self) -> str:
-        for layer in reversed(self.layers):
-            if isinstance(layer, ConvLayer):
-                return layer.activation
-        return "none"
-
 
 class Workspace:
     """Output buffers that ``backward`` reuses from step to step: each
@@ -255,9 +249,9 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind: str, fi
     """Loss and exact gradients for every weight and bias.
 
     Returns (loss_value, grads) where grads maps one (dW, db) tuple per
-    conv layer (None for pools), in layer order. For bce the final layer
-    must be sigmoid-activated; the gradient is taken through the fused
-    stable path. ``workspace`` holds the large intermediates between
+    conv layer (None for pools), in layer order. For bce the last layer
+    must be a sigmoid conv; the gradient is taken at its z through the
+    fused stable path. ``workspace`` holds the large intermediates between
     calls; without one a fresh workspace is used.
     """
     ws = Workspace() if workspace is None else workspace
@@ -266,51 +260,49 @@ def backward(net: Network, x: np.ndarray, target: np.ndarray, loss_kind: str, fi
     if out.shape != target.shape:
         raise ValueError(f"output shape {out.shape} != target shape {target.shape}")
 
+    # the loss seeds the gradient: bce's is taken at the last conv's z,
+    # so that layer alone takes no activation factor
+    seeded = None
     if loss_kind == "bce":
-        if net.final_activation() != "sigmoid":
+        last = net.layers[-1] if net.layers else None
+        if not isinstance(last, ConvLayer) or last.activation != "sigmoid":
             raise ValueError("bce requires a sigmoid final layer")
-        kind, layer, inp, z, cols, a = cache[-1]
+        seeded = len(cache) - 1
+        z = cache[seeded][3]
         loss_value = bce_with_logits(z, target)
-        dz = bce_with_logits_grad(z, target)
-        grads_rev = []
-        dW, db, da = conv_backward(layer, inp, cols, dz, need_dx=len(cache) > 1)
-        grads_rev.append((dW, db))
-        remaining = cache[:-1]
+        da = bce_with_logits_grad(z, target)
     elif loss_kind == "mse":
         loss_value = mse(out, target)
         da = mse_grad(out, target)
-        grads_rev = []
-        remaining = cache
     else:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
 
     # every activation factor is taken first, so a pool can spread its
     # gradient into the z of the conv below it: that z is read no more
     factors = {}
-    for pos, entry in enumerate(remaining):
-        if entry[0] == "conv":
+    for pos, entry in enumerate(cache):
+        if entry[0] == "conv" and pos != seeded:
             _, layer, inp, z, cols, a = entry
             # relu's mask is the one full-size factor: sigmoid ends the
             # network and "none" gives a scalar
             mask = ws.buffer(("mask", pos), a.shape, bool) if layer.activation == "relu" else None
-            factors[pos] = activation_grad(a, z, layer.activation, out=mask)
-    for pos in range(len(remaining) - 1, -1, -1):
-        entry = remaining[pos]
+            factors[pos] = activation_grad(a, layer.activation, out=mask)
+    grads = [None] * len(cache)
+    for pos in range(len(cache) - 1, -1, -1):
+        entry = cache[pos]
         if entry[0] == "conv":
             _, layer, inp, z, cols, a = entry
-            dz = np.multiply(da, factors[pos], out=da)
+            dz = da if pos == seeded else np.multiply(da, factors[pos], out=da)
             dW, db, da = conv_backward(layer, inp, cols, dz, need_dx=pos > 0)
-            grads_rev.append((dW, db))
+            grads[pos] = (dW, db)
         else:
             _, layer, inp_shape = entry
-            grads_rev.append(None)
-            if pos > 0 and remaining[pos - 1][0] == "conv":
-                out = remaining[pos - 1][3]  # that conv's z
+            if pos > 0 and cache[pos - 1][0] == "conv":
+                out = cache[pos - 1][3]  # that conv's z
             else:
                 out = ws.buffer(("dz", pos), inp_shape, da.dtype)
             da = avg_pool_backward(layer.pool, inp_shape, da, out=out)
-
-    return loss_value, list(reversed(grads_rev))
+    return loss_value, grads
 
 
 def gradient_list(grads) -> list[np.ndarray]:
@@ -325,29 +317,21 @@ def gradient_list(grads) -> list[np.ndarray]:
 def build_segmenter_2d(seed: int = 0, dtype=np.float64) -> Network:
     """(1024,1024,1) -> Conv 32@3x3 relu -> AvgPool 2x2 -> Conv 1@1x1 sigmoid,
     in ``dtype``: a float32 net is the float64 net of ``seed`` rounded."""
-    rng = np.random.default_rng(seed)
-    return Network(
-        layers=[
-            ConvLayer.create(2, 3, 1, 32, "relu", rng, dtype),
-            AvgPool((2, 2)),
-            ConvLayer.create(2, 1, 32, 1, "sigmoid", rng, dtype),
-        ],
-        input_shape=(1024, 1024, 1),
-    )
+    return _build_segmenter(2, 1024, seed, dtype)
 
 
 def build_segmenter_3d(seed: int = 0, dtype=np.float64) -> Network:
     """(32,32,32,1) -> Conv 32@3x3x3 relu -> AvgPool 2x2x2 -> Conv 1@1x1x1 sigmoid,
     in ``dtype``: a float32 net is the float64 net of ``seed`` rounded."""
+    return _build_segmenter(3, 32, seed, dtype)
+
+
+def _build_segmenter(rank: int, side: int, seed: int, dtype) -> Network:
     rng = np.random.default_rng(seed)
-    return Network(
-        layers=[
-            ConvLayer.create(3, 3, 1, 32, "relu", rng, dtype),
-            AvgPool((2, 2, 2)),
-            ConvLayer.create(3, 1, 32, 1, "sigmoid", rng, dtype),
-        ],
-        input_shape=(32, 32, 32, 1),
-    )
+    layers = [ConvLayer.create(rank, 3, 1, 32, "relu", rng, dtype),
+              AvgPool((2,) * rank),
+              ConvLayer.create(rank, 1, 32, 1, "sigmoid", rng, dtype)]
+    return Network(layers, (side,) * rank + (1,))
 
 
 _MAGIC = b"VNET"

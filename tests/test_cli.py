@@ -203,6 +203,20 @@ class TestEstimateCommand:
         truth = payload["metadata"]["analytic_volume_mm3"]
         assert payload["methods"]["area_based"]["volume_mm3"] == pytest.approx(truth, rel=0.05)
 
+    def test_mask_with_a_csv_input_exits_2_before_reading(self, tmp_path, monkeypatch, capsys):
+        touched = []
+        monkeypatch.setattr(vio, "sha256_file", touched.append)
+        monkeypatch.setattr(vio, "read_series_csv", touched.append)
+        csv = tmp_path / "s.csv"
+        csv.write_text("position_mm,area_mm2\n0,3\n1,3\n2,3\n")
+        (tmp_path / "bad.volv").write_bytes(b"VOLV\x01")
+        out = tmp_path / "r.json"
+        assert main(["estimate", "--input", str(csv), "--mask", str(tmp_path / "bad.volv"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--mask applies to grid inputs" in err
+        assert touched == [] and not out.exists()
+
     def test_csv_format_output(self, tmp_path):
         series = tmp_path / "s.csv"
         series.write_text("position_mm,area_mm2\n0,3\n1,3\n2,3\n")
@@ -770,6 +784,21 @@ class TestEstimateWorkers:
         voxel = grid.spacing.voxel_volume_mm3
         assert report["payload"]["methods"]["area_based"] == {"volume_mm3": voxel}
         assert str(tmp_path / "one.volv") in report["input_checksums"]
+
+    def test_mask_flag_leaves_a_manifest_case_mask_unread(self, inputs, monkeypatch, tmp_path):
+        """The case's own mask is read only when no ``--mask`` replaces it."""
+        good = tmp_path / "good.volv"
+        shutil.copyfile(inputs["mask"], good)
+        argv = ["estimate", "--input", inputs["ph"], "--mask", str(good),
+                "--methods", "area_based,regression", "--model", inputs["model"]]
+        intact = self._runs(monkeypatch, argv, tmp_path)
+        own = Path(inputs["mask"])
+        own.write_bytes(own.read_bytes()[:60])
+        truncated = self._runs(monkeypatch, argv, tmp_path)
+        assert intact[0][0] == truncated[0][0] == 0
+        assert truncated[0] == truncated[1]
+        payloads = [json.loads(run[0][1])["payload"] for run in (intact, truncated)]
+        assert payloads[0] == payloads[1]
 
     def test_hash_failure_identical_at_one_and_two_workers(self, inputs, monkeypatch, tmp_path,
                                                            capsys):

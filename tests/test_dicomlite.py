@@ -328,6 +328,31 @@ class TestReadDirectory:
             with pytest.raises(ValueError, match="read-only"):
                 plane[0, 0] = 1
 
+    def test_a_python_tracer_reads_the_same_series(self, tmp_path):
+        """A ``sys.settrace`` tracer (pdb, coverage) holds one more
+        reference to each frame's locals; the read and an ``estimate``
+        give the same grid and report bytes under one."""
+        series = tmp_path / "series"
+        series.mkdir()
+        for k, ds in enumerate(_series(8, (16, 16))):
+            (series / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
+        argv = ["estimate", "--input", str(series), "--methods", "area_based", "--seed", "1"]
+
+        def run(name):
+            grid, _, skipped = dl.read_directory(series)
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+            return grid.data, skipped, (tmp_path / name).read_bytes()
+
+        plain = run("plain.json")
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: None)
+        try:
+            traced = run("traced.json")
+        finally:
+            sys.settrace(previous)
+        np.testing.assert_array_equal(traced[0], plain[0], strict=True)
+        assert traced[1:] == plain[1:]
+
 
 @contextlib.contextmanager
 def _traced():

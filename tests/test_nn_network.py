@@ -174,6 +174,25 @@ class TestGradients:
         with pytest.raises(ValueError, match="sigmoid"):
             backward(net, np.zeros((2, 2, 2, 1)), np.zeros((2, 2, 2, 1)), "bce")
 
+    def test_bce_needs_a_sigmoid_conv_last(self):
+        # a sigmoid conv that a pool follows does not end the network
+        rng = np.random.default_rng(6)
+        net = Network(
+            [ConvLayer(rng.normal(0, 0.3, (3, 3, 3, 1, 2)), rng.normal(0, 0.2, 2), "relu"),
+             ConvLayer(rng.normal(0, 0.5, (1, 1, 1, 2, 1)), rng.normal(0, 0.2, 1), "sigmoid"),
+             AvgPool((2, 2, 2))],
+            (4, 4, 4, 1),
+        )
+        x = rng.uniform(size=(4, 4, 4, 1))
+        t = rng.uniform(size=(2, 2, 2, 1))
+        with pytest.raises(ValueError, match="^bce requires a sigmoid final layer$"):
+            backward(net, x, t, "bce")
+        # mse walks the same net: the pool spreads into the sigmoid conv's z
+        value, grads = backward(net, x, t, "mse")
+        ref_value, ref_grads = _ref_backward(net, x, t, "mse")
+        assert value == ref_value
+        _assert_same_gradients(grads, ref_grads)
+
 
 class TestDeterminismAndSerialization:
     def test_forward_bit_identical(self):
