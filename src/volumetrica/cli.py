@@ -18,6 +18,7 @@ import sys
 import threading
 from collections.abc import Callable
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from volumetrica.estimators import (
     ml_volume,
 )
 from volumetrica.geometry import slice_areas
-from volumetrica.grid import BinaryMask, VoxelGrid
+from volumetrica.grid import BinaryMask, OnDemand, VoxelGrid
 from volumetrica.nn.inference import (
     dice,
     extract_tumor_mask,
@@ -239,18 +240,19 @@ def cmd_estimate(args) -> int:
     input's error comes before the mask's, the mask's before a
     disagreement of the two, and any of them before a hash's. ``--input``
     is listed once: a DICOM directory is read from the listing that is
-    hashed."""
+    hashed. Of a manifest directory only what is read is hashed: the
+    manifest, the case grid and, without ``--mask``, the case mask."""
     src = Path(args.input)
     csv = src.suffix.lower() == ".csv"
     if csv and args.mask:
         return _fail(EXIT_USAGE, "--mask applies to grid inputs, not to a slice-area CSV")
     network = load_network(args.model, rank=3) if args.model else None
     methods = _methods(args.methods, network)
-    listing = vio.input_files([src])
     if csv:
-        parts = [lambda: _estimate_csv(src, methods, args)]
+        listing, parts = vio.input_files([src]), [lambda: _estimate_csv(src, methods, args)]
     else:
-        parts = _estimate_parts(src, listing, args, network, methods)
+        listing, read = _input(src, own_mask=not args.mask)
+        parts = _estimate_parts(read, args, network, methods)
     # a CSV output carries no checksums, so nothing is hashed for it
     hashed = [] if args.format == "csv" else sorted(
         listing + vio.input_files([p for p in (args.mask, args.model) if p]),
@@ -314,12 +316,13 @@ class _Shared:
         return value
 
 
-def _estimate_parts(src: Path, listing, args, network, methods) -> list:
+def _estimate_parts(read_input, args, network, methods) -> list:
     """Tasks 0 and 1 of ``cmd_estimate`` on a grid input (see there);
-    ``listing`` is ``io.input_files([src])``. The mask is ``--mask`` when
-    given, for every input kind, so it loads beside the input; else the
-    input's own mask, read only then; else ``_mask_for`` of its grid."""
-    read = _Shared(lambda: _read_input(src, listing))
+    ``read_input`` is the reader ``_input`` returns. The mask is
+    ``--mask`` when given, for every input kind, so it loads beside the
+    input; else the input's own mask, read only then; else ``_mask_for``
+    of its grid."""
+    read = _Shared(read_input)
 
     def read_mask():
         if args.mask:
@@ -343,14 +346,15 @@ def _estimate_parts(src: Path, listing, args, network, methods) -> list:
     return [ml, manual]
 
 
-def _read_input(src: Path, listing) -> tuple[str, VoxelGrid, Callable[[], BinaryMask] | None,
-                                             float | None]:
-    """The case id, grid, reader of its own mask (or ``None``) and
-    analytic volume (or ``None``) of what ``--input`` holds: the one case
-    of a manifest directory, the grid of a DICOM directory (read from
-    ``listing``, its ``io.directory_files``), a grid VOLV, or a mask
-    VOLV, which is its own grid. A manifest case's mask file is read
-    only when the reader is called."""
+def _input(src: Path, own_mask: bool) -> tuple[list[tuple[Path, int]], Callable[[], tuple]]:
+    """The files of ``--input`` that an estimate reads, with their sizes
+    (``io.input_files``), and the reader of the input. The reader returns
+    the case id, grid, reader of its own mask (or ``None``) and analytic
+    volume (or ``None``) of what ``--input`` holds: the one case of a
+    manifest directory, the grid of a DICOM directory (read from the
+    listing made here), a grid VOLV, or a mask VOLV, which is its own
+    grid. A manifest is read here; its case's mask file is listed only
+    when ``own_mask``, and read only when its reader is called."""
     if src.is_dir():
         manifest = src / "manifest.json"
         if manifest.exists():
@@ -358,31 +362,49 @@ def _read_input(src: Path, listing) -> tuple[str, VoxelGrid, Callable[[], Binary
             if len(cases) != 1:
                 raise InputError(f"{manifest} lists {len(cases)} cases; use `compare` for cohorts")
             entry = cases[0]
-            return (entry["id"], vio.read_volume(entry["grid"]),
-                    partial(vio.read_volume, entry["mask"]), float(entry["analytic_volume_mm3"]))
+            files = [manifest, entry["grid"], *([entry["mask"]] if own_mask else [])]
+            return vio.input_files(files), lambda: (
+                entry["id"], vio.read_volume(entry["grid"]),
+                partial(vio.read_volume, entry["mask"]), float(entry["analytic_volume_mm3"]))
         # a directory of DICOM slices
-        grid, geometry, skipped = dicomlite.read_directory(src, listing)
-        for message in [*geometry.warnings, *(f"skipped {entry}" for entry in skipped)]:
-            logger.warning("%s: %s", src, message)
-        return src.name, grid, None, None
+        listing = vio.directory_files(src)
+
+        def read_series():
+            grid, geometry, skipped = dicomlite.read_directory(src, listing)
+            for message in [*geometry.warnings, *(f"skipped {entry}" for entry in skipped)]:
+                logger.warning("%s: %s", src, message)
+            return src.name, grid, None, None
+
+        return listing, read_series
     if src.suffix.lower() == ".volv":
-        volume = vio.read_volume(src)
-        if isinstance(volume, BinaryMask):
-            grid = VoxelGrid(volume.data.astype(np.float64), volume.spacing)
-            return src.stem, grid, lambda: volume, None
-        return src.stem, volume, None, None
+        def read_volv():
+            volume = vio.read_volume(src)
+            if isinstance(volume, BinaryMask):
+                grid = VoxelGrid(volume.data.astype(np.float64), volume.spacing)
+                return src.stem, grid, lambda: volume, None
+            return src.stem, volume, None, None
+
+        return vio.input_files([src]), read_volv
     raise InputError(f"cannot interpret input {src}")
+
+
+class _Thresholded(OnDemand, BinaryMask):
+    """The mask of the voxels of ``grid`` whose value exceeds 0.5, made
+    one plane at a time from the grid's planes (``OnDemand``), so a DICOM
+    series is never decoded whole, nor the mask held whole."""
+
+    def __init__(self, grid: VoxelGrid):
+        super().__init__(grid.dims[::-1], grid.spacing, grid)
+
+    def _read(self, grid, outs):
+        return map(np.greater, grid.planes(), repeat(0.5), outs)
 
 
 def _mask_for(grid: VoxelGrid, args) -> BinaryMask:
     # no segmentation supplied: binarize the intensities
     logger.warning("%s: no --mask given; the mask is every voxel whose raw intensity "
                    "exceeds 0.5", args.input)
-    # plane by plane, so a DICOM series is never decoded whole
-    mask = np.empty(grid.dims[::-1], dtype=bool)
-    for plane, out in zip(grid.planes(), mask):
-        np.greater(plane, 0.5, out=out)
-    return BinaryMask(mask, grid.spacing)
+    return _Thresholded(grid)
 
 
 # ------------------------------------------------------------- train/eval

@@ -11,14 +11,13 @@ from __future__ import annotations
 import logging
 import math
 import struct
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from volumetrica.errors import InputError
-from volumetrica.grid import Spacing, VoxelGrid
+from volumetrica.grid import OnDemand, Spacing, VoxelGrid
 from volumetrica.io import directory_files
 
 logger = logging.getLogger(__name__)
@@ -420,64 +419,58 @@ def _decode(stored: np.ndarray, slope: float, intercept: float,
 
 def _decodes_finite(planes, slopes, intercepts) -> bool:
     """Whether every value ``_decode`` makes of each of ``planes`` with its
-    slope and intercept is finite, decided from each plane's stored
-    minimum and maximum alone.
+    slope and intercept is finite, decided from the minimum and maximum
+    of the plane's stored dtype when those decode finite, else from the
+    plane's own stored minimum and maximum: a typical rescale reads no
+    plane at all.
 
-    Exact, because both directions hold. The extremes are stored values,
-    so a non-finite extreme is a non-finite value. Conversely, if both
-    extremes decode finite, slope and intercept are finite: an infinite
-    or NaN slope makes ``v * slope`` infinite or NaN for every ``v`` (NaN
-    for ``0 * inf``), and an infinite or NaN intercept makes every sum
-    infinite or NaN. With both finite, ``v -> v * slope`` is monotone in
+    Exact, because both directions hold for a plane's own extremes. They
+    are stored values, so a non-finite extreme is a non-finite value.
+    Conversely, if both extremes decode finite, slope and intercept are
+    finite: an infinite or NaN slope makes ``v * slope`` infinite or NaN
+    for every ``v`` (NaN for ``0 * inf``), and an infinite or NaN
+    intercept makes every sum infinite or NaN. With both finite, ``v -> v * slope`` is monotone in
     ``v`` (increasing for a positive slope, decreasing for a negative one,
     constant for zero) and round-to-nearest is monotone, overflow included
     (it goes to the infinity of the same sign), so ``fl(v * slope)`` is
     monotone; adding a finite intercept and rounding keeps it so. Every
     decoded value then lies between the two decoded extremes, which are
-    finite."""
+    finite. The dtype's extremes bound the plane's, so by the same
+    monotonicity their finite decodes bound every decoded value too."""
+
+    def finite(extremes, slope, intercept) -> bool:
+        return bool(np.isfinite(_decode(extremes, slope, intercept)).all())
+
+    def dtype_range(plane):
+        info = np.iinfo(plane.dtype)
+        return np.array([info.min, info.max], plane.dtype)
+
     return all(
-        np.isfinite(_decode(np.array([plane.min(), plane.max()]), slope, intercept)).all()
+        finite(dtype_range(plane), slope, intercept)
+        or finite(np.array([plane.min(), plane.max()]), slope, intercept)
         for plane, slope, intercept in zip(planes, slopes, intercepts)
         if plane.size
     )
 
 
-class _SeriesGrid(VoxelGrid):
+class _SeriesGrid(OnDemand, VoxelGrid):
     """The VoxelGrid of a DICOM series, kept as one 2-D plane a slice: a
     view of the slice's PixelData bytes in its own stored dtype (two
     bytes a voxel or less), with its own slope and intercept.
 
-    ``lines`` decodes only the lines it is asked for, plane by plane.
-    ``data`` decodes the whole grid through ``lines`` on its first read,
-    once even when threads race for it, and then lets the planes go. A
-    line so reads the same bits either way. ``dims`` and ``spacing`` need
-    no decode."""
+    ``lines`` decodes only the lines it is asked for, plane by plane, and
+    ``planes`` one plane at a time; ``data`` decodes the whole grid once
+    (``OnDemand``). A line reads the same bits either way."""
 
     def __init__(self, planes: list[np.ndarray], slopes: list[float], intercepts: list[float],
                  spacing: Spacing):
         if not _decodes_finite(planes, slopes, intercepts):
             raise ValueError("grid data contains non-finite values")
-        fields = {"spacing": spacing, "_planes": planes, "_rescale": (slopes, intercepts),
-                  "_shape": (len(planes), *planes[0].shape), "_decoded": None,
-                  "_lock": threading.Lock()}
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        super().__init__((len(planes), *planes[0].shape), spacing, planes)
+        object.__setattr__(self, "_rescale", (slopes, intercepts))
 
-    @property
-    def data(self) -> np.ndarray:
-        if self._decoded is None:
-            with self._lock:
-                if self._decoded is None:
-                    data = self.lines((slice(None),) * 3)
-                    data.flags.writeable = False
-                    object.__setattr__(self, "_decoded", data)
-                    object.__setattr__(self, "_planes", None)
-        return self._decoded
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        nz, ny, nx = self._shape
-        return (nx, ny, nz)
+    def _read(self, planes, outs):
+        return map(_decode, planes, *self._rescale, outs)
 
     def lines(self, cuts) -> np.ndarray:
         planes = self._planes  # None once data has been decoded
@@ -506,9 +499,10 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
     slice's PixelData bytes, without a copy, in its stored dtype (``u1``/
     ``i1``/``<u2``/``<i2``), with its slope and intercept. A grid whose
     decode would hold a non-finite value raises GeometryMismatchError
-    here, decided from each plane's stored extremes. Its ``data`` decodes
-    the whole grid on first read; ``VoxelGrid.lines`` decodes only the
-    lines asked for.
+    here, decided from each slice's stored dtype range, or, where that
+    could decode non-finite, from the plane's stored extremes. Its
+    ``data`` decodes the whole grid on first read; ``VoxelGrid.lines``
+    decodes only the lines asked for.
     """
     usable: list[tuple[int, DicomDataset]] = []
     warnings: list[str] = []

@@ -57,8 +57,10 @@ class SliceAreaSeries:
 
 
 def voxel_volume(mask: BinaryMask) -> float:
-    """Volume in mm^3: active-voxel count times the voxel volume."""
-    return float(np.count_nonzero(mask.data)) * mask.spacing.voxel_volume_mm3
+    """Volume in mm^3: active-voxel count, plane by plane, times the
+    voxel volume."""
+    count = sum(map(np.count_nonzero, mask.planes()))
+    return float(count) * mask.spacing.voxel_volume_mm3
 
 
 def slice_areas(mask: BinaryMask) -> SliceAreaSeries:
@@ -69,10 +71,10 @@ def slice_areas(mask: BinaryMask) -> SliceAreaSeries:
     Position of slice k is ``k * sz``. Empty mask gives an empty series.
     """
     sp = mask.spacing
-    # a plane at a time: count_nonzero without an axis is a fast
-    # byte count, with one it is a bool -> int64 sum
-    counts = np.fromiter((np.count_nonzero(plane) for plane in mask.data), np.intp,
-                         len(mask.data))
+    # a plane at a time, and map holds none between two, so a mask kept
+    # in a file is never read whole: count_nonzero without an axis is a
+    # fast byte count, with one it is a bool -> int64 sum
+    counts = np.fromiter(map(np.count_nonzero, mask.planes()), np.intp, mask.dims[2])
     nonzero = np.nonzero(counts)[0]
     if len(nonzero) == 0:
         return SliceAreaSeries(np.empty(0), np.empty(0), sp.sz)

@@ -8,6 +8,7 @@ are always reported as ``(nx, ny, nz)``.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,11 +94,9 @@ class VoxelGrid:
         return cut_lines(self.data, cuts)
 
     def planes(self):
-        """Each ``[y, x]`` plane in z order, one at a time, through
-        ``lines``: a DICOM series decodes a plane, never the whole grid."""
-        every = slice(None)
-        for z in range(self.dims[2]):
-            yield self.lines((slice(z, z + 1), every, every))[0]
+        """Each ``[y, x]`` plane in z order, one at a time: here views of
+        ``data``; a grid kept in another form makes each plane alone."""
+        return iter(self.data)
 
 
 @dataclass(frozen=True)
@@ -117,3 +116,61 @@ class BinaryMask:
     def dims(self) -> tuple[int, int, int]:
         nz, ny, nx = self.data.shape
         return (nx, ny, nz)
+
+    def planes(self):
+        """Each ``[y, x]`` plane in z order, one at a time: here views of
+        ``data``; a mask kept in a file reads each plane alone."""
+        return iter(self.data)
+
+
+class OnDemand:
+    """The base of a ``VoxelGrid`` (float64) or ``BinaryMask`` (bool) of
+    ``shape`` (``[z, y, x]``) that keeps its values in another form
+    (``_planes``: a DICOM series' stored integers, a mask file, the grid
+    a mask is thresholded from) and makes them on demand, through the
+    subclass's ``_read``.
+
+    ``planes`` makes one plane at a time, each into a fresh array.
+    ``data`` makes the whole volume on its first read, once even when
+    threads race for it, and then lets ``_planes`` go; later planes are
+    views of it. A plane so holds the same bits either way. ``dims`` and
+    ``spacing`` need no read."""
+
+    def __init__(self, shape: tuple[int, int, int], spacing: Spacing, planes):
+        dtype = np.dtype(np.float64 if isinstance(self, VoxelGrid) else bool)
+        fields = {"spacing": spacing, "_shape": tuple(shape), "_dtype": dtype,
+                  "_planes": planes, "_decoded": None, "_lock": threading.Lock()}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _read(self, planes, outs):
+        """An iterator that fills each of ``outs`` (writable ``[y, x]``
+        arrays in z order) with its plane of ``planes`` and yields it.
+        A ``map`` over ``outs`` keeps no plane between two, so the next
+        is made only after the caller lets the last one go."""
+        raise NotImplementedError
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._decoded is None:
+            with self._lock:
+                if self._decoded is None:
+                    data = np.empty(self._shape, self._dtype)
+                    for _ in self._read(self._planes, data):
+                        pass
+                    data.flags.writeable = False
+                    object.__setattr__(self, "_decoded", data)
+                    object.__setattr__(self, "_planes", None)
+        return self._decoded
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        nz, ny, nx = self._shape
+        return (nx, ny, nz)
+
+    def planes(self):
+        planes = self._planes  # None once data has been made, and then for good
+        if planes is None:
+            return iter(self._decoded)
+        nz, *plane = self._shape
+        return self._read(planes, (np.empty(plane, self._dtype) for _ in range(nz)))

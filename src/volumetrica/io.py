@@ -23,7 +23,7 @@ import numpy as np
 from volumetrica import __version__
 from volumetrica.errors import InputError
 from volumetrica.geometry import SliceAreaSeries
-from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
+from volumetrica.grid import BinaryMask, OnDemand, Spacing, VoxelGrid
 
 _MAGIC = b"VOLV"
 _DTYPE_GRID = 1
@@ -33,12 +33,14 @@ _HEADER_BYTES = 45  # magic, u32 version, u8 code, 3 x u32 dims, 3 x f8 spacing
 
 
 def write_volume(path, volume: VoxelGrid | BinaryMask) -> None:
+    # plane by plane, so a DICOM series is never decoded whole, nor a
+    # mask file read whole
     if isinstance(volume, VoxelGrid):
-        # plane by plane, so a DICOM series is never decoded whole
         code = _DTYPE_GRID
         payload = (np.ascontiguousarray(plane, dtype="<f8") for plane in volume.planes())
     elif isinstance(volume, BinaryMask):
-        code, payload = _DTYPE_MASK, [np.ascontiguousarray(volume.data, dtype=np.uint8)]
+        code = _DTYPE_MASK
+        payload = (np.ascontiguousarray(plane).view(np.uint8) for plane in volume.planes())
     else:
         raise TypeError(f"cannot serialize {type(volume)!r}")
     nx, ny, nz = volume.dims
@@ -54,8 +56,9 @@ def write_volume(path, volume: VoxelGrid | BinaryMask) -> None:
 
 def read_volume(path) -> VoxelGrid | BinaryMask:
     """Read a VOLV container; a truncated, corrupted or over-long file
-    raises InputError. The payload is read straight into the array the
-    volume keeps."""
+    raises InputError. A grid's payload is read straight into the array
+    the grid keeps. A mask's is not read here: the mask reads it from the
+    file plane by plane (``_MaskFile``)."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_BYTES)
         if header[:4] != _MAGIC:
@@ -71,8 +74,9 @@ def read_volume(path) -> VoxelGrid | BinaryMask:
             raise InputError(f"{path}: unknown dtype code {code}")
         # sizes are checked before the header's dims reach an allocation
         declared = nx * ny * nz * _DTYPES[code].itemsize
-        size = os.fstat(fh.fileno()).st_size - _HEADER_BYTES
-        if size == declared:
+        identity = _identity(fh)
+        size = identity[0] - _HEADER_BYTES
+        if size == declared and code == _DTYPE_GRID:
             payload = np.empty((nz, ny, nx), dtype=_DTYPES[code])
             size = fh.readinto(payload)  # short only if the file shrank meanwhile
         if size != declared:
@@ -81,12 +85,37 @@ def read_volume(path) -> VoxelGrid | BinaryMask:
         spacing = Spacing(*struct.unpack_from("<ddd", header, 21))
         if code == _DTYPE_GRID:
             return VoxelGrid(payload, spacing)
-        # each byte becomes 0 or 1 in place, and the mask keeps the buffer
-        mask = payload.view(bool)
-        np.not_equal(payload, 0, out=mask)
-        return BinaryMask(mask, spacing)
+        return _MaskFile((nz, ny, nx), spacing, (path, identity))
     except ValueError as exc:  # invalid spacing or non-finite intensities
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _identity(fh) -> tuple[int, int, int, int]:
+    """The size, device, inode and modification time of the open file ``fh``."""
+    st = os.fstat(fh.fileno())
+    return (st.st_size, st.st_dev, st.st_ino, st.st_mtime_ns)
+
+
+class _MaskFile(OnDemand, BinaryMask):
+    """The mask of a VOLV file that ``read_volume`` checked, read from the
+    file (``_planes`` is its path and ``_identity``): each read opens it
+    and reads its planes in z order, each byte becoming 0 or 1 in place,
+    and after each plane checks that the file is still the one checked.
+    A file since replaced, truncated, extended or rewritten raises
+    InputError naming it, before any of its bytes are handed out."""
+
+    def _read(self, planes, outs):
+        path, identity = planes
+
+        def read(out):
+            raw = out.view(np.uint8)
+            if fh.readinto(raw) != raw.nbytes or _identity(fh) != identity:
+                raise InputError(f"{path}: VOLV file changed after it was checked")
+            return np.not_equal(raw, 0, out=out)
+
+        with open(path, "rb") as fh:
+            fh.seek(_HEADER_BYTES)
+            yield from map(read, outs)
 
 
 def write_csv(path, header, rows) -> None:

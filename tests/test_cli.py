@@ -800,6 +800,49 @@ class TestEstimateWorkers:
         payloads = [json.loads(run[0][1])["payload"] for run in (intact, truncated)]
         assert payloads[0] == payloads[1]
 
+    def test_manifest_directory_hashes_only_what_it_reads(self, inputs, monkeypatch, tmp_path):
+        """A ``--mask`` that replaces the case's own mask leaves that mask
+        out of the checksums; without one, it is read and hashed."""
+        ph = Path(inputs["ph"])
+        (ph / "notes.txt").write_text("not an input\n")
+        read = [ph / "manifest.json", ph / "case_000_grid.volv"]
+        good = tmp_path / "good.volv"
+        shutil.copyfile(inputs["mask"], good)
+        argv = ["estimate", "--input", str(ph), "--methods", "area_based"]
+        for extra, hashed in [(["--mask", str(good)], [*read, good]),
+                              ([], [*read, ph / "case_000_mask.volv"])]:
+            first, second = self._runs(monkeypatch, argv + extra, tmp_path)
+            assert first == second and first[0] == 0
+            checksums = json.loads(first[1])["input_checksums"]
+            assert checksums == {str(p): vio.sha256_file(p) for p in hashed}
+
+    def test_mask_changed_after_its_read_exits_2(self, inputs, monkeypatch, tmp_path, capsys):
+        """A mask file truncated after ``read_volume`` checked it stops the
+        estimate with exit 2, naming the file, at either worker count."""
+        mask = tmp_path / "changing.volv"
+        read_volume = vio.read_volume
+
+        def read_then_truncate(path):
+            volume = read_volume(path)
+            if Path(path) == mask:
+                mask.write_bytes(mask.read_bytes()[:-1])
+            return volume
+
+        monkeypatch.setattr(vio, "read_volume", read_then_truncate)
+        argv = ["estimate", "--input", inputs["series"], "--mask", str(mask),
+                "--model", inputs["model"], "--out", str(tmp_path / "r.json")]
+        errors = []
+        for workers in (1, 2):
+            shutil.copyfile(inputs["series_mask"], mask)
+            monkeypatch.setattr(cli, "spare_workers", lambda tasks: workers)
+            before = threading.enumerate()
+            assert main(argv) == 2
+            assert threading.enumerate() == before
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == (
+            f"error: unreadable input: {mask}: VOLV file changed after it was checked\n")
+        assert not (tmp_path / "r.json").exists()
+
     def test_hash_failure_identical_at_one_and_two_workers(self, inputs, monkeypatch, tmp_path,
                                                            capsys):
         def unreadable(path):

@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from volumetrica import cli
 from volumetrica import dicomlite as dl
 from volumetrica import io as vio
 from volumetrica.cli import _mask_for, main
@@ -684,6 +685,34 @@ class TestFiniteVerdict:
         with pytest.raises(dl.GeometryMismatchError, match="rows and cols must be positive"):
             dl.read_series([ds, ds])
 
+    def test_huge_slope_still_raises(self):
+        # 1e305 times a stored value past about 1798 overflows
+        with np.errstate(all="ignore"), pytest.raises(
+                dl.GeometryMismatchError, match="grid data contains non-finite values"):
+            dl.read_series(_series(3, (8, 8), rescale=(1e305, 0.0)))
+
+    def test_planes_are_scanned_only_when_the_dtype_range_could_overflow(self):
+        scanned = []
+
+        class Counted(np.ndarray):
+            def min(self, *args, **kwargs):
+                scanned.append("min")
+                return super().min(*args, **kwargs)
+
+            def max(self, *args, **kwargs):
+                scanned.append("max")
+                return super().max(*args, **kwargs)
+
+        stored = np.arange(2 * 3 * 4, dtype="<i2").reshape(2, 3, 4)
+        planes = [plane.view(Counted) for plane in stored]
+        # a typical CT rescale decodes the whole int16 range finite
+        assert dl._decodes_finite(planes, [1.0, 1.25], [-1024.0, 0.0])
+        assert scanned == []
+        # at 1e305 the int16 range overflows, but these planes do not
+        with np.errstate(all="ignore"):
+            assert dl._decodes_finite(planes, [1.0, 1e305], [0.0, 0.0])
+        assert scanned == ["min", "max"]
+
     def test_huge_rescale_through_the_cli_exits_2(self, tmp_path, capsys):
         for k, ds in enumerate(_series(3, (8, 8), rescale=(1e305, 0.0))):
             (tmp_path / f"s{k}.dcm").write_bytes(dl.write_file(ds))
@@ -719,10 +748,34 @@ class TestEstimateMemory:
             assert main(argv) == 0
         assert peak[0] < 24 * 256 * 256 * 8
 
+    def test_a_mask_file_adds_at_most_one_plane(self, series_dir, tmp_path, monkeypatch):
+        # the mask is read plane by plane, so it is not alive beside the
+        # series' stored pixels; a mask read whole would add its 1.5 MB.
+        # One worker, and a CSV report, so no hash buffer overlaps.
+        monkeypatch.setattr(cli, "spare_workers", lambda tasks: 1)
+        mask = np.zeros((24, 256, 256), dtype=bool)
+        mask[6:18, 80:170, 90:160] = True
+        vio.write_volume(tmp_path / "mask.volv", BinaryMask(mask, Spacing(0.7, 0.7, 2.5)))
+        argv = ["estimate", "--input", str(series_dir), "--methods", "all",
+                "--format", "csv", "--out", str(tmp_path / "est.csv")]
+        assert main(argv) == 0  # first-call allocations out of the way
+        with _traced() as read:
+            dl.read_directory(series_dir)
+        peaks = {}
+        for name, extra in [("no-mask", []), ("mask", ["--mask", str(tmp_path / "mask.volv")])]:
+            with _traced() as peak:
+                assert main(argv + extra) == 0
+            peaks[name] = peak[0]
+        plane = 256 * 256
+        assert peaks["mask"] <= peaks["no-mask"] + plane + (256 << 10)
+        assert peaks["mask"] <= read[0] + plane + (256 << 10)
+
     def test_fallback_mask_matches_the_decoded_threshold(self, series_dir):
         grid, _, _ = dl.read_directory(series_dir)
         mask = _mask_for(grid, argparse.Namespace(mask=None, input=str(series_dir)))
-        assert grid._decoded is None
+        for plane, expected in zip(mask.planes(), grid.planes(), strict=True):
+            np.testing.assert_array_equal(plane, expected > 0.5, strict=True)
+        assert grid._decoded is None and mask._decoded is None
         np.testing.assert_array_equal(mask.data, grid.data > 0.5, strict=True)
 
     def test_ingest_stays_within_the_read_bound(self, series_dir, tmp_path):

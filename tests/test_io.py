@@ -1,13 +1,17 @@
 import hashlib
 import json
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from volumetrica import io as vio
 from volumetrica.errors import InputError
-from volumetrica.geometry import SliceAreaSeries
+from volumetrica.geometry import SliceAreaSeries, slice_areas, voxel_volume
 from volumetrica import grid as vgrid
 from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
 
@@ -85,18 +89,21 @@ class TestVolvContainer:
             assert vio.sha256_file(path) == hashlib.sha256(data).hexdigest()
 
     def test_size_errors_name_both_sizes(self, tmp_path):
-        path = tmp_path / "grid.volv"
-        vio.write_volume(path, VoxelGrid(np.zeros((2, 3, 4)), Spacing(1, 1, 1)))
-        blob = path.read_bytes()
+        path = tmp_path / "vol.volv"
         bad = tmp_path / "bad.volv"
-        for data, message in [
-            (blob[:44], "VOLV header truncated at 44 of 45 bytes"),
-            (blob[:-1], "VOLV payload is 191 bytes, header declares 192"),
-            (blob + b"\x00", "VOLV payload is 193 bytes, header declares 192"),
-        ]:
-            bad.write_bytes(data)
-            with pytest.raises(InputError, match=message):
-                vio.read_volume(bad)
+        for volume, size in [(VoxelGrid(np.zeros((2, 3, 4)), Spacing(1, 1, 1)), 192),
+                             (BinaryMask(np.ones((2, 3, 4)), Spacing(1, 1, 1)), 24)]:
+            vio.write_volume(path, volume)
+            blob = path.read_bytes()
+            for data, message in [
+                (blob[:44], "VOLV header truncated at 44 of 45 bytes"),
+                (blob[:-1], f"VOLV payload is {size - 1} bytes, header declares {size}"),
+                (blob + b"\x00", f"VOLV payload is {size + 1} bytes, header declares {size}"),
+                (blob[:8] + b"\x07" + blob[9:], "unknown dtype code 7"),
+            ]:
+                bad.write_bytes(data)
+                with pytest.raises(InputError, match=f"^{bad}: {message}$"):
+                    vio.read_volume(bad)
 
     @pytest.mark.parametrize("kind", ["grid", "mask"])
     def test_corruption_fuzz_never_silent_garbage(self, tmp_path, kind):
@@ -179,6 +186,141 @@ class TestBoundedChecks:
         np.testing.assert_array_equal(loaded.data.ravel(), payload != 0)
         # every bool holds the byte 0 or 1, so numpy reads them canonically
         np.testing.assert_array_equal(loaded.data.view(np.uint8).ravel(), payload != 0)
+
+
+def _series_arrays(series: SliceAreaSeries):
+    return series.positions, series.areas, np.array(series.thickness)
+
+
+class TestMaskFile:
+    """A mask VOLV is checked whole at ``read_volume`` and then read from
+    its file one plane at a time; a file changed since never yields
+    bytes."""
+
+    @pytest.fixture
+    def mask(self):
+        data = np.random.default_rng(9).uniform(size=(6, 7, 8)) > 0.6
+        return BinaryMask(data, Spacing(0.5, 0.75, 2.0))
+
+    @pytest.fixture
+    def path(self, mask, tmp_path):
+        path = tmp_path / "mask.volv"
+        vio.write_volume(path, mask)
+        return path
+
+    def test_planes_and_data_match_the_written_mask(self, mask, path):
+        loaded = vio.read_volume(path)
+        assert isinstance(loaded, BinaryMask)
+        assert loaded.dims == (8, 7, 6) and loaded.spacing == mask.spacing
+        planes = list(loaded.planes())
+        assert len(planes) == 6 and all(p.dtype == bool and p.shape == (7, 8) for p in planes)
+        np.testing.assert_array_equal(np.stack(planes), mask.data, strict=True)
+        assert voxel_volume(loaded) == voxel_volume(mask)
+        for got, expected in zip(_series_arrays(slice_areas(loaded)),
+                                 _series_arrays(slice_areas(mask)), strict=True):
+            np.testing.assert_array_equal(got, expected, strict=True)
+        assert loaded._decoded is None  # nothing above read the whole mask
+        np.testing.assert_array_equal(loaded.data, mask.data, strict=True)
+        assert not loaded.data.flags.writeable
+        assert loaded._planes is None
+        # once whole, the planes are views of it
+        assert all(np.shares_memory(p, loaded.data) for p in loaded.planes())
+
+    def test_rewrites_the_same_bytes(self, path, tmp_path):
+        copy = tmp_path / "copy.volv"
+        vio.write_volume(copy, vio.read_volume(path))
+        assert copy.read_bytes() == path.read_bytes()
+
+    def _changes(self, path):
+        """Ways to change the file at ``path`` after it was checked."""
+        blob = path.read_bytes()
+        flipped = blob[:-1] + bytes([blob[-1] ^ 1])
+
+        def truncated():
+            path.write_bytes(blob[:-1])
+
+        def extended():
+            path.write_bytes(blob + b"\x01")
+
+        def replaced():  # same size, another inode
+            other = path.with_suffix(".new")
+            other.write_bytes(flipped)
+            os.replace(other, path)
+
+        def rewritten():  # same size and inode, a later modification time
+            mtime = path.stat().st_mtime_ns
+            with open(path, "r+b") as fh:
+                fh.write(flipped)
+            os.utime(path, ns=(mtime, mtime + 10**9))
+
+        return {"truncated": truncated, "extended": extended, "replaced": replaced,
+                "rewritten": rewritten}
+
+    @pytest.mark.parametrize("change", ["truncated", "extended", "replaced", "rewritten"])
+    def test_a_file_changed_after_read_raises(self, path, change):
+        blob = path.read_bytes()
+        loaded = vio.read_volume(path)
+        self._changes(path)[change]()
+        message = f"^{path}: VOLV file changed after it was checked$"
+        with pytest.raises(InputError, match=message):
+            next(loaded.planes())
+        with pytest.raises(InputError, match=message):
+            slice_areas(loaded)
+        with pytest.raises(InputError, match=message):
+            loaded.data
+        assert loaded._decoded is None
+        # the error stands while the file differs from the one checked
+        path.write_bytes(blob)
+        if change != "replaced":
+            with pytest.raises(InputError, match=message):
+                loaded.data
+
+    def test_a_change_between_planes_stops_the_planes(self, path):
+        loaded = vio.read_volume(path)
+        planes = loaded.planes()
+        next(planes)
+        self._changes(path)["rewritten"]()
+        with pytest.raises(InputError, match="VOLV file changed after it was checked"):
+            next(planes)
+
+    def test_threads_iterate_planes_at_once(self, tmp_path):
+        data = np.random.default_rng(10).uniform(size=(30, 64, 64)) > 0.5
+        path = tmp_path / "mask.volv"
+        vio.write_volume(path, BinaryMask(data, Spacing(1, 1, 1)))
+        loaded = vio.read_volume(path)
+        start = threading.Barrier(8)
+
+        def counts(_):
+            start.wait(timeout=60)
+            return [int(np.count_nonzero(plane)) for plane in loaded.planes()]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                results = list(pool.map(counts, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [int(n) for n in np.count_nonzero(data, axis=(1, 2))]
+        assert len(results) == 8 and all(r == expected for r in results)
+        assert loaded._decoded is None
+
+    def test_slice_areas_holds_one_plane(self, tmp_path):
+        data = np.random.default_rng(11).uniform(size=(40, 256, 256)) > 0.5
+        path = tmp_path / "mask.volv"
+        vio.write_volume(path, BinaryMask(data, Spacing(0.5, 0.5, 1.0)))
+        plane = 256 * 256
+        tracemalloc.start()
+        try:
+            areas = slice_areas(vio.read_volume(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = slice_areas(BinaryMask(data, Spacing(0.5, 0.5, 1.0)))
+        for got, want in zip(_series_arrays(areas), _series_arrays(expected), strict=True):
+            np.testing.assert_array_equal(got, want, strict=True)
+        # one plane and the file's read buffer, not the 2.6 MB mask
+        assert peak < 2 * plane
 
 
 class TestSeriesCsv:
