@@ -528,12 +528,15 @@ def cmd_stats(args) -> int:
     net_template = build_segmenter_3d(seed=seed, dtype=TRAIN_DTYPE)
 
     def prepare(case):
+        # the training target reads the mask whole first, so its slice
+        # areas count views of it rather than read its file again
+        training = _training_case(net_template, case)
         report = estimate_all(case, methods=manual_methods)
         for m in manual_methods:
             if m not in report.volumes:
                 raise _CaseFailed(f"{case.case_id}: {m} failed: {report.errors.get(m)}")
         geometry = (case.grid.dims, case.grid.spacing)
-        return report.volumes, _training_case(net_template, case), geometry
+        return report.volumes, training, geometry
 
     try:
         per_case = _each_case(prepare, entries, "stats")
