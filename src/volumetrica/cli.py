@@ -391,7 +391,9 @@ def _input(src: Path, own_mask: bool) -> tuple[list[tuple[Path, int]], Callable[
 class _Thresholded(OnDemand, BinaryMask):
     """The mask of the voxels of ``grid`` whose value exceeds 0.5, made
     one plane at a time from the grid's planes (``OnDemand``), so a DICOM
-    series is never decoded whole, nor the mask held whole."""
+    series is never decoded whole, nor the mask held whole. Each
+    ``planes()`` decodes the grid's planes again; ``estimate`` calls it
+    once, in ``slice_areas``."""
 
     def __init__(self, grid: VoxelGrid):
         super().__init__(grid.dims[::-1], grid.spacing, grid)

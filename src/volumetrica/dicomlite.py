@@ -419,35 +419,23 @@ def _decode(stored: np.ndarray, slope: float, intercept: float,
 
 def _decodes_finite(planes, slopes, intercepts) -> bool:
     """Whether every value ``_decode`` makes of each of ``planes`` with its
-    slope and intercept is finite, decided from the minimum and maximum
-    of the plane's stored dtype when those decode finite, else from the
-    plane's own stored minimum and maximum: a typical rescale reads no
-    plane at all.
+    slope and intercept is finite, decided from each plane's stored
+    minimum and maximum alone.
 
-    Exact, because both directions hold for a plane's own extremes. They
-    are stored values, so a non-finite extreme is a non-finite value.
-    Conversely, if both extremes decode finite, slope and intercept are
-    finite: an infinite or NaN slope makes ``v * slope`` infinite or NaN
-    for every ``v`` (NaN for ``0 * inf``), and an infinite or NaN
-    intercept makes every sum infinite or NaN. With both finite, ``v -> v * slope`` is monotone in
+    Exact, because both directions hold. The extremes are stored values,
+    so a non-finite extreme is a non-finite value. Conversely, if both
+    extremes decode finite, slope and intercept are finite: an infinite
+    or NaN slope makes ``v * slope`` infinite or NaN for every ``v`` (NaN
+    for ``0 * inf``), and an infinite or NaN intercept makes every sum
+    infinite or NaN. With both finite, ``v -> v * slope`` is monotone in
     ``v`` (increasing for a positive slope, decreasing for a negative one,
     constant for zero) and round-to-nearest is monotone, overflow included
     (it goes to the infinity of the same sign), so ``fl(v * slope)`` is
     monotone; adding a finite intercept and rounding keeps it so. Every
     decoded value then lies between the two decoded extremes, which are
-    finite. The dtype's extremes bound the plane's, so by the same
-    monotonicity their finite decodes bound every decoded value too."""
-
-    def finite(extremes, slope, intercept) -> bool:
-        return bool(np.isfinite(_decode(extremes, slope, intercept)).all())
-
-    def dtype_range(plane):
-        info = np.iinfo(plane.dtype)
-        return np.array([info.min, info.max], plane.dtype)
-
+    finite."""
     return all(
-        finite(dtype_range(plane), slope, intercept)
-        or finite(np.array([plane.min(), plane.max()]), slope, intercept)
+        np.isfinite(_decode(np.array([plane.min(), plane.max()]), slope, intercept)).all()
         for plane, slope, intercept in zip(planes, slopes, intercepts)
         if plane.size
     )
@@ -499,10 +487,9 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
     slice's PixelData bytes, without a copy, in its stored dtype (``u1``/
     ``i1``/``<u2``/``<i2``), with its slope and intercept. A grid whose
     decode would hold a non-finite value raises GeometryMismatchError
-    here, decided from each slice's stored dtype range, or, where that
-    could decode non-finite, from the plane's stored extremes. Its
-    ``data`` decodes the whole grid on first read; ``VoxelGrid.lines``
-    decodes only the lines asked for.
+    here, decided from each plane's stored extremes. Its ``data`` decodes
+    the whole grid on first read; ``VoxelGrid.lines`` decodes only the
+    lines asked for.
     """
     usable: list[tuple[int, DicomDataset]] = []
     warnings: list[str] = []

@@ -100,9 +100,12 @@ class _MaskFile(OnDemand, BinaryMask):
     """The mask of a VOLV file that ``read_volume`` checked, read from the
     file (``_planes`` is its path and ``_identity``): each read opens it
     and reads its planes in z order, each byte becoming 0 or 1 in place,
-    and after each plane checks that the file is still the one checked.
-    A file since replaced, truncated, extended or rewritten raises
-    InputError naming it, before any of its bytes are handed out."""
+    and after each plane checks that the file's size, device, inode and
+    modification time are still those checked. A change of any of them
+    (a file replaced, truncated, extended or rewritten at a later
+    modification time) raises InputError naming it, before that plane is
+    handed out; a rewrite that keeps all four, within the file system's
+    timestamp granularity, is not seen."""
 
     def _read(self, planes, outs):
         path, identity = planes

@@ -685,34 +685,6 @@ class TestFiniteVerdict:
         with pytest.raises(dl.GeometryMismatchError, match="rows and cols must be positive"):
             dl.read_series([ds, ds])
 
-    def test_huge_slope_still_raises(self):
-        # 1e305 times a stored value past about 1798 overflows
-        with np.errstate(all="ignore"), pytest.raises(
-                dl.GeometryMismatchError, match="grid data contains non-finite values"):
-            dl.read_series(_series(3, (8, 8), rescale=(1e305, 0.0)))
-
-    def test_planes_are_scanned_only_when_the_dtype_range_could_overflow(self):
-        scanned = []
-
-        class Counted(np.ndarray):
-            def min(self, *args, **kwargs):
-                scanned.append("min")
-                return super().min(*args, **kwargs)
-
-            def max(self, *args, **kwargs):
-                scanned.append("max")
-                return super().max(*args, **kwargs)
-
-        stored = np.arange(2 * 3 * 4, dtype="<i2").reshape(2, 3, 4)
-        planes = [plane.view(Counted) for plane in stored]
-        # a typical CT rescale decodes the whole int16 range finite
-        assert dl._decodes_finite(planes, [1.0, 1.25], [-1024.0, 0.0])
-        assert scanned == []
-        # at 1e305 the int16 range overflows, but these planes do not
-        with np.errstate(all="ignore"):
-            assert dl._decodes_finite(planes, [1.0, 1e305], [0.0, 0.0])
-        assert scanned == ["min", "max"]
-
     def test_huge_rescale_through_the_cli_exits_2(self, tmp_path, capsys):
         for k, ds in enumerate(_series(3, (8, 8), rescale=(1e305, 0.0))):
             (tmp_path / f"s{k}.dcm").write_bytes(dl.write_file(ds))
@@ -748,10 +720,11 @@ class TestEstimateMemory:
             assert main(argv) == 0
         assert peak[0] < 24 * 256 * 256 * 8
 
-    def test_a_mask_file_adds_at_most_one_plane(self, series_dir, tmp_path, monkeypatch):
-        # the mask is read plane by plane, so it is not alive beside the
-        # series' stored pixels; a mask read whole would add its 1.5 MB.
-        # One worker, and a CSV report, so no hash buffer overlaps.
+    def test_a_mask_costs_at_most_one_plane(self, series_dir, tmp_path, monkeypatch):
+        # a mask file is read, and the no-mask threshold made, plane by
+        # plane, so no mask is alive whole beside the series' stored
+        # pixels; a whole mask would add its 1.5 MB. One worker, and a CSV
+        # report, so no hash buffer overlaps.
         monkeypatch.setattr(cli, "spare_workers", lambda tasks: 1)
         mask = np.zeros((24, 256, 256), dtype=bool)
         mask[6:18, 80:170, 90:160] = True
@@ -767,6 +740,8 @@ class TestEstimateMemory:
                 assert main(argv + extra) == 0
             peaks[name] = peak[0]
         plane = 256 * 256
+        # the threshold holds one decoded float64 plane and its bool plane
+        assert peaks["no-mask"] <= read[0] + 9 * plane + (256 << 10)
         assert peaks["mask"] <= peaks["no-mask"] + plane + (256 << 10)
         assert peaks["mask"] <= read[0] + plane + (256 << 10)
 
