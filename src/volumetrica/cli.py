@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import struct
 import sys
 import threading
 from collections.abc import Callable
@@ -36,7 +37,7 @@ from volumetrica.estimators import (
     ml_volume,
 )
 from volumetrica.geometry import slice_areas
-from volumetrica.grid import BinaryMask, OnDemand, VoxelGrid
+from volumetrica.grid import BinaryMask, Volume, VoxelGrid
 from volumetrica.nn.inference import (
     dice,
     extract_tumor_mask,
@@ -162,8 +163,6 @@ def _read_case(entry: dict) -> EstimateCase:
 
 def cmd_parse(args) -> int:
     ds = dicomlite.parse_file(Path(args.input).read_bytes())
-    import struct
-
     elements = []
     for el in ds.sorted_elements():
         item = {
@@ -388,15 +387,14 @@ def _input(src: Path, own_mask: bool) -> tuple[list[tuple[Path, int]], Callable[
     raise InputError(f"cannot interpret input {src}")
 
 
-class _Thresholded(OnDemand, BinaryMask):
-    """The mask of the voxels of ``grid`` whose value exceeds 0.5, made
-    one plane at a time from the grid's planes (``OnDemand``), so a DICOM
-    series is never decoded whole, nor the mask held whole. Each
+class _Thresholded(BinaryMask):
+    """The mask of the voxels of a grid (``_planes``) whose value exceeds
+    0.5, made one plane at a time from the grid's planes (``Volume``), so
+    a DICOM series is never decoded whole, nor the mask held whole. Each
     ``planes()`` decodes the grid's planes again; ``estimate`` calls it
     once, in ``slice_areas``."""
 
-    def __init__(self, grid: VoxelGrid):
-        super().__init__(grid.dims[::-1], grid.spacing, grid)
+    __init__ = Volume.__init__
 
     def _read(self, grid, outs):
         return map(np.greater, grid.planes(), repeat(0.5), outs)
@@ -406,7 +404,7 @@ def _mask_for(grid: VoxelGrid, args) -> BinaryMask:
     # no segmentation supplied: binarize the intensities
     logger.warning("%s: no --mask given; the mask is every voxel whose raw intensity "
                    "exceeds 0.5", args.input)
-    return _Thresholded(grid)
+    return _Thresholded(grid.dims[::-1], grid.spacing, grid)
 
 
 # ------------------------------------------------------------- train/eval

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from volumetrica.errors import InputError
-from volumetrica.grid import OnDemand, Spacing, VoxelGrid
+from volumetrica.grid import Spacing, Volume, VoxelGrid
 from volumetrica.io import directory_files
 
 logger = logging.getLogger(__name__)
@@ -242,18 +242,13 @@ def parse_file(data: bytes | memoryview) -> DicomDataset:
                 f"transfer syntax {syntax!r} not supported (explicit/implicit VR little endian only)"
             )
         ds.transfer_syntax = syntax
-        explicit = syntax == EXPLICIT_VR_LE
-        while pos < len(data):
-            el, pos = _parse_element(data, pos, explicit=explicit)
-            ds.elements[el.tag] = el
-        return ds
-
-    # forced mode: no preamble/magic, assume raw implicit VR little endian
-    ds.conformant = False
-    ds.transfer_syntax = IMPLICIT_VR_LE
-    pos = 0
+    else:  # forced mode: no preamble/magic, assume raw implicit VR little endian
+        ds.conformant = False
+        ds.transfer_syntax = IMPLICIT_VR_LE
+        pos = 0
+    explicit = ds.transfer_syntax == EXPLICIT_VR_LE
     while pos < len(data):
-        el, pos = _parse_element(data, pos, explicit=False)
+        el, pos = _parse_element(data, pos, explicit=explicit)
         ds.elements[el.tag] = el
     return ds
 
@@ -441,20 +436,20 @@ def _decodes_finite(planes, slopes, intercepts) -> bool:
     )
 
 
-class _SeriesGrid(OnDemand, VoxelGrid):
+class _SeriesGrid(VoxelGrid):
     """The VoxelGrid of a DICOM series, kept as one 2-D plane a slice: a
     view of the slice's PixelData bytes in its own stored dtype (two
     bytes a voxel or less), with its own slope and intercept.
 
     ``lines`` decodes only the lines it is asked for, plane by plane, and
     ``planes`` one plane at a time; ``data`` decodes the whole grid once
-    (``OnDemand``). A line reads the same bits either way."""
+    (``Volume``). A line reads the same bits either way."""
 
     def __init__(self, planes: list[np.ndarray], slopes: list[float], intercepts: list[float],
                  spacing: Spacing):
         if not _decodes_finite(planes, slopes, intercepts):
             raise ValueError("grid data contains non-finite values")
-        super().__init__((len(planes), *planes[0].shape), spacing, planes)
+        Volume.__init__(self, (len(planes), *planes[0].shape), spacing, planes)
         object.__setattr__(self, "_rescale", (slopes, intercepts))
 
     def _read(self, planes, outs):

@@ -130,31 +130,21 @@ class EstimateReport:
 
 
 def estimate_series(
-    series: SliceAreaSeries,
-    methods=METHODS,
-    grid: VoxelGrid | None = None,
-    network: Network | None = None,
-    threshold: float = 0.5,
-    manual_radius: float | None = None,
-    case_id: str = "series",
+    series: SliceAreaSeries, methods=METHODS, manual_radius: float | None = None
 ) -> EstimateReport:
     """Run the selected estimators on one slice-area series; failures
     are recorded as error markers, never as zero volumes.
 
-    Only ``ml`` reads the voxel ``grid``; without one it records an
+    ``ml`` needs a voxel grid (``estimate_all``), so here it records an
     error. ``manual_radius`` overrides the equivalent radius of the
     largest slice for the spherical method (the caliper-measurement
     workflow).
     """
-    report = EstimateReport(case_id=case_id, metadata={"slice_count": len(series)})
+    report = EstimateReport(case_id="series", metadata={"slice_count": len(series)})
     for method in methods:
         try:
             if method == "ml":
-                if grid is None:
-                    raise ValueError("ml needs voxel input, not an area series")
-                if network is None:
-                    raise ValueError("no trained network supplied")
-                value = ml_estimate(grid, network, threshold)
+                raise ValueError("ml needs voxel input, not an area series")
             elif method == "spherical":
                 r = manual_radius if manual_radius is not None else max_equivalent_diameter(series) / 2.0
                 report.metadata["spherical_radius_mm"] = r
@@ -171,8 +161,13 @@ def estimate_series(
                 raise ValueError(f"unknown method {method!r}")
             report.volumes[method] = float(value)
         except Exception as exc:
-            report.errors[method] = f"{type(exc).__name__}: {exc}"
+            report.errors[method] = _error(exc)
     return report
+
+
+def _error(exc: Exception) -> str:
+    """The error marker a report records for a failed method."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def estimate_all(
@@ -183,13 +178,20 @@ def estimate_all(
     manual_radius: float | None = None,
     areas: SliceAreaSeries | None = None,
 ) -> EstimateReport:
-    """``estimate_series`` over the mask's slice areas, with the case
-    geometry added to the report metadata. ``areas`` is
-    ``slice_areas(case.mask)`` when the caller has counted it already."""
-    report = estimate_series(
-        slice_areas(case.mask) if areas is None else areas, methods, grid=case.grid,
-        network=network, threshold=threshold, manual_radius=manual_radius, case_id=case.case_id,
-    )
+    """``estimate_series`` over the mask's slice areas, plus ``ml`` on the
+    case's grid, with the case geometry added to the report metadata.
+    ``areas`` is ``slice_areas(case.mask)`` when the caller has counted
+    it already."""
+    report = estimate_series(slice_areas(case.mask) if areas is None else areas,
+                             [m for m in methods if m != "ml"], manual_radius)
+    report.case_id = case.case_id
+    if "ml" in methods:
+        try:
+            if network is None:
+                raise ValueError("no trained network supplied")
+            report.volumes["ml"] = ml_estimate(case.grid, network, threshold)
+        except Exception as exc:
+            report.errors["ml"] = _error(exc)
     report.metadata.update(
         spacing_mm=list(case.mask.spacing.as_tuple()),
         dims=list(case.mask.dims),

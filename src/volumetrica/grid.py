@@ -63,85 +63,36 @@ def cut_lines(a: np.ndarray, lines) -> np.ndarray:
     return a[np.ix_(*(np.arange(n)[cut] for n, cut in zip(a.shape, lines)))]
 
 
-@dataclass(frozen=True)
-class VoxelGrid:
-    """Scalar intensity volume with physical spacing.
+class Volume:
+    """A 3-D volume of ``shape`` (``[z, y, x]``) with physical ``spacing``:
+    a ``VoxelGrid`` (float64) or a ``BinaryMask`` (bool). Its attributes
+    are read-only, and its ``repr`` reads no value.
 
-    ``data`` has shape ``(nz, ny, nx)``, dtype float64, all values finite.
-    """
+    A volume made from an array holds it as ``data``. One that keeps its
+    values in another form (``_planes``: a DICOM series' stored integers,
+    a mask file, the grid a mask is thresholded from) makes them on
+    demand through its ``_read``; such a subclass takes this constructor
+    (``__init__ = Volume.__init__``). Its ``planes`` makes one plane at a
+    time, each into a fresh array. Its ``data`` makes the whole volume on
+    the first read, once even when threads race for it, and then lets
+    ``_planes`` go; later planes are views of it. A plane so holds the
+    same bits either way. ``dims`` and ``spacing`` need no read."""
 
-    data: np.ndarray
-    spacing: Spacing
+    _dtype: np.dtype  # of ``data`` and of each plane
 
-    def __post_init__(self):
-        a = np.asarray(self.data, dtype=np.float64)
-        if a.ndim != 3:
-            raise ValueError(f"grid data must be 3-D (nz, ny, nx), got shape {a.shape}")
-        if not _all_finite(a):
-            raise ValueError("grid data contains non-finite values")
-        object.__setattr__(self, "data", _freeze(a))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        nz, ny, nx = self.data.shape
-        return (nx, ny, nz)
-
-    def lines(self, cuts) -> np.ndarray:
-        """The grid's values on ``cuts`` (a slice or sorted indices per
-        axis, ``[z, y, x]``) as float64: here ``cut_lines`` of ``data``.
-        A grid that keeps its values in another form (a DICOM series'
-        stored integers) computes only these."""
-        return cut_lines(self.data, cuts)
-
-    def planes(self):
-        """Each ``[y, x]`` plane in z order, one at a time: here views of
-        ``data``; a grid kept in another form makes each plane alone."""
-        return iter(self.data)
-
-
-@dataclass(frozen=True)
-class BinaryMask:
-    """Boolean volume with the same layout and spacing rules as VoxelGrid."""
-
-    data: np.ndarray
-    spacing: Spacing
-
-    def __post_init__(self):
-        a = np.asarray(self.data)
-        if a.ndim != 3:
-            raise ValueError(f"mask data must be 3-D (nz, ny, nx), got shape {a.shape}")
-        object.__setattr__(self, "data", _freeze(a.astype(bool, copy=False)))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        nz, ny, nx = self.data.shape
-        return (nx, ny, nz)
-
-    def planes(self):
-        """Each ``[y, x]`` plane in z order, one at a time: here views of
-        ``data``; a mask kept in a file reads each plane alone."""
-        return iter(self.data)
-
-
-class OnDemand:
-    """The base of a ``VoxelGrid`` (float64) or ``BinaryMask`` (bool) of
-    ``shape`` (``[z, y, x]``) that keeps its values in another form
-    (``_planes``: a DICOM series' stored integers, a mask file, the grid
-    a mask is thresholded from) and makes them on demand, through the
-    subclass's ``_read``.
-
-    ``planes`` makes one plane at a time, each into a fresh array.
-    ``data`` makes the whole volume on its first read, once even when
-    threads race for it, and then lets ``_planes`` go; later planes are
-    views of it. A plane so holds the same bits either way. ``dims`` and
-    ``spacing`` need no read."""
-
-    def __init__(self, shape: tuple[int, int, int], spacing: Spacing, planes):
-        dtype = np.dtype(np.float64 if isinstance(self, VoxelGrid) else bool)
-        fields = {"spacing": spacing, "_shape": tuple(shape), "_dtype": dtype,
-                  "_planes": planes, "_decoded": None, "_lock": threading.Lock()}
+    def __init__(self, shape: tuple[int, int, int], spacing: Spacing, planes, data=None):
+        fields = {"spacing": spacing, "_shape": tuple(shape), "_planes": planes,
+                  "_decoded": data, "_lock": None if data is not None else threading.Lock()}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r}: {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dims={self.dims}, spacing={self.spacing})"
 
     def _read(self, planes, outs):
         """An iterator that fills each of ``outs`` (writable ``[y, x]``
@@ -152,6 +103,7 @@ class OnDemand:
 
     @property
     def data(self) -> np.ndarray:
+        """The whole volume, ``[z, y, x]``, read-only."""
         if self._decoded is None:
             with self._lock:
                 if self._decoded is None:
@@ -168,9 +120,44 @@ class OnDemand:
         nz, ny, nx = self._shape
         return (nx, ny, nz)
 
+    def lines(self, cuts) -> np.ndarray:
+        """The volume's values on ``cuts`` (a slice or sorted indices per
+        axis, ``[z, y, x]``) in its dtype: here ``cut_lines`` of ``data``.
+        A grid that keeps its values in another form (a DICOM series'
+        stored integers) computes only these."""
+        return cut_lines(self.data, cuts)
+
     def planes(self):
+        """Each ``[y, x]`` plane in z order, one at a time."""
         planes = self._planes  # None once data has been made, and then for good
         if planes is None:
             return iter(self._decoded)
         nz, *plane = self._shape
         return self._read(planes, (np.empty(plane, self._dtype) for _ in range(nz)))
+
+
+class VoxelGrid(Volume):
+    """Scalar intensity volume: ``data`` has shape ``(nz, ny, nx)``, dtype
+    float64, all values finite."""
+
+    _dtype = np.dtype(np.float64)
+
+    def __init__(self, data, spacing: Spacing):
+        a = np.asarray(data, dtype=np.float64)
+        if a.ndim != 3:
+            raise ValueError(f"grid data must be 3-D (nz, ny, nx), got shape {a.shape}")
+        if not _all_finite(a):
+            raise ValueError("grid data contains non-finite values")
+        super().__init__(a.shape, spacing, None, _freeze(a))
+
+
+class BinaryMask(Volume):
+    """Boolean volume with the same layout and spacing rules as VoxelGrid."""
+
+    _dtype = np.dtype(bool)
+
+    def __init__(self, data, spacing: Spacing):
+        a = np.asarray(data)
+        if a.ndim != 3:
+            raise ValueError(f"mask data must be 3-D (nz, ny, nx), got shape {a.shape}")
+        super().__init__(a.shape, spacing, None, _freeze(a.astype(bool, copy=False)))

@@ -23,26 +23,23 @@ import numpy as np
 from volumetrica import __version__
 from volumetrica.errors import InputError
 from volumetrica.geometry import SliceAreaSeries
-from volumetrica.grid import BinaryMask, OnDemand, Spacing, VoxelGrid
+from volumetrica.grid import BinaryMask, Spacing, Volume, VoxelGrid
 
 _MAGIC = b"VOLV"
 _DTYPE_GRID = 1
 _DTYPE_MASK = 2
 _DTYPES = {_DTYPE_GRID: np.dtype("<f8"), _DTYPE_MASK: np.dtype(np.uint8)}
+_CODES = {VoxelGrid: _DTYPE_GRID, BinaryMask: _DTYPE_MASK}
 _HEADER_BYTES = 45  # magic, u32 version, u8 code, 3 x u32 dims, 3 x f8 spacing
 
 
-def write_volume(path, volume: VoxelGrid | BinaryMask) -> None:
+def write_volume(path, volume: Volume) -> None:
     # plane by plane, so a DICOM series is never decoded whole, nor a
     # mask file read whole
-    if isinstance(volume, VoxelGrid):
-        code = _DTYPE_GRID
-        payload = (np.ascontiguousarray(plane, dtype="<f8") for plane in volume.planes())
-    elif isinstance(volume, BinaryMask):
-        code = _DTYPE_MASK
-        payload = (np.ascontiguousarray(plane).view(np.uint8) for plane in volume.planes())
-    else:
+    code = next((_CODES[cls] for cls in type(volume).__mro__ if cls in _CODES), None)
+    if code is None:
         raise TypeError(f"cannot serialize {type(volume)!r}")
+    payload = (np.ascontiguousarray(plane, _DTYPES[code]) for plane in volume.planes())
     nx, ny, nz = volume.dims
     sp = volume.spacing
     header = _MAGIC + struct.pack("<IBIII", 1, code, nx, ny, nz) + struct.pack(
@@ -96,7 +93,7 @@ def _identity(fh) -> tuple[int, int, int, int]:
     return (st.st_size, st.st_dev, st.st_ino, st.st_mtime_ns)
 
 
-class _MaskFile(OnDemand, BinaryMask):
+class _MaskFile(BinaryMask):
     """The mask of a VOLV file that ``read_volume`` checked, read from the
     file (``_planes`` is its path and ``_identity``): each read opens it
     and reads its planes in z order, each byte becoming 0 or 1 in place,
@@ -106,6 +103,8 @@ class _MaskFile(OnDemand, BinaryMask):
     modification time) raises InputError naming it, before that plane is
     handed out; a rewrite that keeps all four, within the file system's
     timestamp granularity, is not seen."""
+
+    __init__ = Volume.__init__
 
     def _read(self, planes, outs):
         path, identity = planes

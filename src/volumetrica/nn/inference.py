@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 
-from volumetrica.grid import BinaryMask, Spacing, VoxelGrid, cut_lines
+from volumetrica.grid import BinaryMask, Spacing, Volume, VoxelGrid, cut_lines
 
 
 # Bytes of float64 source planes that one band of output z slices may
@@ -56,17 +56,17 @@ def _lines(i0: np.ndarray, frac: np.ndarray):
 def resize_volume(grid, target: tuple[int, int, int] = (32, 32, 32)) -> np.ndarray:
     """Trilinear resample onto the target lattice (align-corners).
 
-    Accepts a VoxelGrid or a raw (nz, ny, nx) array of real or bool
-    values; returns a float64 array of the target shape with values
-    inside the input range. The output is made in bands of z slices:
-    each band cuts out only the source lines that its z, y and x passes
-    blend and runs the passes in turn, the first casting to float64, so
-    the memory beside the input and the output stays near
-    ``_BAND_BYTES`` whatever the grid size. A grid's lines come from
-    ``VoxelGrid.lines`` (a view where a pass reads every line; a DICOM
+    Accepts a volume (VoxelGrid or BinaryMask) or a raw (nz, ny, nx)
+    array of real or bool values; returns a float64 array of the target
+    shape with values inside the input range. The output is made in bands
+    of z slices: each band cuts out only the source lines that its z, y
+    and x passes blend and runs the passes in turn, the first casting to
+    float64, so the memory beside the input and the output stays near
+    ``_BAND_BYTES`` whatever the grid size. A volume's lines come from
+    ``Volume.lines`` (a view where a pass reads every line; a DICOM
     series decodes only them), an array's from ``cut_lines``.
     """
-    if isinstance(grid, VoxelGrid):
+    if isinstance(grid, Volume):
         shape, cut = grid.dims[::-1], grid.lines
     else:
         data = np.asarray(grid)
@@ -150,4 +150,4 @@ def prepare_input(grid: VoxelGrid, target: tuple[int, int, int] = (32, 32, 32)) 
 
 def mask_training_target(mask: BinaryMask, target: tuple[int, int, int] = (32, 32, 32)) -> np.ndarray:
     """Fractional-occupancy target: the mask resampled like the input."""
-    return resize_volume(mask.data, target)[..., None]
+    return resize_volume(mask, target)[..., None]
