@@ -69,12 +69,6 @@ TRAIN_DTYPE = np.float32
 logger = logging.getLogger(__name__)
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("VOLUMETRICA_SEED", "0"))
-
-
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -83,20 +77,20 @@ def _fail(code: int, message: str) -> int:
 # ---------------------------------------------------------------- phantom
 
 def cmd_phantom(args) -> int:
-    seed = _seed(args)
     spec_doc = vio.read_json(args.spec)
     entries = spec_doc["cohort"] if isinstance(spec_doc, dict) and "cohort" in spec_doc else [spec_doc]
     # a manifest with no cases is one every cohort command refuses
     if not isinstance(entries, list) or not entries:
         raise InputError(f"{args.spec}: 'cohort' must be a non-empty list of phantom configs")
     # every entry is validated before the first file is written
-    configs = [_phantom_config(entry, seed + i, i, args.spec) for i, entry in enumerate(entries)]
+    configs = [_phantom_config(entry, args.seed + i, i, args.spec)
+               for i, entry in enumerate(entries)]
     case_ids = _case_ids(entries, args.spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     def write_case(i):
-        entry, (spec, dims, spacing), case_id = entries[i], configs[i], case_ids[i]
+        (spec, dims, spacing), case_id = configs[i], case_ids[i]
         grid, mask, volume = make_phantom(spec, dims, spacing)
         grid_path = out / f"{case_id}_grid.volv"
         mask_path = out / f"{case_id}_mask.volv"
@@ -108,13 +102,13 @@ def cmd_phantom(args) -> int:
             "mask": mask_path.name,
             "analytic_volume_mm3": volume,
             "shape": spec.kind,
-            "seed": entry.get("seed", seed + i),
+            "seed": spec.seed,
         }
 
     cases = run_in_order(write_case, len(configs), spare_workers(len(configs)), "phantom")
     payload = {"cases": cases}
     envelope = vio.report_envelope(
-        "phantom_manifest", payload, seed, {"spec": entries}, vio.input_checksums([args.spec])
+        "phantom_manifest", payload, args.seed, {"spec": entries}, vio.input_checksums([args.spec])
     )
     vio.dump_json(out / "manifest.json", envelope)
     print(f"wrote {len(cases)} phantom(s) to {out}")
@@ -183,7 +177,7 @@ def cmd_parse(args) -> int:
         "element_count": len(elements),
         "elements": elements,
     }
-    envelope = vio.report_envelope("dicom_parse", payload, _seed(args), {"input": str(args.input)},
+    envelope = vio.report_envelope("dicom_parse", payload, args.seed, {"input": str(args.input)},
                                    vio.input_checksums([args.input]))
     _write_report(args.out, envelope)
     return EXIT_OK
@@ -207,7 +201,7 @@ def cmd_ingest(args) -> int:
         "uniform_z": geometry.uniform_z,
         "warnings": list(geometry.warnings) + skipped,
     }
-    envelope = vio.report_envelope("ingest", payload, _seed(args), {"input": str(src)},
+    envelope = vio.report_envelope("ingest", payload, args.seed, {"input": str(src)},
                                    {str(p): vio.sha256_file(p) for p, _ in files})
     vio.dump_json(out / "geometry.json", envelope)
     print(f"ingested {len(geometry.slice_order)} slice(s) into {out}")
@@ -229,9 +223,9 @@ def _methods(arg: str | None, network) -> tuple[str, ...]:
 
 def cmd_estimate(args) -> int:
     """One case through one ordered queue (``run_in_order``): task 0, on
-    the calling thread, reads ``--input`` and runs ``estimate_all`` with
-    the ml method alone; task 1 runs the manual methods on the mask's
-    slice areas; each further task hashes one input file, largest first.
+    the calling thread, reads ``--input`` and runs ``estimate_all`` on
+    it; task 1 reads the mask and counts its slice areas, which task 0
+    takes; each further task hashes one input file, largest first.
     The input, the mask and its slice areas are each made once, by
     whichever task asks first.
     A slice-area CSV has no grid, so its whole estimate is task 0. A
@@ -260,11 +254,6 @@ def cmd_estimate(args) -> int:
     results = run_in_order(lambda i: tasks[i](), len(tasks), spare_workers(len(tasks)),
                            "estimate")
     report = results[0]
-    if len(parts) == 2:  # the ml and the manual part hold disjoint methods
-        manual = results[1]
-        report.volumes |= manual.volumes
-        report.errors |= manual.errors
-        report.metadata |= manual.metadata
     if args.format == "csv":
         rows = [(m, report.volumes.get(m, ""), report.errors.get(m, "")) for m in methods]
         vio.write_csv(args.out, ("method", "volume_mm3", "error"), rows)
@@ -277,7 +266,7 @@ def cmd_estimate(args) -> int:
             "mask": str(args.mask) if args.mask else None,
             "model": str(args.model) if args.model else None,
         }
-        envelope = vio.report_envelope("estimate", report.to_dict(), _seed(args), config,
+        envelope = vio.report_envelope("estimate", report.to_dict(), args.seed, config,
                                        dict(results[len(parts):]))
         _write_report(args.out, envelope)
     if not report.volumes:
@@ -316,8 +305,9 @@ class _Shared:
 
 
 def _estimate_parts(read_input, args, network, methods) -> list:
-    """Tasks 0 and 1 of ``cmd_estimate`` on a grid input (see there);
-    ``read_input`` is the reader ``_input`` returns. The mask is
+    """Tasks 0 and 1 of ``cmd_estimate`` on a grid input (see there):
+    ``estimate_all`` of the case, and the mask's slice areas, which it
+    takes; ``read_input`` is the reader ``_input`` returns. The mask is
     ``--mask`` when given, for every input kind, so it loads beside the
     input; else the input's own mask, read only then; else ``_mask_for``
     of its grid."""
@@ -332,17 +322,12 @@ def _estimate_parts(read_input, args, network, methods) -> list:
     mask = _Shared(read_mask)
     areas = _Shared(lambda: slice_areas(mask.get()))
 
-    def ml():
+    def estimate():
         case_id, grid, _, analytic = read.get()
-        case = EstimateCase(case_id, grid, mask.get(), analytic)
-        return estimate_all(case, network=network, threshold=args.threshold,
-                            methods=[m for m in methods if m == "ml"], areas=areas.get())
+        return estimate_all(EstimateCase(case_id, grid, mask.get(), analytic), network,
+                            args.threshold, methods, args.radius, areas.get())
 
-    def manual():
-        return estimate_series(areas.get(), [m for m in methods if m != "ml"],
-                               manual_radius=args.radius)
-
-    return [ml, manual]
+    return [estimate, areas.get]
 
 
 def _input(src: Path, own_mask: bool) -> tuple[list[tuple[Path, int]], Callable[[], tuple]]:
@@ -410,9 +395,8 @@ def _mask_for(grid: VoxelGrid, args) -> BinaryMask:
 # ------------------------------------------------------------- train/eval
 
 def cmd_train(args) -> int:
-    seed = _seed(args)
     entries = _cohort(args.cohort)
-    net = build_segmenter_3d(seed=seed, dtype=TRAIN_DTYPE)
+    net = build_segmenter_3d(seed=args.seed, dtype=TRAIN_DTYPE)
     training_cases, extents = zip(*_each_case(
         lambda c: (_training_case(net, c), _extent_mm(c.grid)), entries, "train"))
     # the model records its cohort's extent, unknown if the cases differ in it
@@ -434,7 +418,7 @@ def cmd_train(args) -> int:
         "model": "net.vnet",
     }
     envelope = vio.report_envelope(
-        "train", payload, seed,
+        "train", payload, args.seed,
         {"epochs": args.epochs, "loss": args.loss, "optimizer": args.optimizer, "lr": args.lr},
         vio.input_checksums([args.cohort]),
     )
@@ -444,7 +428,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    seed = _seed(args)
     entries = _cohort(args.cohort)
     network = load_network(args.model, rank=3)
     target_shape = network.input_shape[:-1]
@@ -474,7 +457,7 @@ def cmd_eval(args) -> int:
         "mean_dice": float(np.mean([r["dice"] for r in rows])),
     }
     envelope = vio.report_envelope(
-        "eval", payload, seed, {"threshold": args.threshold},
+        "eval", payload, args.seed, {"threshold": args.threshold},
         vio.input_checksums([args.cohort, args.model]),
     )
     _write_report(args.out, envelope)
@@ -484,7 +467,6 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------- compare/stats
 
 def cmd_compare(args) -> int:
-    seed = _seed(args)
     entries = _cohort(args.cohort)
     network = load_network(args.model, rank=3) if args.model else None
     methods = _methods(None, network)
@@ -500,7 +482,7 @@ def cmd_compare(args) -> int:
         ],
     }
     envelope = vio.report_envelope(
-        "compare", payload, seed, {"threshold": args.threshold, "methods": list(methods)},
+        "compare", payload, args.seed, {"threshold": args.threshold, "methods": list(methods)},
         vio.input_checksums([args.cohort]),
     )
     _write_report(args.out, envelope)
@@ -515,7 +497,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    seed = _seed(args)
     entries = _cohort(args.cohort)
     n = len(entries)
     if n < 3:  # the report's Shapiro-Wilk test needs 3 differences
@@ -525,7 +506,7 @@ def cmd_stats(args) -> int:
     truths = [float(entry["analytic_volume_mm3"]) for entry in entries]
 
     manual_methods = ("spherical", "area_based", "regression")
-    net_template = build_segmenter_3d(seed=seed, dtype=TRAIN_DTYPE)
+    net_template = build_segmenter_3d(seed=args.seed, dtype=TRAIN_DTYPE)
 
     def prepare(case):
         # the training target reads the mask whole first, so its slice
@@ -549,14 +530,14 @@ def cmd_stats(args) -> int:
         epochs=args.epochs, loss=args.loss, optimizer="adam", learning_rate=args.lr
     )
 
-    plan = kfold(n, args.folds, seed)
+    plan = kfold(n, args.folds, args.seed)
 
     # the cohort is indexed: a fold's run steps through its training
     # triples, and the estimator scores a triple's input with its grid's
     # geometry
     def trainer(indices):
         fold = int(np.setdiff1d(plan.fold_of, plan.fold_of[indices])[0])  # the one held out
-        net = build_segmenter_3d(seed=seed, dtype=TRAIN_DTYPE)
+        net = build_segmenter_3d(seed=args.seed, dtype=TRAIN_DTYPE)
         try:
             yield from train_steps(net, [prepared[i] for i in indices], train_config)
         except TrainingDivergedError as exc:
@@ -571,11 +552,11 @@ def cmd_stats(args) -> int:
 
     volumes = {m: np.asarray([v[m] for v in manual_volumes]) for m in manual_methods}
     volumes["ml"] = cv.per_case_volume
-    payload = build_stats_report(truths, volumes, cv, k=args.folds, seed=seed)
+    payload = build_stats_report(truths, volumes, cv, k=args.folds, seed=args.seed)
     envelope = vio.report_envelope(
         "stats",
         payload,
-        seed,
+        args.seed,
         {
             "folds": args.folds,
             "epochs": args.epochs,
@@ -654,6 +635,16 @@ def _float_between(low: float, high: float = float("inf")):
     return number
 
 
+def _env_seed() -> int:
+    """``VOLUMETRICA_SEED``, the fallback of ``--seed``, checked as
+    ``--seed`` is; unset means 0."""
+    text = os.environ.get("VOLUMETRICA_SEED", "0")
+    try:
+        return _int_at_least(0)(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise InputError(f"VOLUMETRICA_SEED must be an integer >= 0, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="volumetrica",
@@ -663,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, out_dir: bool = False):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="RNG seed (falls back to VOLUMETRICA_SEED, then 0)")
         if out_dir:
             p.add_argument("--out", required=True, help="output directory")
@@ -739,6 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         return args.fn(args)
     except InputError as exc:
         return _fail(EXIT_USAGE, f"unreadable input: {exc}")

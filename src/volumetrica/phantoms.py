@@ -82,6 +82,8 @@ class PhantomSpec:
             if not all(s > 0 for s in self.semi_axes):
                 raise ValueError("semi-axes must be positive")
             object.__setattr__(self, "semi_axes", tuple(float(s) for s in self.semi_axes))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.noise_sigma <= _MAX_NOISE_SIGMA:
             raise ValueError(
                 f"noise sigma must be in [0, {_MAX_NOISE_SIGMA:g}], got {self.noise_sigma!r}"
@@ -113,8 +115,16 @@ class PhantomSpec:
                 kwargs[key] = float(d[key])
         for key in ("seed", "lobe_count"):
             if key in d:
-                kwargs[key] = int(d[key])
+                kwargs[key] = _integer(d[key], key)
         return cls(**kwargs)
+
+
+def _integer(value, name: str) -> int:
+    """``int(value)`` of a spec value that holds an integer; a bool or a
+    number with a fractional part raises rather than truncates."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _draw_lobes(spec: PhantomSpec) -> tuple[Lobe, ...]:
@@ -250,7 +260,7 @@ def load_phantom_config(d: dict) -> tuple[PhantomSpec, tuple[int, int, int], Spa
     try:
         if not isinstance(d, dict):
             raise TypeError(f"expected an object, got {d!r}")
-        dims = tuple(int(v) for v in d["dims"])
+        dims = tuple(_integer(v, "dims") for v in d["dims"])
         if len(dims) != 3 or any(n <= 0 for n in dims):
             raise ValueError(f"dims must be three positive integers, got {dims}")
         if math.prod(dims) > _MAX_VOXELS:

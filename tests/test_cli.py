@@ -1209,3 +1209,77 @@ class TestArguments:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+
+SEEDED = {
+    "phantom": ["phantom", "--spec", "s.json", "--out", "o"],
+    "parse": ["parse", "--input", "x.dcm"],
+    "ingest": ["ingest", "--input", "d", "--out", "o"],
+    "estimate": ["estimate", "--input", "x.csv"],
+    "train": ["train", "--cohort", "m.json", "--out", "o"],
+    "eval": ["eval", "--cohort", "m.json", "--model", "n.vnet"],
+    "compare": ["compare", "--cohort", "m.json"],
+    "stats": ["stats", "--cohort", "m.json"],
+}
+
+
+class TestSeed:
+    """``--seed`` and its ``VOLUMETRICA_SEED`` fallback are checked before
+    any command reads its inputs."""
+
+    @pytest.mark.parametrize("command", SEEDED)
+    @pytest.mark.parametrize("value", ["-1", "1.5", "x"])
+    def test_bad_flag_exits_2(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(SEEDED[command] + ["--seed", value])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["phantom", "train", "stats"])
+    @pytest.mark.parametrize("value", ["-1", "abc", ""])
+    def test_bad_environment_exits_2_before_the_command(self, command, value, monkeypatch,
+                                                        capsys):
+        monkeypatch.setenv("VOLUMETRICA_SEED", value)
+        monkeypatch.setattr(cli, "_cohort", lambda path: pytest.fail("the command ran"))
+        monkeypatch.setattr(vio, "read_json", lambda path: pytest.fail("the command ran"))
+        assert main(SEEDED[command]) == 2
+        assert (f"error: unreadable input: VOLUMETRICA_SEED must be an integer >= 0, "
+                f"got {value!r}") in capsys.readouterr().err
+
+    def test_flag_overrides_the_environment(self, sphere_spec, tmp_path, monkeypatch):
+        monkeypatch.setenv("VOLUMETRICA_SEED", "abc")
+        out = tmp_path / "ph"
+        assert main(["phantom", "--spec", str(sphere_spec), "--out", str(out), "--seed", "4"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 4
+
+    def test_unset_environment_is_seed_0(self, sphere_spec, tmp_path, monkeypatch):
+        monkeypatch.delenv("VOLUMETRICA_SEED", raising=False)
+        out = tmp_path / "ph"
+        assert main(["phantom", "--spec", str(sphere_spec), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 0 and manifest["payload"]["cases"][0]["seed"] == 0
+
+
+class TestOneEstimatePath:
+    """``estimate`` on a grid input reports what ``estimate_all`` reports
+    for the same case, the path ``compare`` takes."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("radius", [None, "4.5"])
+    def test_payload_is_estimate_all(self, sphere_spec, monkeypatch, tmp_path, workers, radius):
+        from volumetrica.estimators import EstimateCase, estimate_all
+        from volumetrica.nn.network import build_segmenter_3d, save_network
+
+        ph = tmp_path / "ph"
+        assert main(["phantom", "--spec", str(sphere_spec), "--out", str(ph)]) == 0
+        model = tmp_path / "net.vnet"
+        save_network(build_segmenter_3d(seed=0), model)
+        monkeypatch.setattr(cli, "spare_workers", lambda tasks: min(tasks, workers))
+        out = tmp_path / "r.json"
+        argv = ["estimate", "--input", str(ph), "--model", str(model), "--out", str(out)]
+        assert main(argv + (["--radius", radius] if radius else [])) == 0
+        case = cli._read_case(cli._cohort(ph / "manifest.json")[0])
+        expected = estimate_all(case, cli.load_network(model, rank=3),
+                                manual_radius=float(radius) if radius else None)
+        assert json.loads(out.read_text())["payload"] == json.loads(
+            vio.canonical_json(expected.to_dict()))

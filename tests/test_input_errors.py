@@ -600,3 +600,60 @@ class TestFuzzManifest:
         path = directory / "manifest.json"
         path.write_bytes(_flip(blob, data.draw(_bit_flips(blob))))
         self._check(path)
+
+
+class TestEstimateInput:
+    def test_manifest_of_two_cases_exits_2(self, cohort, capsys):
+        assert main(["estimate", "--input", str(cohort / "ph")]) == 2
+        assert (f"{cohort / 'ph' / 'manifest.json'} lists 2 cases; use `compare` for cohorts"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name", ["spec.json", "grid.vol", "missing"])
+    def test_uninterpretable_input_exits_2(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        if name != "missing":
+            path.write_text("{}")
+        assert main(["estimate", "--input", str(path)]) == 2
+        assert f"unreadable input: cannot interpret input {path}" in capsys.readouterr().err
+
+
+class TestPhantomSpecIntegers:
+    """``seed``, ``dims`` and ``lobe_count`` hold integers: a bool or a
+    fractional value is refused rather than truncated, and so is a
+    negative seed, before any file is written."""
+
+    LOBULATED = dict(SPHERE, shape="lobulated", semi_axes_mm=[3, 3, 3])
+
+    @pytest.mark.parametrize("entry, message", [
+        (dict(SPHERE, seed=1.9), "seed must be an integer, got 1.9"),
+        (dict(SPHERE, seed=True), "seed must be an integer, got True"),
+        (dict(SPHERE, dims=[16.7, 16, 16]), "dims must be an integer, got 16.7"),
+        (dict(SPHERE, dims=[16, False, 16]), "dims must be an integer, got False"),
+        (dict(LOBULATED, lobe_count=2.9), "lobe_count must be an integer, got 2.9"),
+        (dict(SPHERE, seed=-1, noise_sigma=0.1), "seed must be >= 0, got -1"),
+        (dict(LOBULATED, seed=-1), "seed must be >= 0, got -1"),
+    ], ids=["fractional-seed", "bool-seed", "fractional-dims", "bool-dims",
+            "fractional-lobe-count", "negative-seed-sphere", "negative-seed-lobulated"])
+    def test_second_entry_exits_2_and_writes_nothing(self, tmp_path, capsys, entry, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"cohort": [SPHERE, entry]}))
+        out = tmp_path / "out"
+        assert main(["phantom", "--spec", str(spec), "--out", str(out)]) == 2
+        assert f"case 1: invalid phantom config: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_floats_are_integers(self):
+        spec, dims, _ = load_phantom_config(dict(self.LOBULATED, seed=2.0, dims=[16.0, 16, 16],
+                                                 lobe_count=3.0))
+        assert (spec.seed, spec.lobe_count, dims) == (2, 3, (16, 16, 16))
+        assert all(type(v) is int for v in (spec.seed, spec.lobe_count, *dims))
+
+    def test_manifest_records_the_seed_used(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"cohort": [SPHERE, dict(SPHERE, seed=9.0), SPHERE]}))
+        out = tmp_path / "out"
+        assert main(["phantom", "--spec", str(spec), "--out", str(out), "--seed", "4"]) == 0
+        cases = json.loads((out / "manifest.json").read_text())["payload"]["cases"]
+        # 9, not the 9.0 the spec holds
+        assert [c["seed"] for c in cases] == [4, 9, 6]
+        assert all(type(c["seed"]) is int for c in cases)
