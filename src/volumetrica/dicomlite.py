@@ -18,7 +18,7 @@ import numpy as np
 
 from volumetrica.errors import InputError
 from volumetrica.grid import Spacing, Volume, VoxelGrid
-from volumetrica.io import directory_files
+from volumetrica.io import directory_files, file_identity
 
 logger = logging.getLogger(__name__)
 
@@ -173,14 +173,91 @@ class DicomDataset:
         return values
 
 
-def _parse_element(data: bytes, pos: int, explicit: bool):
-    """Parse one element at pos; returns (element, new_pos)."""
-    n = len(data)
+class _SliceFile:
+    """An open slice file as ``parse_file`` reads it in header mode: its
+    ``len`` is the size the listing gave, and a slice of it is those bytes
+    of the file, in one read unless the last read holds them. The first
+    read takes the leading ``head`` bytes at once (none for 0): the
+    header length of the series' last slice, so that a slice laid out as
+    the last one is read in one read, and one whose header is longer goes
+    on element by element. A file that is not that size raises
+    DicomParseError, before any read or at the read that comes back
+    short."""
+
+    def __init__(self, fh, path: Path, size: int, head: int = 0):
+        self._fh, self.path, self._size = fh, path, size
+        self.identity = file_identity(fh)
+        # the offset and bytes of the last read; the file's position is at their end
+        self._last = (0, b"")
+        if self.identity[0] != size:
+            self._changed()
+        if head:
+            self[0:head]  # the first read, kept as the last
+
+    def _changed(self):
+        raise DicomParseError(f"file size changed from the listed {self._size} bytes")
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, cut: slice) -> bytes:
+        start, stop = cut.start, min(cut.stop, self._size)
+        at, last = self._last
+        if at <= start and stop - at <= len(last):
+            return last[start - at : stop - at]
+        if start != at + len(last):
+            self._fh.seek(start)
+        data = self._fh.read(stop - start)
+        if len(data) != stop - start:
+            self._changed()
+        self._last = (start, data)
+        return data
+
+
+@dataclass(frozen=True)
+class _FileRange:
+    """A value ``parse_file`` left in its file: ``length`` bytes at
+    ``offset`` of ``path``, whose size, device, inode and modification
+    time were ``identity`` (``io.file_identity``) when it was parsed."""
+
+    path: Path
+    identity: tuple[int, int, int, int]
+    offset: int
+    length: int
+
+    def __len__(self) -> int:
+        return self.length
+
+    def read(self, dtype: np.dtype, shape: tuple[int, int]) -> np.ndarray:
+        """Its leading ``shape`` values of ``dtype``, read from the file
+        into a fresh read-only array. A file that changed since it was
+        parsed (any of the four, as ``io._MaskFile`` checks them) raises
+        InputError naming it."""
+        out = np.empty(shape, dtype)
+        with open(self.path, "rb") as fh:
+            fh.seek(self.offset)
+            if fh.readinto(out) != out.nbytes or file_identity(fh) != self.identity:
+                raise InputError(f"{self.path}: DICOM file changed after it was read")
+        out.flags.writeable = False
+        return out
+
+
+def _parse_element(data, n: int, pos: int, explicit: bool, floor=None):
+    """Parse one element at pos of ``data``, ``n`` bytes long; returns
+    (element, new_pos). A tag not above ``floor`` raises DicomParseError
+    before its value is read. On a ``_SliceFile`` the value of PixelData
+    is not read: it is the ``_FileRange`` of its bytes."""
     if pos + 8 > n:
         raise TruncatedFileError("element header runs past end of data", pos)
-    group, elem = struct.unpack_from("<HH", data, pos)
+    head = data[pos : pos + 8]
+    tag = group, elem = struct.unpack_from("<HH", head)
+    if floor is not None and tag <= floor:
+        raise DicomParseError(
+            f"tag ({group:04X},{elem:04X}) at offset {pos} does not ascend from "
+            f"({floor[0]:04X},{floor[1]:04X})"
+        )
     if explicit:
-        vr = str(data[pos + 4 : pos + 6], "ascii", "replace")
+        vr = str(head[4:6], "ascii", "replace")
         if not vr.isalpha() or not vr.isupper():
             raise DicomParseError(
                 f"invalid VR {vr!r} for tag ({group:04X},{elem:04X}) at offset {pos}"
@@ -188,15 +265,15 @@ def _parse_element(data: bytes, pos: int, explicit: bool):
         if vr in _LONG_VRS:
             if pos + 12 > n:
                 raise TruncatedFileError("long-form length runs past end of data", pos)
-            (length,) = struct.unpack_from("<I", data, pos + 8)
+            (length,) = struct.unpack("<I", data[pos + 8 : pos + 12])
             body = pos + 12
         else:
-            (length,) = struct.unpack_from("<H", data, pos + 6)
+            (length,) = struct.unpack_from("<H", head, 6)
             body = pos + 8
     else:
-        (length,) = struct.unpack_from("<I", data, pos + 4)
+        (length,) = struct.unpack_from("<I", head, 4)
         body = pos + 8
-        vr = _TAG_VR.get((group, elem), "UN")
+        vr = _TAG_VR.get(tag, "UN")
     if length == 0xFFFFFFFF:
         raise DicomParseError(
             f"undefined-length element ({group:04X},{elem:04X}) not supported (flat datasets only)"
@@ -205,32 +282,45 @@ def _parse_element(data: bytes, pos: int, explicit: bool):
         raise TruncatedFileError(
             f"value of ({group:04X},{elem:04X}) declared {length} bytes but data ends", body
         )
-    return DicomElement((group, elem), vr, data[body : body + length]), body + length
+    if tag == TAG_PIXEL_DATA and isinstance(data, _SliceFile):
+        value = _FileRange(data.path, data.identity, body, length)
+    else:
+        # read with the next element's header: one read of a file, not two
+        value = data[body : body + length + 8][:length]
+    return DicomElement(tag, vr, value), body + length
 
 
-def parse_file(data: bytes | memoryview) -> DicomDataset:
-    """Parse one DICOM file.
+def parse_file(data) -> DicomDataset:
+    """Parse one DICOM file, given as ``bytes`` (or any buffer).
 
     Conformant files (128-byte preamble + "DICM" + explicit-VR meta
     group) may declare explicit or implicit VR little endian for the
     dataset. Without the magic the whole stream is retried as a raw
-    implicit-VR dataset ("forced" mode) and flagged non-conformant.
+    implicit-VR dataset ("forced" mode) and flagged non-conformant; as
+    DICOM requires, its tags must ascend, and the first that does not
+    raises DicomParseError, so a stray file is given up within a few
+    elements, not walked to its end.
 
-    A memoryview is parsed in place: each element's value is a view of
-    its bytes there, not a copy. Anything else is parsed as ``bytes``.
-    """
-    data = data.cast("B") if isinstance(data, memoryview) else bytes(data)
+    Header mode: given an open file as a ``_SliceFile``, each element is
+    read from the file as the parse reaches it, and PixelData's value is
+    not read. Its declared length is checked against the file's size as
+    any value's is, and the element's value is the ``_FileRange`` of it;
+    the elements after it are parsed as usual."""
+    if not isinstance(data, _SliceFile):
+        data = bytes(data)
     ds = DicomDataset()
-    if len(data) >= 132 and data[128:132] == b"DICM":
+    n = len(data)
+    if n >= 132 and data[128:132] == b"DICM":
         pos = 132
         meta_end = None
-        while pos < len(data):
+        while pos < n:
             if meta_end is not None and pos >= meta_end:
                 break
-            group = struct.unpack_from("<H", data, pos)[0] if pos + 2 <= len(data) else None
-            if group != 0x0002:
+            # the element header: its group, and the bytes _parse_element reads first
+            head = data[pos : pos + 8]
+            if len(head) < 2 or struct.unpack_from("<H", head)[0] != 0x0002:
                 break
-            el, pos = _parse_element(data, pos, explicit=True)
+            el, pos = _parse_element(data, n, pos, explicit=True)
             ds.elements[el.tag] = el
             if el.tag == TAG_META_GROUP_LENGTH:
                 if len(el.value) != 4:
@@ -247,9 +337,12 @@ def parse_file(data: bytes | memoryview) -> DicomDataset:
         ds.transfer_syntax = IMPLICIT_VR_LE
         pos = 0
     explicit = ds.transfer_syntax == EXPLICIT_VR_LE
-    while pos < len(data):
-        el, pos = _parse_element(data, pos, explicit=explicit)
+    floor = None
+    while pos < n:
+        el, pos = _parse_element(data, n, pos, explicit, floor)
         ds.elements[el.tag] = el
+        if not ds.conformant:
+            floor = el.tag
     return ds
 
 
@@ -428,44 +521,70 @@ def _decodes_finite(planes, slopes, intercepts) -> bool:
     (it goes to the infinity of the same sign), so ``fl(v * slope)`` is
     monotone; adding a finite intercept and rounding keeps it so. Every
     decoded value then lies between the two decoded extremes, which are
-    finite."""
-    return all(
-        np.isfinite(_decode(np.array([plane.min(), plane.max()]), slope, intercept)).all()
-        for plane, slope, intercept in zip(planes, slopes, intercepts)
-        if plane.size
-    )
+    finite. An extreme that overflows is the answer, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return all(
+            np.isfinite(_decode(np.array([plane.min(), plane.max()]), slope, intercept)).all()
+            for plane, slope, intercept in zip(planes, slopes, intercepts)
+            if plane.size
+        )
+
+
+def _dtype_range(dtype: np.dtype) -> np.ndarray:
+    """The least and the greatest value of the integer ``dtype``."""
+    info = np.iinfo(dtype)
+    return np.array([info.min, info.max], dtype)
 
 
 class _SeriesGrid(VoxelGrid):
-    """The VoxelGrid of a DICOM series, kept as one 2-D plane a slice: a
-    view of the slice's PixelData bytes in its own stored dtype (two
-    bytes a voxel or less), with its own slope and intercept.
+    """The VoxelGrid of a DICOM series, kept as one stored plane a slice,
+    in the slice's own dtype (two bytes a voxel or less), with its own
+    slope and intercept. A plane is an array (the PixelData bytes of a
+    dataset in memory, viewed without a copy) or the ``_FileRange`` of
+    PixelData that is still in its file; such a plane is read from the
+    file each time it is asked for, never kept.
 
     ``lines`` decodes only the lines it is asked for, plane by plane, and
     ``planes`` one plane at a time; ``data`` decodes the whole grid once
-    (``Volume``). A line reads the same bits either way."""
+    (``Volume``). A line reads the same bits either way.
 
-    def __init__(self, planes: list[np.ndarray], slopes: list[float], intercepts: list[float],
-                 spacing: Spacing):
-        if not _decodes_finite(planes, slopes, intercepts):
+    Whether the grid decodes finite is decided here, exactly, before any
+    plane is read: a slice whose dtype's whole range decodes finite is
+    finite whatever it stores (``_decodes_finite``), and only the planes
+    of the other slices are read for their stored extremes."""
+
+    def __init__(self, planes: list, shape: tuple[int, int, int], dtypes: list[np.dtype],
+                 slopes: list[float], intercepts: list[float], spacing: Spacing):
+        Volume.__init__(self, shape, spacing, planes)
+        object.__setattr__(self, "_rescale", (dtypes, slopes, intercepts))
+        formats = list(zip(dtypes, slopes, intercepts))
+        # one check a distinct format: the slices of a series mostly share one
+        settled = {f: _decodes_finite([_dtype_range(f[0])], [f[1]], [f[2]]) for f in set(formats)}
+        suspects = [k for k, f in enumerate(formats) if not settled[f]]
+        if not _decodes_finite((self._stored(planes[k], dtypes[k]) for k in suspects),
+                               [slopes[k] for k in suspects], [intercepts[k] for k in suspects]):
             raise ValueError("grid data contains non-finite values")
-        Volume.__init__(self, (len(planes), *planes[0].shape), spacing, planes)
-        object.__setattr__(self, "_rescale", (slopes, intercepts))
+
+    def _stored(self, plane, dtype: np.dtype) -> np.ndarray:
+        """A plane's stored values: the array, or read from its file."""
+        return plane if isinstance(plane, np.ndarray) else plane.read(dtype, self._shape[1:])
 
     def _read(self, planes, outs):
-        return map(_decode, planes, *self._rescale, outs)
+        dtypes, slopes, intercepts = self._rescale
+        return map(_decode, map(self._stored, planes, dtypes), slopes, intercepts, outs)
 
     def lines(self, cuts) -> np.ndarray:
         planes = self._planes  # None once data has been decoded
         if planes is None:
             return super().lines(cuts)
-        slopes, intercepts = self._rescale
+        dtypes, slopes, intercepts = self._rescale
         zs, ys, xs = cuts
         picked = np.arange(len(planes))[zs]
         out = np.empty([np.arange(n)[cut].size for n, cut in zip(self._shape, cuts)])
         for plane, k in zip(out, picked):
+            stored = self._stored(planes[k], dtypes[k])
             # rows, then columns: two small gathers, faster than one np.ix_
-            _decode(planes[k][ys][:, xs], slopes[k], intercepts[k], out=plane)
+            _decode(stored[ys][:, xs], slopes[k], intercepts[k], out=plane)
         return out
 
 
@@ -478,13 +597,15 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
     to 1.0 mm with a recorded warning; a PixelSpacing with fewer than
     two values raises GeometryMismatchError.
 
-    The grid holds one plane a slice, not float64 values: a view of the
-    slice's PixelData bytes, without a copy, in its stored dtype (``u1``/
-    ``i1``/``<u2``/``<i2``), with its slope and intercept. A grid whose
-    decode would hold a non-finite value raises GeometryMismatchError
-    here, decided from each plane's stored extremes. Its ``data`` decodes
-    the whole grid on first read; ``VoxelGrid.lines`` decodes only the
-    lines asked for.
+    The grid holds one plane a slice, not float64 values, in the slice's
+    stored dtype (``u1``/``i1``/``<u2``/``<i2``), with its slope and
+    intercept: a view of the PixelData bytes of a dataset in memory,
+    without a copy, or, for a dataset ``read_directory`` parsed in header
+    mode, the ``_FileRange`` of PixelData in its file, which is read only
+    when a plane is asked for. A grid whose decode would hold a
+    non-finite value raises GeometryMismatchError here (``_SeriesGrid``).
+    Its ``data`` decodes the whole grid on first read;
+    ``VoxelGrid.lines`` decodes only the lines asked for.
     """
     usable: list[tuple[int, DicomDataset]] = []
     warnings: list[str] = []
@@ -546,16 +667,20 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
             uniform_z = False
             warnings.append("non-uniform z gaps between slices; series flagged, not resampled")
 
-    planes, slopes, intercepts = [], [], []
+    planes, dtypes, slopes, intercepts = [], [], [], []
     for j in order:
         ds = usable[j][1]
         dtype, slope, intercept = _pixel_format(ds)
-        pixels = np.frombuffer(ds.get(TAG_PIXEL_DATA).value, dtype, rows * cols)
-        planes.append(pixels.reshape(rows, cols))
+        pixels = ds.get(TAG_PIXEL_DATA).value
+        if not isinstance(pixels, _FileRange):
+            pixels = np.frombuffer(pixels, dtype, rows * cols).reshape(rows, cols)
+        planes.append(pixels)
+        dtypes.append(dtype)
         slopes.append(slope)
         intercepts.append(intercept)
     try:
-        grid = _SeriesGrid(planes, slopes, intercepts, Spacing(sx, sy, thickness))
+        grid = _SeriesGrid(planes, (len(planes), rows, cols), dtypes, slopes, intercepts,
+                           Spacing(sx, sy, thickness))
         geometry = SeriesGeometry(
             rows=rows,
             cols=cols,
@@ -570,26 +695,14 @@ def read_series(datasets: list[DicomDataset]) -> tuple[VoxelGrid, SeriesGeometry
     return grid, geometry
 
 
-def _read_slice(path: Path, view: memoryview) -> tuple[DicomDataset, str | None, int]:
-    """Read the file ``path`` into ``view``, which its listed size fills,
-    and parse it there. Returns the tags ``read_series`` reads but
-    PixelData, as bytes, and PixelData's VR (None without one) and size.
-    Its bytes are moved to the start of ``view``, over the header: the
-    overlapping assignment is a memmove, without a temporary. A file that
-    is not its listed size raises DicomParseError, so no prefix of it is
-    parsed."""
-    with open(path, "rb") as fh:
-        if fh.readinto(view) != len(view) or fh.read(1):
-            raise DicomParseError(f"file size changed from the listed {len(view)} bytes")
-    ds = parse_file(view)
-    header = DicomDataset({t: DicomElement(t, ds.elements[t].vr, bytes(ds.elements[t].value))
-                           for t in _SERIES_TAGS if t in ds and t != TAG_PIXEL_DATA})
-    pixels = ds.get(TAG_PIXEL_DATA)
-    if pixels is None:
-        return header, None, 0
-    size = len(pixels.value)
-    view[:size] = pixels.value
-    return header, pixels.vr, size
+def _read_header(path: Path, size: int, head: int = 0) -> DicomDataset:
+    """``parse_file`` of the file ``path`` in header mode (``_SliceFile``,
+    which reads ``head`` bytes first), kept to the tags ``read_series``
+    reads. Its PixelData stays in the file, as the ``_FileRange`` the
+    grid reads its plane from."""
+    with open(path, "rb", buffering=0) as fh:
+        ds = parse_file(_SliceFile(fh, path, size, head))
+    return DicomDataset({t: ds.elements[t] for t in _SERIES_TAGS if t in ds})
 
 
 def read_directory(path, files=None) -> tuple[VoxelGrid, SeriesGeometry, list[str]]:
@@ -600,39 +713,26 @@ def read_directory(path, files=None) -> tuple[VoxelGrid, SeriesGeometry, list[st
     or whose size changed after the listing, are skipped and listed as
     ``"<name>: <reason>"`` in the third return value.
 
-    The series is read into one numpy buffer, sized by the listed file
-    sizes. Each file is read once, at a write head, and parsed in place;
-    its PixelData bytes move down over its header, and the head advances
-    by them alone. So the buffer ends as every slice's pixel bytes back to
-    back, and it is shrunk to them (``ndarray.resize``, without a copy)
-    and made read-only. Of each slice the tags ``read_series`` reads are
-    kept, as bytes, and PixelData as a view into the buffer, which the
-    grid's plane then views. So the read holds the series' pixel bytes
-    (two bytes a voxel for 16-bit slices) in one allocation, never a
-    float64 grid; that comes only when ``data`` is read."""
+    Only headers are read: each file is opened once and parsed in header
+    mode, up to and past its PixelData, whose bytes are not read. A slice
+    laid out as the one before it takes one read (its first ``head``
+    bytes, that slice's header length); one with a longer header goes on
+    element by element, and one with a shorter header reads as many of
+    its first pixel bytes as it is shorter. Of each slice the tags ``read_series`` reads are kept,
+    PixelData as the ``_FileRange`` of its bytes. So the read holds no
+    pixel, and the grid reads each plane from its file when a caller asks
+    for it (``planes``, ``lines`` or ``data``); a file that changed since
+    its header was read raises InputError naming it."""
     files = directory_files(path) if files is None else files
-    buffer = np.empty(sum(size for _, size in files), np.uint8)
-    kept = []  # (header, PixelData VR, PixelData offset in the buffer, its size)
-    skipped = []
-    head = 0
-    with memoryview(buffer) as whole:
-        for p, size in files:
-            try:
-                header, vr, pixel_bytes = _read_slice(p, whole[head : head + size])
-            except DicomParseError as exc:
-                skipped.append(f"{p.name}: {exc}")
-                continue
-            kept.append((header, vr, head, pixel_bytes))
-            head += pixel_bytes
-    # the ``with`` block released the only view of the buffer, so it may
-    # shrink in place; refcheck is off because a Python tracer (pdb,
-    # ``sys.settrace``) holds this frame's locals, one more reference
-    buffer.resize(head, refcheck=False)
-    buffer.flags.writeable = False
-    pixels = memoryview(buffer)
-    for header, vr, start, size in kept:
-        if vr is not None:
-            header.elements[TAG_PIXEL_DATA] = DicomElement(TAG_PIXEL_DATA, vr,
-                                                           pixels[start : start + size])
-    grid, geometry = read_series([header for header, *_ in kept])
+    headers, skipped = [], []
+    head = 0  # where the last slice's PixelData value began
+    for p, size in files:
+        try:
+            headers.append(_read_header(p, size, head))
+        except DicomParseError as exc:
+            skipped.append(f"{p.name}: {exc}")
+            continue
+        pixels = headers[-1].get(TAG_PIXEL_DATA)
+        head = pixels.value.offset if pixels is not None else head
+    grid, geometry = read_series(headers)
     return grid, geometry, skipped

@@ -71,7 +71,7 @@ def read_volume(path) -> VoxelGrid | BinaryMask:
             raise InputError(f"{path}: unknown dtype code {code}")
         # sizes are checked before the header's dims reach an allocation
         declared = nx * ny * nz * _DTYPES[code].itemsize
-        identity = _identity(fh)
+        identity = file_identity(fh)
         size = identity[0] - _HEADER_BYTES
         if size == declared and code == _DTYPE_GRID:
             payload = np.empty((nz, ny, nx), dtype=_DTYPES[code])
@@ -87,7 +87,7 @@ def read_volume(path) -> VoxelGrid | BinaryMask:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _identity(fh) -> tuple[int, int, int, int]:
+def file_identity(fh) -> tuple[int, int, int, int]:
     """The size, device, inode and modification time of the open file ``fh``."""
     st = os.fstat(fh.fileno())
     return (st.st_size, st.st_dev, st.st_ino, st.st_mtime_ns)
@@ -95,7 +95,7 @@ def _identity(fh) -> tuple[int, int, int, int]:
 
 class _MaskFile(BinaryMask):
     """The mask of a VOLV file that ``read_volume`` checked, read from the
-    file (``_planes`` is its path and ``_identity``): each read opens it
+    file (``_planes`` is its path and ``file_identity``): each read opens it
     and reads its planes in z order, each byte becoming 0 or 1 in place,
     and after each plane checks that the file's size, device, inode and
     modification time are still those checked. A change of any of them
@@ -111,7 +111,7 @@ class _MaskFile(BinaryMask):
 
         def read(out):
             raw = out.view(np.uint8)
-            if fh.readinto(raw) != raw.nbytes or _identity(fh) != identity:
+            if fh.readinto(raw) != raw.nbytes or file_identity(fh) != identity:
                 raise InputError(f"{path}: VOLV file changed after it was checked")
             return np.not_equal(raw, 0, out=out)
 

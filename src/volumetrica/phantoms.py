@@ -12,6 +12,7 @@ a voxel belongs to the mask iff its center lies inside the shape.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,14 +106,14 @@ class PhantomSpec:
         kind = d.get("shape")
         kwargs = {"kind": kind}
         if "radius_mm" in d:
-            kwargs["radius"] = float(d["radius_mm"])
+            kwargs["radius"] = _number(d["radius_mm"], "radius_mm")
         if "semi_axes_mm" in d:
-            kwargs["semi_axes"] = tuple(float(v) for v in d["semi_axes_mm"])
+            kwargs["semi_axes"] = tuple(_number(v, "semi_axes_mm") for v in d["semi_axes_mm"])
         if d.get("center_mm") is not None:
-            kwargs["center"] = tuple(float(v) for v in d["center_mm"])
+            kwargs["center"] = tuple(_number(v, "center_mm") for v in d["center_mm"])
         for key in ("noise_sigma", "lobe_amplitude"):
             if key in d:
-                kwargs[key] = float(d[key])
+                kwargs[key] = _number(d[key], key)
         for key in ("seed", "lobe_count"):
             if key in d:
                 kwargs[key] = _integer(d[key], key)
@@ -125,6 +126,14 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(value, name: str) -> float:
+    """``float(value)`` of a spec value that holds a number; a bool or a
+    string raises rather than converts."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _draw_lobes(spec: PhantomSpec) -> tuple[Lobe, ...]:
@@ -267,7 +276,7 @@ def load_phantom_config(d: dict) -> tuple[PhantomSpec, tuple[int, int, int], Spa
             raise ValueError(f"dims {list(dims)} hold {math.prod(dims)} voxels, more than "
                              f"the {_MAX_VOXELS} a phantom may have")
         sp = d["spacing_mm"]
-        spacing = Spacing(float(sp[0]), float(sp[1]), float(sp[2]))
+        spacing = Spacing(*(_number(sp[i], "spacing_mm") for i in range(3)))
         spec = PhantomSpec.from_dict(d)
     except KeyError as exc:
         raise InputError(f"invalid phantom config: missing key {exc}") from exc

@@ -6,10 +6,13 @@ import io
 import logging
 import math
 import os
+import re
 import struct
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,6 +22,7 @@ from volumetrica import cli
 from volumetrica import dicomlite as dl
 from volumetrica import io as vio
 from volumetrica.cli import _mask_for, main
+from volumetrica.errors import InputError
 from volumetrica.grid import BinaryMask, Spacing, VoxelGrid
 from volumetrica.nn.inference import prepare_input
 
@@ -95,6 +99,17 @@ class TestParsing:
         assert not ds.conformant
         assert ds.transfer_syntax == dl.IMPLICIT_VR_LE
         assert ds.ushort(dl.TAG_ROWS) == 16
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"\x00" * 64, "tag (0000,0000) at offset 8 does not ascend from (0000,0000)"),
+        (_implicit_bytes([((0x0028, 0x0011), b"\x10\x00"), ((0x0028, 0x0010), b"\x10\x00")]),
+         "tag (0028,0010) at offset 10 does not ascend from (0028,0011)"),
+        (_implicit_bytes([((0x0028, 0x0010), b"\x10\x00"), ((0x0028, 0x0010), b"\x10\x00")]),
+         "tag (0028,0010) at offset 10 does not ascend from (0028,0010)"),
+    ], ids=["zeros", "descending", "repeated"])
+    def test_forced_mode_stops_at_a_tag_that_does_not_ascend(self, raw, message):
+        with pytest.raises(dl.DicomParseError, match=re.escape(message)):
+            dl.parse_file(raw)
 
     def test_unsupported_transfer_syntax(self):
         px = np.zeros((2, 2), dtype=np.uint16)
@@ -250,23 +265,33 @@ class TestReadDirectory:
         assert [i for i, _ in geometry.slice_order] == [1, 0]
         assert len(skipped) == 1 and skipped[0].startswith("notes.txt: ")
 
-    def test_opens_each_slice_file_once(self, tmp_path, monkeypatch):
-        for k, ds in enumerate(_series(4, (16, 16))):
-            (tmp_path / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
-        opened = collections.Counter()
-        real_open = io.open
-
-        def counting_open(file, *args, **kwargs):
-            if isinstance(file, (str, os.PathLike)):
-                opened[os.path.basename(file)] += 1
-            return real_open(file, *args, **kwargs)
-
-        # Path.read_bytes opens through io.open, a bare open() through builtins
-        monkeypatch.setattr(io, "open", counting_open)
-        monkeypatch.setattr(builtins, "open", counting_open)
+    def test_read_opens_each_file_once_and_reads_no_pixel_byte(self, tmp_path, monkeypatch):
+        # a normal rescale, so the finiteness verdict needs no stored
+        # value, and z positions of one text length, so that every slice
+        # has the header length of the first
+        rng = np.random.default_rng(5)
+        blobs = {f"slice{k}.dcm": dl.write_file(dl.make_slice_dataset(
+            rng.integers(0, 4096, (64, 64)), pixel_spacing=(0.7, 0.7), slice_thickness=1.0,
+            position_z=11.5 + k, rescale=(1.25, -1024.0))) for k in range(4)}
+        for name, blob in blobs.items():
+            (tmp_path / name).write_bytes(blob)
+        opened, reads = _count_file_reads(monkeypatch)
         grid, _, _ = dl.read_directory(tmp_path)
-        _ = grid.data  # decoding reads no file either
-        assert opened == {f"slice{k}.dcm": 1 for k in range(4)}
+        assert opened == {name: 1 for name in blobs}
+        pixels = 64 * 64 * 2  # PixelData is each file's last element
+        header = len(blobs["slice0.dcm"]) - pixels
+        assert all(len(blob) - pixels == header for blob in blobs.values())
+        # the first file element by element from the "DICM" magic on,
+        # each byte once; the others in one read of that header length
+        first = reads.pop("slice0.dcm")
+        assert first[0][0] == 128 and all(at + n == next_at for (at, n), (next_at, _)
+                                           in zip(first, first[1:]))
+        assert first[-1][0] + first[-1][1] == header
+        assert reads == {name: [(0, header)] for name in blobs if name != "slice0.dcm"}
+        reads.clear()
+        _ = grid.data  # each plane is read from its file, once, and only its pixel bytes
+        assert opened == {name: 2 for name in blobs}
+        assert reads == {name: [(header, pixels)] for name in blobs}
 
     @pytest.mark.parametrize("change", [b"\x00\x00", None], ids=["grown", "shrunk"])
     def test_file_whose_size_changed_after_the_listing_is_skipped(self, tmp_path, monkeypatch,
@@ -309,25 +334,151 @@ class TestReadDirectory:
         # the 2 KiB of pixel bytes and the kept headers, not the 4 MiB file
         assert held < 64 << 10
 
-    def test_planes_are_read_only_views_of_one_buffer(self, tmp_path):
-        for k, ds in enumerate(_series(5, (12, 10))):
-            (tmp_path / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
-        (tmp_path / "notes.txt").write_bytes(b"\x00" * 3)
-        grid, _, _ = dl.read_directory(tmp_path)
-
-        def owner(a):
-            while (base := a.base if isinstance(a, np.ndarray) else a.obj) is not None:
-                a = base
-            return a
-
-        planes = grid._planes
-        buffers = {id(owner(plane)) for plane in planes}
-        assert len(buffers) == 1
-        assert owner(planes[0]).nbytes == sum(plane.nbytes for plane in planes)
-        for plane in planes:
+    def test_read_holds_no_pixel_bytes(self, tmp_path):
+        for k, ds in enumerate(_series(24, (256, 256))):
+            (tmp_path / f"slice{k:02d}.dcm").write_bytes(dl.write_file(ds))
+        files = vio.directory_files(tmp_path)
+        dl.read_directory(tmp_path, files)  # first-call allocations out of the way
+        with _traced() as one:
+            dl._read_header(*files[0])
+        tracemalloc.start()
+        try:
+            headers = [dl._read_header(*file) for file in files]
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del headers
+        with _traced() as peak:
+            grid, _, _ = dl.read_directory(tmp_path, files)
+        # one file's header in parse beside the headers kept so far, and
+        # 16 KiB for the lists that assemble the series: not the 3 MB of
+        # stored pixels, nor one slice's 128 KiB
+        assert peak[0] <= one[0] + kept + (16 << 10)
+        assert peak[0] < 256 * 256 * 2
+        assert all(isinstance(plane, dl._FileRange) for plane in grid._planes)
+        dtypes = grid._rescale[0]
+        for plane in [*map(grid._stored, grid._planes, dtypes), grid.data]:
             assert not plane.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 plane[0, 0] = 1
+
+    @pytest.mark.parametrize("change", ["replaced", "rewritten", "truncated"])
+    def test_a_file_changed_after_the_read_raises_at_the_first_plane_read(self, tmp_path,
+                                                                          change):
+        for k, ds in enumerate(_series(4, (16, 16))):
+            (tmp_path / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
+        grid, _, _ = dl.read_directory(tmp_path)
+        _change_file(tmp_path / "slice2.dcm", change)
+        expected = f"{tmp_path / 'slice2.dcm'}: DICOM file changed after it was read"
+        with pytest.raises(InputError, match=re.escape(expected)):
+            list(grid.planes())
+        with pytest.raises(InputError, match=re.escape(expected)):
+            grid.lines((slice(None), slice(0, 16, 5), slice(None)))
+        with pytest.raises(InputError, match=re.escape(expected)):
+            grid.data
+
+    def test_estimate_on_a_file_changed_after_the_read_exits_2(self, tmp_path, monkeypatch,
+                                                               capsys):
+        series = tmp_path / "series"
+        series.mkdir()
+        for k, ds in enumerate(_series(4, (16, 16))):
+            (series / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
+        read_series = dl.read_series
+
+        def then_changed(datasets):
+            result = read_series(datasets)
+            _change_file(series / "slice1.dcm", "rewritten")
+            return result
+
+        monkeypatch.setattr(dl, "read_series", then_changed)
+        out = tmp_path / "est.json"
+        assert main(["estimate", "--input", str(series), "--methods", "area_based",
+                     "--out", str(out)]) == 2
+        assert (f"{series / 'slice1.dcm'}: DICOM file changed after it was read"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tail", ["truncated-pixel-data", "element-after-pixel-data",
+                                      "truncated-element-after-pixel-data"])
+    def test_header_read_gives_the_full_parse_result(self, tmp_path, tail):
+        datasets = _series(3, (8, 8))
+        blobs = [dl.write_file(ds) for ds in datasets]
+        trailing = dl._encode_element(dl.DicomElement((0x7FE1, 0x0010), "LO", b"trailing"))
+        blobs[1] = {
+            "truncated-pixel-data": blobs[1][:-10],
+            "element-after-pixel-data": blobs[1] + trailing,
+            "truncated-element-after-pixel-data": blobs[1] + trailing[:-3],
+        }[tail]
+        for k, blob in enumerate(blobs):
+            (tmp_path / f"slice{k}.dcm").write_bytes(blob)
+        grid, _, skipped = dl.read_directory(tmp_path)
+        try:
+            parsed = [dl.parse_file(blob) for blob in blobs]
+        except dl.DicomParseError as exc:  # what a full parse of the changed file raises
+            assert skipped == [f"slice1.dcm: {exc}"]
+            parsed = [dl.parse_file(blob) for k, blob in enumerate(blobs) if k != 1]
+        else:
+            assert skipped == []
+            with open(tmp_path / "slice1.dcm", "rb", buffering=0) as fh:
+                header = dl.parse_file(dl._SliceFile(fh, tmp_path / "slice1.dcm", len(blobs[1])))
+            assert (0x7FE1, 0x0010) in header
+            full = parsed[1].elements
+            assert header.elements.keys() == full.keys()
+            for tag, el in header.elements.items():
+                value = el.value
+                if tag == dl.TAG_PIXEL_DATA:
+                    value = el.value.read(np.dtype("u1"), (1, len(el.value))).tobytes()
+                assert (el.vr, value) == (full[tag].vr, full[tag].value)
+        expected, _ = dl.read_series(parsed)
+        np.testing.assert_array_equal(grid.data, expected.data, strict=True)
+
+    def test_header_mode_parses_what_a_full_parse_does(self, tmp_path):
+        rng = np.random.default_rng(11)
+        for k in range(40):
+            blob = dl.write_file(_random_dataset(rng))
+            path = tmp_path / f"f{k}.dcm"
+            path.write_bytes(blob)
+            with open(path, "rb", buffering=0) as fh:
+                header = dl.parse_file(dl._SliceFile(fh, path, len(blob)))
+            full = dl.parse_file(blob)
+            assert (header.transfer_syntax, header.conformant) == (full.transfer_syntax, True)
+            assert header.elements.keys() == full.elements.keys()
+            pixels = header.get(dl.TAG_PIXEL_DATA).value
+            assert isinstance(pixels, dl._FileRange)
+            assert blob[pixels.offset : pixels.offset + len(pixels)] == full.get(
+                dl.TAG_PIXEL_DATA).value
+            assert all(el.value == full.elements[tag].value
+                       for tag, el in header.elements.items() if tag != dl.TAG_PIXEL_DATA)
+
+    def test_a_stray_file_costs_a_bounded_read(self, tmp_path):
+        series = tmp_path / "series"
+        series.mkdir()
+        for k, ds in enumerate(_series(6, (16, 16))):
+            (series / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
+        argv = ["estimate", "--input", str(series), "--methods", "all", "--format", "csv",
+                "--out", str(tmp_path / "est.csv")]
+
+        def cost(run):
+            start = time.perf_counter()
+            with _traced() as peak:
+                run()
+            return time.perf_counter() - start, peak[0]
+
+        def read():
+            grid, _, skipped = dl.read_directory(series)
+            return skipped
+
+        assert main(argv) == 0  # first-call allocations out of the way
+        before = {"read": cost(read), "estimate": cost(lambda: main(argv))}
+        with open(series / "stray.bin", "wb") as fh:
+            fh.truncate(200 << 20)  # a sparse file: 200 MB of zeros
+        skipped = read()
+        assert [entry.split(":")[0] for entry in skipped] == ["stray.bin"]
+        assert "does not ascend" in skipped[0]
+        after = {"read": cost(read), "estimate": cost(lambda: main(argv))}
+        for name in before:
+            assert after[name][0] - before[name][0] < 0.5, name
+            assert after[name][1] - before[name][1] < 1 << 20, name
 
     def test_a_python_tracer_reads_the_same_series(self, tmp_path):
         """A ``sys.settrace`` tracer (pdb, coverage) holds one more
@@ -378,6 +529,69 @@ def _series(n, shape, signed=False, rescale=(1.25, -1024.0), seed=0):
         )
         for z in range(n)
     ]
+
+
+def _change_file(path, change):
+    """Change the slice file ``path`` the way ``change`` names: replaced by
+    a new file, rewritten in place at a later modification time, or
+    truncated."""
+    blob = path.read_bytes()
+    if change == "replaced":
+        path.with_suffix(".new").write_bytes(blob)
+        os.replace(path.with_suffix(".new"), path)
+    elif change == "rewritten":
+        stat = os.stat(path)
+        with open(path, "r+b") as fh:
+            fh.write(blob)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    else:
+        path.write_bytes(blob[:-2])
+
+
+def _count_file_reads(monkeypatch):
+    """Count each open of a file by name, and record each read of it as
+    ``(offset, bytes read)``; returns the two (a Counter and a dict of
+    lists), which fill as files are opened and read."""
+    opened = collections.Counter()
+    reads = collections.defaultdict(list)
+    real_open = io.open
+
+    class Recorded:
+        def __init__(self, fh, name):
+            self._fh, self._name = fh, name
+
+        def __getattr__(self, attr):
+            return getattr(self._fh, attr)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def _record(self, read, arg):
+            at = self._fh.tell()
+            result = read(arg)
+            reads[self._name].append((at, result if isinstance(result, int) else len(result)))
+            return result
+
+        def read(self, n=-1):
+            return self._record(self._fh.read, n)
+
+        def readinto(self, buffer):
+            return self._record(self._fh.readinto, buffer)
+
+    def counting_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        if not isinstance(file, (str, os.PathLike)):
+            return fh
+        opened[os.path.basename(file)] += 1
+        return Recorded(fh, os.path.basename(file))
+
+    # Path.read_bytes opens through io.open, a bare open() through builtins
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return opened, reads
 
 
 class TestBoundedDecode:
@@ -693,6 +907,41 @@ class TestFiniteVerdict:
             assert main(["ingest", "--input", str(tmp_path), "--out", str(out)]) == 2
         assert "grid data contains non-finite values" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRangeVerdict:
+    """The finiteness verdict reads a slice's stored values only where its
+    dtype's whole range could decode to a non-finite value, and warns of
+    no overflow on the way."""
+
+    def _write(self, directory, hostile):
+        slices = _series(4, (8, 8))
+        stored = np.array(hostile, np.uint16).reshape(2, 2).repeat(4, 0).repeat(4, 1)
+        slices[2] = dl.make_slice_dataset(stored, pixel_spacing=(0.7, 0.7), slice_thickness=2.5,
+                                          position_z=2.5 * 14, rescale=(1e305, 0.0))
+        for k, ds in enumerate(slices):
+            (directory / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
+        return slices
+
+    def test_only_the_slice_whose_range_overflows_is_read(self, tmp_path, monkeypatch):
+        slices = self._write(tmp_path, [0, 0, 0, 0])  # 0 * 1e305 is 0
+        opened, reads = _count_file_reads(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid, _, _ = dl.read_directory(tmp_path)
+        pixels = 8 * 8 * 2
+        assert opened == {"slice0.dcm": 1, "slice1.dcm": 1, "slice2.dcm": 2, "slice3.dcm": 1}
+        assert reads["slice2.dcm"][-1] == (len(dl.write_file(slices[2])) - pixels, pixels)
+        expected, _ = dl.read_series(slices)
+        np.testing.assert_array_equal(grid.data, expected.data, strict=True)
+
+    def test_a_stored_value_that_overflows_raises_without_a_warning(self, tmp_path):
+        self._write(tmp_path, [0, 0, 2000, 0])  # 2000 * 1e305 is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dl.GeometryMismatchError,
+                               match="grid data contains non-finite values"):
+                dl.read_directory(tmp_path)
 
 
 class TestEstimateMemory:

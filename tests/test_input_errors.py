@@ -657,3 +657,37 @@ class TestPhantomSpecIntegers:
         # 9, not the 9.0 the spec holds
         assert [c["seed"] for c in cases] == [4, 9, 6]
         assert all(type(c["seed"]) is int for c in cases)
+
+
+class TestPhantomSpecNumbers:
+    """The float keys hold numbers: a bool or a string is refused, as the
+    integer keys refuse a bool, rather than read through ``float()``, and
+    ``phantom`` exits 2 before any file is written."""
+
+    ELLIPSOID = dict(SPHERE, shape="ellipsoid", semi_axes_mm=[3, 3, 3])
+    LOBULATED = dict(ELLIPSOID, shape="lobulated")
+
+    @pytest.mark.parametrize("entry, message", [
+        (dict(SPHERE, radius_mm=True), "radius_mm must be a number, got True"),
+        (dict(ELLIPSOID, semi_axes_mm=[3, "3", 3]), "semi_axes_mm must be a number, got '3'"),
+        (dict(SPHERE, center_mm=[8, 8, False]), "center_mm must be a number, got False"),
+        (dict(SPHERE, noise_sigma="0.1"), "noise_sigma must be a number, got '0.1'"),
+        (dict(LOBULATED, lobe_amplitude=True), "lobe_amplitude must be a number, got True"),
+        (dict(SPHERE, spacing_mm=[True, 1, 1]), "spacing_mm must be a number, got True"),
+    ], ids=["radius_mm", "semi_axes_mm", "center_mm", "noise_sigma", "lobe_amplitude",
+            "spacing_mm"])
+    def test_second_entry_exits_2_and_writes_nothing(self, tmp_path, capsys, entry, message):
+        with pytest.raises(InputError, match=message):
+            load_phantom_config(entry)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"cohort": [SPHERE, entry]}))
+        out = tmp_path / "out"
+        assert main(["phantom", "--spec", str(spec), "--out", str(out)]) == 2
+        assert f"case 1: invalid phantom config: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_reported_config_is_refused(self):
+        # spacing_mm is read first, so it is the one named
+        with pytest.raises(InputError, match="spacing_mm must be a number, got True"):
+            load_phantom_config({"shape": "sphere", "radius_mm": True, "dims": [16, 16, 16],
+                                 "spacing_mm": [True, 1, 1], "noise_sigma": "0.1"})
