@@ -427,7 +427,9 @@ class TestReadDirectory:
             for tag, el in header.elements.items():
                 value = el.value
                 if tag == dl.TAG_PIXEL_DATA:
-                    value = el.value.read(np.dtype("u1"), (1, len(el.value))).tobytes()
+                    pixels = np.empty((1, len(el.value)), np.uint8)
+                    el.value.read([(0, pixels)])
+                    value = pixels.tobytes()
                 assert (el.vr, value) == (full[tag].vr, full[tag].value)
         expected, _ = dl.read_series(parsed)
         np.testing.assert_array_equal(grid.data, expected.data, strict=True)
@@ -479,6 +481,24 @@ class TestReadDirectory:
         for name in before:
             assert after[name][0] - before[name][0] < 0.5, name
             assert after[name][1] - before[name][1] < 1 << 20, name
+
+    def test_a_long_value_is_left_in_its_file(self, tmp_path):
+        for k, ds in enumerate(_series(2, (16, 16))):
+            (tmp_path / f"slice{k}.dcm").write_bytes(dl.write_file(ds))
+        # a stray file whose first element declares 20 MB: one element,
+        # whose value is not read
+        with open(tmp_path / "stray.bin", "wb") as fh:
+            fh.write(struct.pack("<HHI", 0x0008, 0x0010, (20 << 20) - 8))
+            fh.truncate(20 << 20)
+        # a value the series reads may not be that long
+        (tmp_path / "rows.bin").write_bytes(_implicit_bytes([((0x0028, 0x0010), b"\0" * 70000)]))
+        with _traced() as peak:
+            grid, geometry, skipped = dl.read_directory(tmp_path)
+        assert peak[0] < 1 << 20
+        assert skipped == ["rows.bin: value of (0028,0010) declared 70000 bytes, more than "
+                           "the 65536 a header value may hold"]
+        assert grid.dims == (16, 16, 2)
+        assert "slice 2: missing pixel data or dimensions, skipped" in geometry.warnings
 
     def test_a_python_tracer_reads_the_same_series(self, tmp_path):
         """A ``sys.settrace`` tracer (pdb, coverage) holds one more
@@ -790,6 +810,28 @@ class TestLazyDecode:
         from_files, _, _ = dl.read_directory(tmp_path)
         self._check(from_files, reference, target)
         np.testing.assert_array_equal(from_files.data, reference, strict=True)
+
+    @pytest.mark.parametrize("dtype, whole", [("<i2", False), ("u1", True)])
+    def test_a_resize_from_files_reads_the_rows_it_blends(self, dtype, whole, tmp_path,
+                                                          monkeypatch):
+        # a 32-row resize of 512 rows blends 64 of them, in 32 runs of two:
+        # the 448 rows skipped are 448 KiB of a 2-byte plane, more than 32
+        # reads' worth, and 224 KiB of a 1-byte one, which is read whole
+        datasets, reference = _typed_slices([(dtype, 1.25, -1024.0)] * 3, (512, 512), seed=5)
+        for k, ds in enumerate(datasets):
+            (tmp_path / f"s{k}.dcm").write_bytes(dl.write_file(ds))
+        grid, _, _ = dl.read_directory(tmp_path)
+        opened, reads = _count_file_reads(monkeypatch)
+        self._check(grid, reference, (3, 32, 32))
+        assert grid._decoded is None
+        header = (tmp_path / "s0.dcm").stat().st_size - 512 * 512 * np.dtype(dtype).itemsize
+        row = 512 * np.dtype(dtype).itemsize
+        # the lower row of each blend; no two blends' rows adjoin
+        lower = np.clip(np.floor(np.arange(32) * (511 / 31)).astype(int), 0, 510)
+        expected = ([(header, 512 * row)] if whole else
+                    [(header + int(first) * row, 2 * row) for first in lower])
+        assert opened == {f"s{k}.dcm": 1 for k in range(3)}
+        assert reads == {f"s{k}.dcm": expected for k in range(3)}
 
     def test_series_already_on_the_target_lattice(self):
         datasets, reference = _typed_slices([("<i2", -0.5, 7.0)] * 32, (32, 32), seed=2)
