@@ -325,7 +325,7 @@ def _estimate_parts(read_input, args, network, methods) -> list:
     def estimate():
         case_id, grid, _, analytic = read.get()
         return estimate_all(EstimateCase(case_id, grid, mask.get(), analytic), network,
-                            args.threshold, methods, args.radius, areas.get)
+                            args.threshold, methods, args.radius, areas.get())
 
     return [estimate, areas.get]
 

@@ -71,11 +71,6 @@ _HEADER_VALUE_BYTES = 1 << 16
 _HEADER_TAGS = frozenset(_SERIES_TAGS) - {TAG_PIXEL_DATA} | {TAG_META_GROUP_LENGTH,
                                                              TAG_TRANSFER_SYNTAX}
 
-# a read call costs about as much as copying this many bytes from the page
-# cache: a resize reads a plane's rows in runs only where that skips more
-# than this a run (_SeriesGrid.lines)
-_READ_CALL_BYTES = 8 << 10
-
 # VR dictionary for implicit-VR parsing of the tags above
 _TAG_VR = {
     TAG_META_GROUP_LENGTH: "UL",
@@ -241,23 +236,18 @@ class _FileRange:
     def __len__(self) -> int:
         return self.length
 
-    def read(self, runs) -> None:
-        """Fill each ``(row, part)`` of ``runs`` from the file, one read a
-        part: ``part`` is a C-contiguous array of whole rows of the plane
-        the range holds (rows of ``part``'s length and dtype), from row
-        ``row`` on. A file that changed since it was parsed (any of the
-        four, as ``io._MaskFile`` checks them) raises InputError naming
-        it."""
+    def read(self, dtype: np.dtype, shape: tuple[int, int]) -> np.ndarray:
+        """Its leading ``shape`` values of ``dtype``, read from the file
+        in one read into a fresh read-only array. A file that changed
+        since it was parsed (any of the four, as ``io._MaskFile`` checks
+        them) raises InputError naming it."""
+        out = np.empty(shape, dtype)
         with open(self.path, "rb", buffering=0) as fh:
-            for row, part in runs:
-                fh.seek(self.offset + row * part.strides[0])
-                if fh.readinto(part) != part.nbytes:
-                    self._changed()
-            if file_identity(fh) != self.identity:
-                self._changed()
-
-    def _changed(self):
-        raise InputError(f"{self.path}: DICOM file changed after it was read")
+            fh.seek(self.offset)
+            if fh.readinto(out) != out.nbytes or file_identity(fh) != self.identity:
+                raise InputError(f"{self.path}: DICOM file changed after it was read")
+        out.flags.writeable = False
+        return out
 
 
 def _parse_element(data, n: int, pos: int, explicit: bool, floor=None):
@@ -593,55 +583,25 @@ class _SeriesGrid(VoxelGrid):
             raise ValueError("grid data contains non-finite values")
 
     def _stored(self, plane, dtype: np.dtype) -> np.ndarray:
-        """A plane's stored values: the array, or read from its file into
-        a fresh read-only one."""
-        if isinstance(plane, np.ndarray):
-            return plane
-        out = np.empty(self._shape[1:], dtype)
-        plane.read([(0, out)])
-        out.flags.writeable = False
-        return out
+        """A plane's stored values: the array, or read from its file."""
+        return plane if isinstance(plane, np.ndarray) else plane.read(dtype, self._shape[1:])
 
     def _read(self, planes, outs):
         dtypes, slopes, intercepts = self._rescale
         return map(_decode, map(self._stored, planes, dtypes), slopes, intercepts, outs)
 
     def lines(self, cuts) -> np.ndarray:
-        """The lines of ``cuts``, decoded plane by plane. A plane in its
-        file is read into one buffer a dtype, reused from plane to plane:
-        only the rows the cut takes, a run of consecutive rows a read,
-        where that skips more than ``_READ_CALL_BYTES`` a run (a resize
-        of a 512-row plane to 32 rows reads 64 of them in 32 runs), else
-        the whole plane in one read."""
         planes = self._planes  # None once data has been decoded
         if planes is None:
             return super().lines(cuts)
         dtypes, slopes, intercepts = self._rescale
         zs, ys, xs = cuts
-        ny, nx = self._shape[1:]
-        rows = np.arange(ny)[ys]
-        # the cut's runs of consecutive rows, as [start, stop) of ``rows``
-        bounds = [*np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist(), rows.size]
-        spans = list(zip(bounds, bounds[1:]))
-        reads = {}  # per dtype: the buffer, its reads and the rows of it the cut takes
         picked = np.arange(len(planes))[zs]
-        out = np.empty((picked.size, rows.size, np.arange(nx)[xs].size))
+        out = np.empty([np.arange(n)[cut].size for n, cut in zip(self._shape, cuts)])
         for plane, k in zip(out, picked):
-            stored, dtype, taken = planes[k], dtypes[k], ys
-            if not isinstance(stored, np.ndarray):
-                if dtype not in reads:
-                    skipped = (ny - rows.size) * nx * dtype.itemsize
-                    if skipped > len(spans) * _READ_CALL_BYTES:
-                        buffer = np.empty((rows.size, nx), dtype)
-                        runs = [(int(rows[a]), buffer[a:b]) for a, b in spans]
-                        reads[dtype] = buffer, runs, slice(None)
-                    else:
-                        buffer = np.empty((ny, nx), dtype)
-                        reads[dtype] = buffer, [(0, buffer)], ys
-                stored, runs, taken = reads[dtype]
-                planes[k].read(runs)
+            stored = self._stored(planes[k], dtypes[k])
             # rows, then columns: two small gathers, faster than one np.ix_
-            _decode(stored[taken][:, xs], slopes[k], intercepts[k], out=plane)
+            _decode(stored[ys][:, xs], slopes[k], intercepts[k], out=plane)
         return out
 
 

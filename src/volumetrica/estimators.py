@@ -4,7 +4,6 @@ cross-method discrepancy matrix."""
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,28 +176,22 @@ def estimate_all(
     threshold: float = 0.5,
     methods=METHODS,
     manual_radius: float | None = None,
-    areas: Callable[[], SliceAreaSeries] | None = None,
+    areas: SliceAreaSeries | None = None,
 ) -> EstimateReport:
     """``estimate_series`` over the mask's slice areas, plus ``ml`` on the
     case's grid, with the case geometry added to the report metadata.
-    ``areas`` returns ``slice_areas(case.mask)`` where the caller counts
-    it elsewhere; it is called after ``ml`` has run, so a count on
-    another thread overlaps the network's work instead of holding it up."""
-    ml: float | Exception | None = None
+    ``areas`` is ``slice_areas(case.mask)`` when the caller has counted
+    it already."""
+    report = estimate_series(slice_areas(case.mask) if areas is None else areas,
+                             [m for m in methods if m != "ml"], manual_radius)
+    report.case_id = case.case_id
     if "ml" in methods:
         try:
             if network is None:
                 raise ValueError("no trained network supplied")
-            ml = ml_estimate(case.grid, network, threshold)
+            report.volumes["ml"] = ml_estimate(case.grid, network, threshold)
         except Exception as exc:
-            ml = exc
-    report = estimate_series(slice_areas(case.mask) if areas is None else areas(),
-                             [m for m in methods if m != "ml"], manual_radius)
-    report.case_id = case.case_id
-    if isinstance(ml, Exception):
-        report.errors["ml"] = _error(ml)
-    elif ml is not None:
-        report.volumes["ml"] = ml
+            report.errors["ml"] = _error(exc)
     report.metadata.update(
         spacing_mm=list(case.mask.spacing.as_tuple()),
         dims=list(case.mask.dims),

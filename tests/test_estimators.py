@@ -244,27 +244,6 @@ class TestEstimateAll:
         assert "ml" in report.errors
         assert "ml" not in report.volumes
 
-    def test_areas_are_asked_for_after_ml(self, monkeypatch):
-        # a caller that counts the slice areas on another thread lets the
-        # network run meanwhile: estimate_all asks for them only after ml
-        from volumetrica import estimators
-        from volumetrica.geometry import slice_areas
-
-        spec = PhantomSpec(kind="sphere", radius=6.0)
-        grid, mask, volume = make_phantom(spec, (32, 32, 32), Spacing(1, 1, 1))
-        calls = []
-        monkeypatch.setattr(estimators, "ml_estimate", lambda *a: calls.append("ml") or 1.0)
-
-        def areas():
-            calls.append("areas")
-            return slice_areas(mask)
-
-        report = estimate_all(EstimateCase("x", grid, mask, volume), build_segmenter_3d(seed=0),
-                              areas=areas)
-        assert calls == ["ml", "areas"]
-        expected = estimate_all(EstimateCase("x", grid, mask, volume), build_segmenter_3d(seed=0))
-        assert report.to_dict() == expected.to_dict()
-
     def test_manual_radius_override(self):
         spec = PhantomSpec(kind="sphere", radius=6.0)
         grid, mask, volume = make_phantom(spec, (32, 32, 32), Spacing(1, 1, 1))
